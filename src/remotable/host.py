@@ -55,7 +55,6 @@ class HostConfig:
     listen: EndpointAddr
     locality_replacement: bool = True
     registry_bindings: dict[str, ObjectId] = field(default_factory=dict)
-    idle_timeout: Optional[float] = None
 
 
 class Host:
@@ -197,7 +196,10 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         conn = self.request
         if server.idle_timeout is not None:
             conn.settimeout(server.idle_timeout)
-        buffer = b""
+        # Received bytes are appended and consumed frames deleted from the
+        # front; both are amortized O(1) per byte on a bytearray, so a large
+        # frame arriving in many reads is not re-copied on every read.
+        buffer = bytearray()
         while True:
             try:
                 chunk = conn.recv(65536)
@@ -218,7 +220,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 if decoded is None:
                     break
                 message, consumed = decoded
-                buffer = buffer[consumed:]
+                del buffer[:consumed]
                 response = host.dispatch(message)
                 if not self._send(response):
                     return

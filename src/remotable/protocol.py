@@ -26,11 +26,22 @@ Sub-encodings used inside message bodies:
 
 Encodings are canonical: equal values produce byte-equal frames, and
 re-encoding a decoded message reproduces the original bytes.
+
+A flat list whose elements all share one exact scalar type (int, float, bool
+or str) is encoded and decoded in bulk, with C-level strided copies instead of
+one Python call per element; the bytes are the same as element by element.
+Any irregularity on decode (a wrong tag, truncation, a bad boolean byte, bad
+UTF-8) falls back to the element-by-element reader, so errors and their
+offsets do not depend on the fast path. Lists may nest at most
+MAX_LIST_DEPTH deep in either direction.
 """
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Union
 
 from .errors import NotSerializableError, ProtocolError
@@ -43,6 +54,7 @@ MAX_BODY_LEN = 2**32 - 1
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+MAX_LIST_DEPTH = 100
 
 TAG_INT = 0x01
 TAG_FLOAT = 0x02
@@ -60,6 +72,10 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+_TEXT_HEAD = struct.Struct(">BI")
+
+# rv1 numbers are big-endian; array() holds them in native order.
+_SWAP = sys.byteorder == "little"
 
 
 @dataclass(frozen=True)
@@ -150,12 +166,6 @@ _MESSAGE_TAGS: dict[type, int] = {
     Rebind: 1, Lookup: 2, Map: 3, FlatMap: 4, Get: 5, Export: 6, Stats: 7,
     RespDescriptor: 8, RespValue: 9, RespStats: 10, RespAck: 11, RespError: 12,
 }
-_REQUEST_TYPES = (Rebind, Lookup, Map, FlatMap, Get, Export, Stats)
-
-
-def is_request(message: Message) -> bool:
-    return isinstance(message, _REQUEST_TYPES)
-
 
 # --------------------------------------------------------------------------
 # Value codec
@@ -178,7 +188,7 @@ def _tag_for(value: Any) -> int:
     raise NotSerializableError(f"no codec binding for {type(value).__name__}")
 
 
-def _encode_raw(value: Any, out: bytearray) -> None:
+def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
     tag = _tag_for(value)
     out.append(tag)
     if tag == TAG_BOOL:
@@ -197,7 +207,14 @@ def _encode_raw(value: Any, out: bytearray) -> None:
         out += _U32.pack(len(value))
         out += bytes(value)
     elif tag == TAG_LIST:
+        if depth >= MAX_LIST_DEPTH:
+            raise NotSerializableError(f"lists nested deeper than {MAX_LIST_DEPTH}")
         out += _U32.pack(len(value))
+        kinds = set(map(type, value))
+        bulk = _BULK_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
+        if bulk is not None:
+            bulk(value, out)
+            return
         element_tag = None
         for element in value:
             found = _tag_for(element)
@@ -205,7 +222,54 @@ def _encode_raw(value: Any, out: bytearray) -> None:
                 element_tag = found
             elif found != element_tag:
                 raise NotSerializableError("list elements must share one codec tag")
-            _encode_raw(element, out)
+            _encode_raw(element, out, depth + 1)
+
+
+def _put_fixed(tag: int, raw: array, out: bytearray) -> None:
+    """Interleave one tag byte before each 8-byte big-endian element of ``raw``."""
+    if _SWAP:
+        raw.byteswap()
+    data = raw.tobytes()
+    count = len(raw)
+    block = bytearray(9 * count)
+    block[0::9] = bytes((tag,)) * count
+    for k in range(8):
+        block[1 + k::9] = data[k::8]
+    out += block
+
+
+def _put_ints(value: list, out: bytearray) -> None:
+    try:
+        raw = array("q", value)
+    except OverflowError:
+        bad = next(v for v in value if not _INT64_MIN <= v <= _INT64_MAX)
+        raise NotSerializableError(f"integer out of 64-bit range: {bad}") from None
+    _put_fixed(TAG_INT, raw, out)
+
+
+def _put_floats(value: list, out: bytearray) -> None:
+    _put_fixed(TAG_FLOAT, array("d", value), out)
+
+
+def _put_bools(value: list, out: bytearray) -> None:
+    count = len(value)
+    block = bytearray(2 * count)
+    block[0::2] = bytes((TAG_BOOL,)) * count
+    block[1::2] = bytes(value)
+    out += block
+
+
+def _put_texts(value: list, out: bytearray) -> None:
+    encoded = list(map(str.encode, value))
+    parts: list = [None] * (2 * len(encoded))
+    parts[0::2] = [_TEXT_HEAD.pack(TAG_TEXT, n) for n in map(len, encoded)]
+    parts[1::2] = encoded
+    out += b"".join(parts)
+
+
+# Keyed by exact type: bool must not take the int path, and int subclasses
+# such as IntEnum go element by element like any other mixed list.
+_BULK_ENCODERS = {int: _put_ints, float: _put_floats, bool: _put_bools, str: _put_texts}
 
 
 def encode_value(value: Any) -> ValuePayload:
@@ -251,7 +315,7 @@ class _Cursor:
         return self.pos == len(self.buf)
 
 
-def _decode_raw(cursor: _Cursor) -> Any:
+def _decode_raw(cursor: _Cursor, depth: int = 0) -> Any:
     offset = cursor.pos
     tag = cursor.u8()
     if tag == TAG_INT:
@@ -272,7 +336,16 @@ def _decode_raw(cursor: _Cursor) -> Any:
     if tag == TAG_BLOB:
         return cursor.take(cursor.u32())
     if tag == TAG_LIST:
+        if depth >= MAX_LIST_DEPTH:
+            raise ProtocolError(
+                f"lists nested deeper than {MAX_LIST_DEPTH} at offset {offset}"
+            )
         count = cursor.u32()
+        if count and cursor.pos < len(cursor.buf):
+            bulk = _BULK_DECODERS.get(cursor.buf[cursor.pos])
+            items = bulk(cursor, count) if bulk is not None else None
+            if items is not None:
+                return items
         items = []
         element_tag = None
         for _ in range(count):
@@ -283,9 +356,68 @@ def _decode_raw(cursor: _Cursor) -> Any:
                 element_tag = found
             elif found != element_tag:
                 raise ProtocolError(f"heterogeneous list at offset {cursor.pos}")
-            items.append(_decode_raw(cursor))
+            items.append(_decode_raw(cursor, depth + 1))
         return items
     raise ProtocolError(f"unknown value tag 0x{tag:02x} at offset {offset}")
+
+
+# Bulk readers for a list of ``count`` elements starting at the cursor. Each
+# returns None, leaving the cursor where it was, on anything irregular; the
+# element-by-element reader then produces the error.
+
+
+def _take_fixed(cursor: _Cursor, count: int, tag: int, typecode: str) -> list | None:
+    buf, start = cursor.buf, cursor.pos
+    end = start + 9 * count
+    if end > len(buf) or buf[start:end:9].count(tag) != count:
+        return None
+    raw = bytearray(8 * count)
+    for k in range(8):
+        raw[k::8] = buf[start + 1 + k:end:9]
+    values = array(typecode, raw)
+    if _SWAP:
+        values.byteswap()
+    cursor.pos = end
+    return values.tolist()
+
+
+def _take_bools(cursor: _Cursor, count: int) -> list | None:
+    buf, start = cursor.buf, cursor.pos
+    end = start + 2 * count
+    if end > len(buf) or buf[start:end:2].count(TAG_BOOL) != count:
+        return None
+    flags = buf[start + 1:end:2]
+    if flags.translate(None, b"\x00\x01"):
+        return None
+    cursor.pos = end
+    return [flag == 1 for flag in flags]
+
+
+def _take_texts(cursor: _Cursor, count: int) -> list | None:
+    buf, pos = cursor.buf, cursor.pos
+    size = len(buf)
+    head = _TEXT_HEAD.unpack_from
+    items = []
+    try:
+        for _ in range(count):
+            tag, length = head(buf, pos)
+            start = pos + 5
+            pos = start + length
+            if tag != TAG_TEXT or pos > size:
+                return None
+            items.append(buf[start:pos].decode("utf-8"))
+    except (struct.error, UnicodeDecodeError):
+        return None
+    cursor.pos = pos
+    return items
+
+
+_BULK_DECODERS = {
+    TAG_INT: partial(_take_fixed, tag=TAG_INT, typecode="q"),
+    TAG_FLOAT: partial(_take_fixed, tag=TAG_FLOAT, typecode="d"),
+    TAG_BOOL: _take_bools,
+    TAG_TEXT: _take_texts,
+}
 
 
 def decode_value(payload: ValuePayload) -> Any:
@@ -440,7 +572,10 @@ def encode_message(message: Message) -> bytes:
     tag = _MESSAGE_TAGS.get(type(message))
     if tag is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
-    body = bytearray((tag,))
+    # The 4-byte length prefix is reserved up front and filled in at the end,
+    # so the frame is copied only once, into the returned bytes.
+    body = bytearray(4)
+    body.append(tag)
     if isinstance(message, Rebind):
         _put_name(message.name, body)
         _put_descriptor(message.descriptor, body)
@@ -464,27 +599,33 @@ def encode_message(message: Message) -> bytes:
         body += _U8.pack(message.code)
         _put_name(message.text, body)
     # RespAck has no fields.
-    if len(body) > MAX_BODY_LEN:
-        raise ProtocolError(f"message body too large: {len(body)} bytes")
-    return _U32.pack(len(body)) + bytes(body)
+    body_len = len(body) - 4
+    if body_len > MAX_BODY_LEN:
+        raise ProtocolError(f"message body too large: {body_len} bytes")
+    _U32.pack_into(body, 0, body_len)
+    return bytes(body)
 
 
-def decode_message(buf: bytes) -> tuple[Message, int] | None:
+def decode_message(buf: bytes | bytearray) -> tuple[Message, int] | None:
     """Decode one message from the front of a buffer.
 
     Returns (message, bytes consumed) so callers can keep trailing bytes for
     the next frame, or None when the buffer does not yet hold a complete
-    frame. Malformed complete frames raise ProtocolError.
+    frame. Malformed complete frames raise ProtocolError. The body is copied
+    out, so the caller may reuse or trim ``buf`` afterwards.
     """
     if len(buf) < 4:
         return None
-    (body_len,) = _U32.unpack(buf[:4])
+    (body_len,) = _U32.unpack_from(buf)
     end = 4 + body_len
     if len(buf) < end:
         return None
     if body_len == 0:
         raise ProtocolError("empty frame body")
-    cursor = _Cursor(buf[4:end])
+    body = buf[4:end]
+    # a bytearray body is copied once more so that blobs and payloads decode
+    # to bytes; on the small frames most calls carry, this beats a memoryview
+    cursor = _Cursor(body if type(body) is bytes else bytes(body))
     tag = cursor.u8()
     message: Message
     if tag == _MESSAGE_TAGS[Rebind]:

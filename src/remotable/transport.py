@@ -107,7 +107,15 @@ class LoopbackTransport(Transport):
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = bytearray()
+    """Receive exactly ``count`` bytes.
+
+    MSG_WAITALL lets a blocking socket fill the whole buffer in one call; the
+    loop finishes reads it cuts short (a socket with a timeout, a signal).
+    """
+    data = sock.recv(count, socket.MSG_WAITALL)
+    if len(data) == count:
+        return data
+    chunks = bytearray(data)
     while len(chunks) < count:
         chunk = sock.recv(count - len(chunks))
         if not chunk:

@@ -17,6 +17,7 @@ from remotable import (
     encode_value,
 )
 from remotable.protocol import (
+    CODEC_RV1,
     Export,
     FlatMap,
     Get,
@@ -29,6 +30,7 @@ from remotable.protocol import (
     RespStats,
     RespValue,
     Stats,
+    ValuePayload,
 )
 from remotable.transport import read_frame
 
@@ -132,6 +134,26 @@ def test_export_hosts_decoded_value(node):
     assert node.table.entry(response.descriptor.id).value == [1, 2]
 
 
+DEEP_PAYLOAD = ValuePayload(CODEC_RV1, b"\x06\x00\x00\x00\x01" * 5000 + encode_value(1).data)
+
+
+def test_export_of_deeply_nested_payload_is_a_protocol_error(node):
+    raw = node.host.handle_frame(encode_message(Export(DEEP_PAYLOAD)))
+    decoded, _ = decode_message(raw)
+    assert decoded.code == ErrorCode.PROTOCOL_ERROR
+    assert "nested deeper" in decoded.text
+
+
+def test_get_of_deeply_nested_value_is_not_serializable(node):
+    value = 1
+    for _ in range(5000):
+        value = [value]
+    descriptor = node.table.export(value)
+    response = node.host.dispatch(Get(descriptor.id))
+    assert response.code == ErrorCode.NOT_SERIALIZABLE
+    assert "nested deeper" in response.text
+
+
 def test_stats_roundtrip(node):
     descriptor = node.table.export(1)
     node.table.record_serialization(descriptor.id)
@@ -181,6 +203,27 @@ def test_tcp_pipelined_requests_answer_in_order(tcp_node):
         second = read_frame(sock)
     assert decode_message(first)[0] == RespValue(encode_value(1))
     assert decode_message(second)[0] == RespValue(encode_value(2))
+
+
+def test_tcp_large_frame_in_many_reads_then_pipelined_request(tcp_node):
+    value = list(range(100_000))  # a ~900 KB frame, many socket reads long
+    with socket.create_connection((tcp_node.endpoint.host, tcp_node.endpoint.port), timeout=5) as sock:
+        sock.sendall(encode_message(Export(encode_value(value))) + encode_message(Lookup("ghost")))
+        exported = decode_message(read_frame(sock))[0]
+        missing = decode_message(read_frame(sock))[0]
+        sock.sendall(encode_message(Get(exported.descriptor.id)))
+        fetched = decode_message(read_frame(sock))[0]
+    assert tcp_node.table.entry(exported.descriptor.id).value == value
+    assert missing.code == ErrorCode.NOT_FOUND
+    assert fetched == RespValue(encode_value(value))
+
+
+def test_tcp_export_of_deeply_nested_payload_answers_then_closes(tcp_node):
+    with socket.create_connection((tcp_node.endpoint.host, tcp_node.endpoint.port), timeout=5) as sock:
+        sock.sendall(encode_message(Export(DEEP_PAYLOAD)))
+        decoded, _ = decode_message(read_frame(sock))
+        assert decoded.code == ErrorCode.PROTOCOL_ERROR
+        assert sock.recv(1) == b""  # server hung up
 
 
 def test_tcp_garbage_gets_error_then_close_without_hurting_others(tcp_node):

@@ -1,4 +1,7 @@
+import hashlib
+import random
 import struct
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from remotable import (
 )
 from remotable.protocol import (
     CODEC_RV1,
+    MAX_LIST_DEPTH,
     Export,
     FlatMap,
     Get,
@@ -33,7 +37,9 @@ from remotable.protocol import (
     RespStats,
     RespValue,
     Stats,
+    TAG_BLOB,
     TAG_BOOL,
+    TAG_FLOAT,
     ValuePayload,
 )
 
@@ -111,8 +117,10 @@ def test_int_outside_64_bits_is_not_serializable():
 
 
 def test_mixed_list_is_not_serializable():
-    with pytest.raises(NotSerializableError):
-        encode_value([1, "two"])
+    # bool is an int subclass and int converts to float, yet each keeps its own tag
+    for value in ([1, "two"], [True, 1], [1, True], [1, 1.0], [1.0, 1]):
+        with pytest.raises(NotSerializableError, match="share one codec tag"):
+            encode_value(value)
 
 
 def test_unknown_codec_id_rejected():
@@ -188,6 +196,204 @@ def test_codec_round_trip_preserves_types(value):
 def test_encoding_is_canonical(value):
     payload = encode_value(value)
     assert encode_value(decode_value(payload)) == payload
+
+
+# -- bulk lists: byte parity with an element-by-element oracle -----------------
+
+
+def _oracle(value):
+    """rv1 bytes of a flat scalar list, written element by element from the format table."""
+    parts = [struct.pack(">BI", 0x06, len(value))]
+    for element in value:
+        if type(element) is bool:
+            parts.append(struct.pack(">BB", 0x03, element))
+        elif type(element) is int:
+            parts.append(struct.pack(">Bq", 0x01, element))
+        elif type(element) is float:
+            parts.append(struct.pack(">Bd", 0x02, element))
+        else:
+            encoded = element.encode("utf-8")
+            parts.append(struct.pack(">BI", 0x04, len(encoded)) + encoded)
+    return b"".join(parts)
+
+
+SPECIAL = {
+    "int": [-(2**63), 2**63 - 1, 0, -1, 1],
+    "float": [-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1.7976931348623157e308],
+    "bool": [True, False],
+    "text": ["", "é", "λ€", "\U0001f600", "\x00", "ascii"],
+}
+
+
+def _seeded_list(kind, length, seed):
+    rng = random.Random(seed)
+    draw = {
+        "int": lambda: rng.randint(-(2**63), 2**63 - 1),
+        "float": lambda: rng.uniform(-1e308, 1e308),
+        "bool": lambda: rng.random() < 0.5,
+        "text": lambda: "".join(rng.choices("ab z\u00e9\u03bb\u20ac\U0001f600", k=rng.randrange(12))),
+    }[kind]
+    return [rng.choice(SPECIAL[kind]) if rng.random() < 0.1 else draw() for _ in range(length)]
+
+
+def _same_elements(back, value):
+    # by type and by bytes, so that NaN and -0.0 count as equal only to themselves
+    assert [type(x) for x in back] == [type(x) for x in value]
+    assert _oracle(back) == _oracle(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(SPECIAL)),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_long_flat_lists_match_the_oracle(kind, length, seed):
+    value = _seeded_list(kind, length, seed)
+    payload = encode_value(value)
+    assert payload.data == _oracle(value)
+    _same_elements(decode_value(payload), value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(int64s | st.sampled_from(SPECIAL["int"]), max_size=40)
+    | st.lists(st.floats(), max_size=40)
+    | st.lists(st.booleans(), max_size=40)
+    | st.lists(st.text(max_size=10), max_size=40)
+)
+def test_short_flat_lists_match_the_oracle(value):
+    payload = encode_value(value)
+    assert payload.data == _oracle(value)
+    _same_elements(decode_value(payload), value)
+
+
+# SHA-256 of encode_value for the values below, taken from the element-by-element
+# codec; any change to the rv1 bytes of these lists fails here.
+GOLDEN_DIGESTS = {
+    "int": "517b7588bb210ec968fe65241d72aeda3f40c68aa19a48f0b61fb723e336fc1e",
+    "float": "3c358c2bfbcf4c97fc9dea7faeeabd897e0bff03b9caa681087eebe49ccb0ea2",
+    "bool": "20020eb6962a8f68d45e9bcd1c15c5634597bb67db09ca914cb43467e3c9bf54",
+    "text": "3efc38af54097d49904575c2f77f82ee12bc0ade20dc1e9798cb9f9828d7c9b6",
+    "nested": "4520a815a4fa03210f0579447315713bad770a651f518b36bce03f9c4883433c",
+}
+
+
+def _golden_values():
+    rng = random.Random(20_000)
+    n = 20_000
+    ints = [rng.randint(-(2**63), 2**63 - 1) for _ in range(n - 4)]
+    ints += [-(2**63), 2**63 - 1, 0, -1]
+    floats = [rng.uniform(-1e300, 1e300) for _ in range(n - 6)]
+    floats += [-0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 0.0]
+    bools = [rng.random() < 0.5 for _ in range(n)]
+    alphabet = "abcXYZ019 _-\x00\x7f\u00e9\u03bb\u20ac\U0001f600"
+    texts = ["".join(rng.choices(alphabet, k=rng.randrange(0, 24))) for _ in range(n)]
+    nested = [[rng.randint(-1000, 1000) for _ in range(rng.randrange(0, 40))] for _ in range(300)]
+    nested += [floats[i:i + 7] for i in range(0, 700, 7)]
+    nested += [texts[i:i + 3] for i in range(0, 300, 3)]
+    nested += [bools[:5], [], [b"blob", b""], [[1, 2], [3]], [["x"], []]]
+    return {"int": ints, "float": floats, "bool": bools, "text": texts, "nested": nested}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_digests_pin_the_wire_bytes(name):
+    value = _golden_values()[name]
+    payload = encode_value(value)
+    assert hashlib.sha256(payload.data).hexdigest() == GOLDEN_DIGESTS[name]
+    assert encode_value(decode_value(payload)) == payload
+
+
+def test_out_of_range_int_deep_in_a_long_list():
+    value = list(range(1000))
+    value[700] = 2**63
+    with pytest.raises(NotSerializableError, match=r"^integer out of 64-bit range: 9223372036854775808$"):
+        encode_value(value)
+
+
+class _Small(IntEnum):
+    A = 1
+    B = 2
+
+
+def test_int_subclass_elements_encode_as_plain_ints():
+    assert encode_value([_Small.A, 2]) == encode_value([1, 2])
+    assert encode_value([_Small.A, _Small.B]) == encode_value([1, 2])
+
+
+def _ints_payload(count):
+    return bytearray(encode_value(list(range(count))).data)
+
+
+def _rejects(data, message):
+    with pytest.raises(ProtocolError, match="^" + message + "$"):
+        decode_value(ValuePayload(CODEC_RV1, bytes(data)))
+
+
+def test_wrong_tag_deep_in_an_int_list_names_its_offset():
+    data = _ints_payload(1000)
+    data[5 + 9 * 700] = TAG_FLOAT
+    _rejects(data, "heterogeneous list at offset 6305")
+
+
+def test_truncated_long_list_names_its_offset():
+    data = _ints_payload(1000)
+    _rejects(data[:-1], r"short body: need 8 bytes at offset 8997, have 7")
+    _rejects(data[:5 + 9 * 500], "truncated list at offset 4505")
+
+
+def test_bad_bool_byte_deep_in_a_list_names_its_offset():
+    data = bytearray(encode_value([True, False] * 500).data)
+    data[5 + 2 * 700 + 1] = 0x02
+    _rejects(data, "bad boolean byte 0x02 at offset 1405")
+
+
+def test_bad_utf8_deep_in_a_text_list_names_its_offset():
+    data = bytearray(encode_value(["abc"] * 1000).data)
+    data[5 + 8 * 700 + 5] = 0xFF
+    with pytest.raises(ProtocolError, match="^bad UTF-8 in text at offset 5605: "):
+        decode_value(ValuePayload(CODEC_RV1, bytes(data)))
+
+
+def test_text_list_with_a_foreign_tag_is_heterogeneous():
+    data = bytearray(encode_value(["abc"] * 10).data)
+    data[5 + 8 * 7] = TAG_BLOB
+    _rejects(data, "heterogeneous list at offset 61")
+
+
+# -- nesting depth ------------------------------------------------------------
+
+
+def _nested(depth, leaf=1):
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_lists_nest_up_to_the_limit():
+    value = _nested(MAX_LIST_DEPTH)
+    assert decode_value(encode_value(value)) == value
+
+
+@pytest.mark.parametrize("depth", [MAX_LIST_DEPTH + 1, 5000])
+def test_deeper_nesting_is_not_serializable(depth):
+    with pytest.raises(NotSerializableError, match="nested deeper"):
+        encode_value(_nested(depth))
+
+
+def test_self_containing_list_is_not_serializable():
+    value = []
+    value.append(value)
+    with pytest.raises(NotSerializableError, match="nested deeper"):
+        encode_value(value)
+
+
+@pytest.mark.parametrize("depth", [MAX_LIST_DEPTH + 1, 5000])
+def test_deeply_nested_payload_is_a_protocol_error(depth):
+    data = b"\x06\x00\x00\x00\x01" * depth + encode_value(1).data
+    with pytest.raises(ProtocolError, match=f"nested deeper than {MAX_LIST_DEPTH} at offset {5 * MAX_LIST_DEPTH}$"):
+        decode_value(ValuePayload(CODEC_RV1, data))
 
 
 # -- message round trips --------------------------------------------------------

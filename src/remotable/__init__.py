@@ -18,7 +18,7 @@ from .errors import (
     UnknownObjectError,
 )
 from .funcs import Token, canonical_text, default_registry, register_default_functions
-from .host import Host, HostConfig, TcpHostServer
+from .host import Host, TcpHostServer
 from .model import EndpointAddr, HostTable, ObjectId, RemoteRefDescriptor
 from .node import HostContext, Node, RemoteHandle
 from .protocol import DEFAULT_PORT, decode_message, decode_value, encode_message, encode_value
@@ -47,7 +47,6 @@ __all__ = [
     "ExecutionError",
     "FnRegistry",
     "Host",
-    "HostConfig",
     "HostContext",
     "HostTable",
     "InlineValue",

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import socketserver
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from .errors import (
     ContractViolationError,
@@ -40,21 +39,13 @@ from .protocol import (
     RespValue,
     Stats,
     ValuePayload,
+    decode_frame,
     decode_message,
     decode_value,
     encode_message,
     encode_value,
 )
-from .shipping import FnRegistry, PlainValue, RemoteValue, ShippedFn, evaluate
-
-
-@dataclass
-class HostConfig:
-    """Serving configuration: where to listen and what to pre-bind."""
-
-    listen: EndpointAddr
-    locality_replacement: bool = True
-    registry_bindings: dict[str, ObjectId] = field(default_factory=dict)
+from .shipping import FnRegistry, PlainValue, RemoteValue, evaluate
 
 
 class Host:
@@ -62,8 +53,7 @@ class Host:
 
     ``context_factory(subject_id, subject_value)`` supplies the evaluation
     context handed to shipped function bodies; it is the hook through which
-    nested remote calls and locality replacement reach the client API. The
-    name registry lives in ``config.registry_bindings``.
+    nested remote calls and locality replacement reach the client API.
     """
 
     def __init__(
@@ -71,42 +61,33 @@ class Host:
         table: HostTable,
         registry: FnRegistry,
         context_factory: Callable[[ObjectId, Any], Any],
-        config: Optional[HostConfig] = None,
     ) -> None:
         self.table = table
         self.registry = registry
-        self.config = config if config is not None else HostConfig(listen=table.self_endpoint)
         self._context_factory = context_factory
-        self._bindings = self.config.registry_bindings
+        self._bindings: dict[str, ObjectId] = {}
         self._bind_lock = threading.Lock()
 
     # -- request handlers ---------------------------------------------------
 
-    def handle_map(self, target: ObjectId, fn: ShippedFn) -> RemoteRefDescriptor:
-        """Apply a shipped function to the target's value and re-host the result here.
+    def handle_pipeline(self, request: Union[Map, FlatMap]) -> RemoteRefDescriptor:
+        """Apply a shipped function to the target's value under the variant's contract.
 
-        The subject is handed to the function without serialization; the plain
-        result is exported at this host, so a map result always lives at the
-        target's home endpoint.
+        The subject is handed to the function without serialization. A Map's
+        function must yield a plain value, which is exported at this host, so a
+        map result always lives at the target's home endpoint. A FlatMap's
+        function places its result itself: the descriptor it yields is passed
+        through as-is, possibly naming a third host.
         """
-        entry = self.table.require(target)
-        ctx = self._context_factory(target, entry.value)
-        result = evaluate(self.registry, fn, entry.value, ctx)
-        if not isinstance(result, PlainValue):
-            raise ContractViolationError(
-                "map function must yield a plain value, got a remote reference"
-            )
-        return self.table.export(result.value)
-
-    def handle_flatmap(self, target: ObjectId, fn: ShippedFn) -> RemoteRefDescriptor:
-        """Apply a shipped function that itself places its result somewhere.
-
-        The returned descriptor is passed through as-is; the result stays
-        hosted wherever the function put it, possibly a third host.
-        """
-        entry = self.table.require(target)
-        ctx = self._context_factory(target, entry.value)
-        result = evaluate(self.registry, fn, entry.value, ctx)
+        entry = self.table.require(request.target)
+        ctx = self._context_factory(request.target, entry.value)
+        result = evaluate(self.registry, request.fn, entry.value, ctx)
+        if isinstance(request, Map):
+            if not isinstance(result, PlainValue):
+                raise ContractViolationError(
+                    "map function must yield a plain value, got a remote reference"
+                )
+            return self.table.export(result.value)
         if not isinstance(result, RemoteValue):
             raise ContractViolationError(
                 "flat_map function must yield a remote reference, got a plain value"
@@ -149,10 +130,8 @@ class Host:
                 return RespAck()
             if isinstance(message, Lookup):
                 return RespDescriptor(self.handle_lookup(message.name))
-            if isinstance(message, Map):
-                return RespDescriptor(self.handle_map(message.target, message.fn))
-            if isinstance(message, FlatMap):
-                return RespDescriptor(self.handle_flatmap(message.target, message.fn))
+            if isinstance(message, (Map, FlatMap)):
+                return RespDescriptor(self.handle_pipeline(message))
             if isinstance(message, Get):
                 return RespValue(self.handle_get(message.target))
             if isinstance(message, Export):
@@ -172,10 +151,7 @@ class Host:
     def handle_frame(self, frame: bytes) -> bytes:
         """Decode one complete request frame and return the response frame."""
         try:
-            decoded = decode_message(frame)
-            if decoded is None or decoded[1] != len(frame):
-                raise ProtocolError("frame length does not match its declared body")
-            response = self.dispatch(decoded[0])
+            response = self.dispatch(decode_frame(frame))
         except ProtocolError as exc:
             response = RespError(int(ErrorCode.PROTOCOL_ERROR), str(exc))
         return encode_message(response)
@@ -185,7 +161,6 @@ class _HostTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     remotable_host: Optional[Host] = None
-    idle_timeout: Optional[float] = None
 
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -193,9 +168,8 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         server: _HostTCPServer = self.server  # type: ignore[assignment]
+        host = server.remotable_host  # set before start(), which checks it
         conn = self.request
-        if server.idle_timeout is not None:
-            conn.settimeout(server.idle_timeout)
         # Received bytes are appended and consumed frames deleted from the
         # front; both are amortized O(1) per byte on a bytearray, so a large
         # frame arriving in many reads is not re-copied on every read.
@@ -203,15 +177,12 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 chunk = conn.recv(65536)
-            except (TimeoutError, OSError):
+            except OSError:
                 return
             if not chunk:
                 return
             buffer += chunk
             while True:
-                host = server.remotable_host
-                if host is None:
-                    return
                 try:
                     decoded = decode_message(buffer)
                 except ProtocolError as exc:
@@ -244,9 +215,8 @@ class TcpHostServer:
     address, which is what goes into the host table and all descriptors.
     """
 
-    def __init__(self, bind_host: str, bind_port: int, idle_timeout: Optional[float] = None):
+    def __init__(self, bind_host: str, bind_port: int):
         self._server = _HostTCPServer((bind_host, bind_port), _ConnectionHandler)
-        self._server.idle_timeout = idle_timeout
         actual_host, actual_port = self._server.server_address[:2]
         self.endpoint = EndpointAddr(bind_host if bind_host else str(actual_host), actual_port)
         self._thread: Optional[threading.Thread] = None

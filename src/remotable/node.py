@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Optional, Union
+from typing import Any, Optional, Type, Union
 
 from .errors import error_for_code
 from .funcs import Token, default_registry
-from .host import Host, HostConfig, TcpHostServer
+from .host import Host, TcpHostServer
 from .model import EndpointAddr, HostedValue, HostTable, ObjectId, RemoteRefDescriptor
 from .protocol import (
     Export,
@@ -46,6 +46,8 @@ from .shipping import (
     Stage,
 )
 from .transport import LoopbackNetwork, LoopbackTransport, TcpTransport, Transport
+
+_ASYNC_WORKERS = 8  # threads behind Node.executor, which runs AsyncHandle steps
 
 
 class RemoteHandle:
@@ -124,19 +126,17 @@ class Node:
         locality_replacement: bool = True,
         incarnation: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        async_workers: int = 8,
     ) -> None:
         if incarnation is None:
             incarnation = (rng.getrandbits(64) if rng is not None else random.getrandbits(64))
         self.endpoint = endpoint
         self.transport = transport
         self.registry = registry if registry is not None else default_registry()
+        self.locality_replacement = locality_replacement
         self.table = HostTable(endpoint, incarnation=incarnation)
-        self.config = HostConfig(listen=endpoint, locality_replacement=locality_replacement)
-        self.host = Host(self.table, self.registry, self._make_context, config=self.config)
+        self.host = Host(self.table, self.registry, self._make_context)
         self._token_lock = threading.Lock()
         self._next_token_serial = 1
-        self._async_workers = async_workers
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._server: Optional[TcpHostServer] = None
@@ -155,10 +155,9 @@ class Node:
         incarnation: Optional[int] = None,
         rng: Optional[random.Random] = None,
         connect_timeout: float = 10.0,
-        idle_timeout: Optional[float] = None,
     ) -> "Node":
         """Start a serving node on ``host:port`` (port 0 picks a free port)."""
-        server = TcpHostServer(host, port, idle_timeout=idle_timeout)
+        server = TcpHostServer(host, port)
         node = cls(
             server.endpoint,
             TcpTransport(connect_timeout=connect_timeout),
@@ -216,10 +215,6 @@ class Node:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    @property
-    def locality_replacement(self) -> bool:
-        return self.config.locality_replacement
-
     # -- internals ----------------------------------------------------------
 
     def _make_context(self, subject_id: ObjectId, subject_value: Any) -> HostContext:
@@ -262,7 +257,7 @@ class Node:
         with self._executor_lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self._async_workers,
+                    max_workers=_ASYNC_WORKERS,
                     thread_name_prefix=f"remotable-{self.endpoint.port}",
                 )
             return self._executor
@@ -338,27 +333,27 @@ class Node:
     # -- the remote operations ------------------------------------------------
 
     def map(self, handle: RemoteHandle, fn: Union[Stage, ShippedFn]) -> RemoteHandle:
-        pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
-        if handle._entry is not None:
-            descriptor = self.host.handle_map(handle.descriptor.id, pipeline)
-            return self._materialize(descriptor)
-        reply = self._call(
-            handle.descriptor.endpoint,
-            Map(handle.descriptor.id, pipeline),
-            attribution=handle._subject_ctx,
-        )
-        assert isinstance(reply, RespDescriptor)
-        return self._materialize(reply.descriptor)
+        return self._ship(Map, handle, fn)
 
     def flat_map(self, handle: RemoteHandle, fn: Union[Stage, ShippedFn]) -> RemoteHandle:
+        return self._ship(FlatMap, handle, fn)
+
+    def _ship(
+        self,
+        variant: Type[Union[Map, FlatMap]],
+        handle: RemoteHandle,
+        fn: Union[Stage, ShippedFn],
+    ) -> RemoteHandle:
+        """Run ``fn`` at the handle's home as a ``variant`` request.
+
+        A co-located handle goes straight to this node's host, with no frame.
+        """
         pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
+        request = variant(handle.descriptor.id, pipeline)
         if handle._entry is not None:
-            descriptor = self.host.handle_flatmap(handle.descriptor.id, pipeline)
-            return self._materialize(descriptor)
+            return self._materialize(self.host.handle_pipeline(request))
         reply = self._call(
-            handle.descriptor.endpoint,
-            FlatMap(handle.descriptor.id, pipeline),
-            attribution=handle._subject_ctx,
+            handle.descriptor.endpoint, request, attribution=handle._subject_ctx
         )
         assert isinstance(reply, RespDescriptor)
         return self._materialize(reply.descriptor)

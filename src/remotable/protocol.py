@@ -3,7 +3,11 @@
 Every host-to-host exchange is one framed request answered by exactly one
 framed response. A frame is a 4-byte big-endian body length followed by the
 body; the body is a 1-byte variant tag followed by the variant's fields in
-declared order. Trailing bytes after a frame belong to the next frame.
+declared order. Each variant's layout is one row of the variant table
+(_VARIANTS), read by both encode_message and decode_message; a variant's tag
+is its row number, and tags are frozen. decode_message reads one frame off the
+front of a stream buffer, and trailing bytes belong to the next frame;
+decode_frame reads a buffer that must hold exactly one whole frame.
 
 Value codec ("rv1"), tag byte then payload:
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Union
 
@@ -87,8 +91,8 @@ class ValuePayload:
 
 
 # --------------------------------------------------------------------------
-# Message variants. Tags are assigned in declaration order and are frozen
-# protocol; requests and responses are disjoint sets.
+# Message variants. Each one's tag and wire layout is its row of _VARIANTS
+# below; requests and responses are disjoint sets.
 # --------------------------------------------------------------------------
 
 
@@ -162,11 +166,6 @@ Message = Union[
     RespDescriptor, RespValue, RespStats, RespAck, RespError,
 ]
 
-_MESSAGE_TAGS: dict[type, int] = {
-    Rebind: 1, Lookup: 2, Map: 3, FlatMap: 4, Get: 5, Export: 6, Stats: 7,
-    RespDescriptor: 8, RespValue: 9, RespStats: 10, RespAck: 11, RespError: 12,
-}
-
 # --------------------------------------------------------------------------
 # Value codec
 # --------------------------------------------------------------------------
@@ -200,7 +199,10 @@ def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
     elif tag == TAG_FLOAT:
         out += _F64.pack(value)
     elif tag == TAG_TEXT:
-        encoded = value.encode("utf-8")
+        try:
+            encoded = value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise _not_utf8(exc) from None
         out += _U32.pack(len(encoded))
         out += encoded
     elif tag == TAG_BLOB:
@@ -223,6 +225,11 @@ def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
             elif found != element_tag:
                 raise NotSerializableError("list elements must share one codec tag")
             _encode_raw(element, out, depth + 1)
+
+
+def _not_utf8(exc: UnicodeEncodeError) -> NotSerializableError:
+    # a str can hold lone surrogates, which have no UTF-8 encoding
+    return NotSerializableError(f"text has no UTF-8 encoding: {exc}")
 
 
 def _put_fixed(tag: int, raw: array, out: bytearray) -> None:
@@ -260,7 +267,10 @@ def _put_bools(value: list, out: bytearray) -> None:
 
 
 def _put_texts(value: list, out: bytearray) -> None:
-    encoded = list(map(str.encode, value))
+    try:
+        encoded = list(map(str.encode, value))
+    except UnicodeEncodeError as exc:
+        raise _not_utf8(exc) from None
     parts: list = [None] * (2 * len(encoded))
     parts[0::2] = [_TEXT_HEAD.pack(TAG_TEXT, n) for n in map(len, encoded)]
     parts[1::2] = encoded
@@ -439,7 +449,10 @@ def decode_value(payload: ValuePayload) -> Any:
 
 
 def _put_name(text: str, out: bytearray) -> None:
-    encoded = text.encode("utf-8")
+    try:
+        encoded = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(f"name has no UTF-8 encoding: {exc}") from None
     if len(encoded) > 0xFFFF:
         raise ProtocolError(f"name too long: {len(encoded)} bytes")
     out += _U16.pack(len(encoded))
@@ -562,6 +575,51 @@ def _take_pipeline(cursor: _Cursor) -> ShippedFn:
     return ShippedFn(tuple(_take_stage(cursor, i) for i in range(count)))
 
 
+def _put_u8(value: int, out: bytearray) -> None:
+    out += _U8.pack(value)
+
+
+def _put_u64(value: int, out: bytearray) -> None:
+    out += _U64.pack(value)
+
+
+# Field codecs, each a (put, take) pair.
+_NAME = (_put_name, _take_name)
+_OBJECT_ID = (_put_object_id, _take_object_id)
+_DESCRIPTOR = (_put_descriptor, _take_descriptor)
+_PIPELINE = (_put_pipeline, _take_pipeline)
+_PAYLOAD = (_put_payload, _take_payload)
+_UINT8 = (_put_u8, _Cursor.u8)
+_UINT64 = (_put_u64, _Cursor.u64)
+
+# The variant table: one row per message class and the codecs of its fields
+# in declared order. A variant's tag is its row number (Rebind = 1 ...
+# RespError = 12); tags are frozen protocol, so new variants go at the end.
+_VARIANTS = (
+    (Rebind, _NAME, _DESCRIPTOR),
+    (Lookup, _NAME),
+    (Map, _OBJECT_ID, _PIPELINE),
+    (FlatMap, _OBJECT_ID, _PIPELINE),
+    (Get, _OBJECT_ID),
+    (Export, _PAYLOAD),
+    (Stats, _OBJECT_ID),
+    (RespDescriptor, _DESCRIPTOR),
+    (RespValue, _PAYLOAD),
+    (RespStats, _UINT64, _UINT64),
+    (RespAck,),
+    (RespError, _UINT8, _NAME),
+)
+# class -> (tag, ((attribute, put), ...)) and tag -> (class, (take, ...))
+_ENCODERS = {
+    cls: (tag, tuple((f.name, put) for f, (put, _) in zip(fields(cls), codecs, strict=True)))
+    for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
+}
+_DECODERS = {
+    tag: (cls, tuple(take for _, take in codecs))
+    for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
+}
+
+
 # --------------------------------------------------------------------------
 # Framing
 # --------------------------------------------------------------------------
@@ -569,36 +627,16 @@ def _take_pipeline(cursor: _Cursor) -> ShippedFn:
 
 def encode_message(message: Message) -> bytes:
     """Encode one message as a complete frame (length prefix included)."""
-    tag = _MESSAGE_TAGS.get(type(message))
-    if tag is None:
+    row = _ENCODERS.get(type(message))
+    if row is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
+    tag, layout = row
     # The 4-byte length prefix is reserved up front and filled in at the end,
     # so the frame is copied only once, into the returned bytes.
     body = bytearray(4)
     body.append(tag)
-    if isinstance(message, Rebind):
-        _put_name(message.name, body)
-        _put_descriptor(message.descriptor, body)
-    elif isinstance(message, Lookup):
-        _put_name(message.name, body)
-    elif isinstance(message, (Map, FlatMap)):
-        _put_object_id(message.target, body)
-        _put_pipeline(message.fn, body)
-    elif isinstance(message, (Get, Stats)):
-        _put_object_id(message.target, body)
-    elif isinstance(message, Export):
-        _put_payload(message.payload, body)
-    elif isinstance(message, RespDescriptor):
-        _put_descriptor(message.descriptor, body)
-    elif isinstance(message, RespValue):
-        _put_payload(message.payload, body)
-    elif isinstance(message, RespStats):
-        body += _U64.pack(message.serialization_count)
-        body += _U64.pack(message.get_count)
-    elif isinstance(message, RespError):
-        body += _U8.pack(message.code)
-        _put_name(message.text, body)
-    # RespAck has no fields.
+    for attribute, put in layout:
+        put(getattr(message, attribute), body)
     body_len = len(body) - 4
     if body_len > MAX_BODY_LEN:
         raise ProtocolError(f"message body too large: {body_len} bytes")
@@ -627,35 +665,21 @@ def decode_message(buf: bytes | bytearray) -> tuple[Message, int] | None:
     # to bytes; on the small frames most calls carry, this beats a memoryview
     cursor = _Cursor(body if type(body) is bytes else bytes(body))
     tag = cursor.u8()
-    message: Message
-    if tag == _MESSAGE_TAGS[Rebind]:
-        message = Rebind(_take_name(cursor), _take_descriptor(cursor))
-    elif tag == _MESSAGE_TAGS[Lookup]:
-        message = Lookup(_take_name(cursor))
-    elif tag == _MESSAGE_TAGS[Map]:
-        message = Map(_take_object_id(cursor), _take_pipeline(cursor))
-    elif tag == _MESSAGE_TAGS[FlatMap]:
-        message = FlatMap(_take_object_id(cursor), _take_pipeline(cursor))
-    elif tag == _MESSAGE_TAGS[Get]:
-        message = Get(_take_object_id(cursor))
-    elif tag == _MESSAGE_TAGS[Export]:
-        message = Export(_take_payload(cursor))
-    elif tag == _MESSAGE_TAGS[Stats]:
-        message = Stats(_take_object_id(cursor))
-    elif tag == _MESSAGE_TAGS[RespDescriptor]:
-        message = RespDescriptor(_take_descriptor(cursor))
-    elif tag == _MESSAGE_TAGS[RespValue]:
-        message = RespValue(_take_payload(cursor))
-    elif tag == _MESSAGE_TAGS[RespStats]:
-        message = RespStats(cursor.u64(), cursor.u64())
-    elif tag == _MESSAGE_TAGS[RespAck]:
-        message = RespAck()
-    elif tag == _MESSAGE_TAGS[RespError]:
-        message = RespError(cursor.u8(), _take_name(cursor))
-    else:
+    row = _DECODERS.get(tag)
+    if row is None:
         raise ProtocolError(f"unknown message tag 0x{tag:02x} at offset 4")
+    cls, takes = row
+    message = cls(*[take(cursor) for take in takes])
     if not cursor.done():
         raise ProtocolError(
             f"{len(cursor.buf) - cursor.pos} unconsumed bytes inside frame body"
         )
     return message, end
+
+
+def decode_frame(frame: bytes) -> Message:
+    """Decode a buffer that must hold exactly one complete frame."""
+    decoded = decode_message(frame)
+    if decoded is None or decoded[1] != len(frame):
+        raise ProtocolError("frame length does not match its declared body")
+    return decoded[0]

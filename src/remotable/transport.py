@@ -18,9 +18,9 @@ import time
 from collections import Counter
 from typing import Callable
 
-from .errors import ProtocolError, TransportError
+from .errors import TransportError
 from .model import EndpointAddr
-from .protocol import Message, decode_message, encode_message
+from .protocol import Message, decode_frame, encode_message
 
 
 class Transport:
@@ -53,8 +53,7 @@ class Transport:
 class LoopbackNetwork:
     """An in-process fabric of hosts addressed by synthetic endpoints."""
 
-    def __init__(self, host_label: str = "loop") -> None:
-        self._label = host_label
+    def __init__(self) -> None:
         self._dispatchers: dict[EndpointAddr, Callable[[bytes], bytes]] = {}
         self._next_port = 1
         self._lock = threading.Lock()
@@ -63,7 +62,7 @@ class LoopbackNetwork:
         with self._lock:
             port = self._next_port
             self._next_port += 1
-        return EndpointAddr(self._label, port)
+        return EndpointAddr("loop", port)
 
     def attach(self, endpoint: EndpointAddr, dispatcher: Callable[[bytes], bytes]) -> None:
         with self._lock:
@@ -96,14 +95,7 @@ class LoopbackTransport(Transport):
         self._count(message)
         if self.delay > 0:
             time.sleep(self.delay)
-        response = self.network.deliver(endpoint, frame)
-        decoded = decode_message(response)
-        if decoded is None:
-            raise ProtocolError("incomplete response frame from loopback host")
-        reply, consumed = decoded
-        if consumed != len(response):
-            raise ProtocolError("trailing bytes after loopback response frame")
-        return reply
+        return decode_frame(self.network.deliver(endpoint, frame))
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -183,13 +175,7 @@ class TcpTransport(Transport):
                 if isinstance(exc, TransportError):
                     raise
                 raise TransportError(f"call to {endpoint} failed: {exc}") from exc
-        decoded = decode_message(response)
-        if decoded is None:
-            raise ProtocolError("incomplete response frame")
-        reply, consumed = decoded
-        if consumed != len(response):
-            raise ProtocolError("trailing bytes after response frame")
-        return reply
+        return decode_frame(response)
 
     def close(self) -> None:
         with self._pool_lock:

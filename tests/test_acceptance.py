@@ -243,27 +243,63 @@ def test_criterion_6_deferred_frame_economy(n, loop_pair):
     assert client.transport.request_frames - frames_before == 2
 
 
+_DESCRIPTOR = RemoteRefDescriptor(EndpointAddr("10.0.0.1", 7099), ObjectId(77, 3))
+_PIPELINE = ShippedFn(
+    (Stage("kleisli_int", (InlineValue([0, 0, 1, 3]),)),
+     Stage("pair_equals_outer", (RemoteRef(_DESCRIPTOR),)))
+)
+CONFORMANCE_SAMPLES = [
+    Rebind("obj", _DESCRIPTOR),
+    Lookup("obj"),
+    Map(_DESCRIPTOR.id, _PIPELINE),
+    FlatMap(_DESCRIPTOR.id, _PIPELINE),
+    Get(_DESCRIPTOR.id),
+    Export(encode_value("five")),
+    Stats(_DESCRIPTOR.id),
+    RespDescriptor(_DESCRIPTOR),
+    RespValue(encode_value([1, 2, 3])),
+    RespStats(0, 2),
+    RespAck(),
+    RespError(3, "frobnicate is not registered"),
+]
+
+# Whole frames (length prefix, tag, fields) of CONFORMANCE_SAMPLES, in order.
+# A round trip alone would not notice a swapped tag or a reordered field.
+_PIPELINE_HEX = (
+    "0002040000000b6b6c6569736c695f696e7400010100037276310000002906000000040100"
+    "000000000000000100000000000000000100000000000000010100000000000000030400"
+    "000011706169725f657175616c735f6f75746572000102040000000d31302e302e302e31"
+    "3a37303939000000000000004d0000000000000003"
+)
+CONFORMANCE_FRAMES_HEX = [
+    "000000280100036f626a040000000d31302e302e302e313a37303939"
+    "000000000000004d0000000000000003",
+    "000000060200036f626a",
+    "0000009303000000000000004d0000000000000003" + _PIPELINE_HEX,
+    "0000009304000000000000004d0000000000000003" + _PIPELINE_HEX,
+    "0000001105000000000000004d0000000000000003",
+    "0000001306000372763100000009040000000466697665",
+    "0000001107000000000000004d0000000000000003",
+    "0000002308040000000d31302e302e302e313a37303939000000000000004d0000000000000003",
+    "0000002a090003727631000000200600000003010000000000000001010000000000000002"
+    "010000000000000003",
+    "000000110a00000000000000000000000000000002",
+    "000000010b",
+    "000000200c03001c66726f626e6963617465206973206e6f742072656769737465726564",
+]
+
+
+@pytest.mark.parametrize(
+    "message, expected_hex",
+    list(zip(CONFORMANCE_SAMPLES, CONFORMANCE_FRAMES_HEX)),
+    ids=[type(message).__name__ for message in CONFORMANCE_SAMPLES],
+)
+def test_criterion_7_sample_frames_are_pinned(message, expected_hex):
+    assert encode_message(message).hex() == expected_hex
+
+
 def test_criterion_7_protocol_conformance_and_cross_process_run():
-    descriptor = RemoteRefDescriptor(EndpointAddr("10.0.0.1", 7099), ObjectId(77, 3))
-    pipeline = ShippedFn(
-        (Stage("kleisli_int", (InlineValue([0, 0, 1, 3]),)),
-         Stage("pair_equals_outer", (RemoteRef(descriptor),)))
-    )
-    samples = [
-        Rebind("obj", descriptor),
-        Lookup("obj"),
-        Map(descriptor.id, pipeline),
-        FlatMap(descriptor.id, pipeline),
-        Get(descriptor.id),
-        Export(encode_value("five")),
-        Stats(descriptor.id),
-        RespDescriptor(descriptor),
-        RespValue(encode_value([1, 2, 3])),
-        RespStats(0, 2),
-        RespAck(),
-        RespError(3, "frobnicate is not registered"),
-    ]
-    for message in samples:
+    for message in CONFORMANCE_SAMPLES:
         frame = encode_message(message)
         decoded, consumed = decode_message(frame)
         assert decoded == message and consumed == len(frame)

@@ -1,3 +1,4 @@
+import os
 import re
 import signal
 import subprocess
@@ -158,12 +159,16 @@ def test_demo_human_output_mentions_each_experiment(capsys):
 
 
 def test_piping_into_a_short_reader_is_not_a_traceback():
-    # e.g. `remotable demo | head -1` closes our stdout mid-run
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "remotable", "demo", "--seed", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.readline()
-    proc.stdout.close()
+    # e.g. `remotable demo | head -1` closes our stdout mid-run; here the
+    # reader is gone before the demo starts, so its first write hits EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "remotable", "demo", "--seed", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
     assert proc.wait(timeout=30) == 1
     stderr = proc.stderr.read()
     proc.stderr.close()

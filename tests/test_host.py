@@ -154,6 +154,16 @@ def test_get_of_deeply_nested_value_is_not_serializable(node):
     assert "nested deeper" in response.text
 
 
+@pytest.mark.parametrize(
+    "value", ["\ud800", ["a", "\ud800"], [["\ud800"]]], ids=["text", "text_list", "nested_list"]
+)
+def test_get_of_lone_surrogate_is_not_serializable(node, value):
+    descriptor = node.table.export(value)
+    response = node.host.dispatch(Get(descriptor.id))
+    assert response.code == ErrorCode.NOT_SERIALIZABLE
+    assert node.table.stats(descriptor.id) == (0, 0)
+
+
 def test_stats_roundtrip(node):
     descriptor = node.table.export(1)
     node.table.record_serialization(descriptor.id)

@@ -202,6 +202,26 @@ def test_remote_get_of_opaque_token_fails_only_at_get(loop_pair):
     assert mapped.map(client.stage("to_text")).get() == "token#1"
 
 
+def test_tcp_get_of_lone_surrogate_is_typed_and_the_connection_keeps_serving(tcp_pair):
+    server, client = tcp_pair
+    server.rebind("bad", ["a", "\ud800"])
+    server.rebind("good", "ok")
+    handle = client.lookup(server.endpoint, "bad")
+    with pytest.raises(NotSerializableError):
+        handle.get()
+    connection = client.transport._connections[server.endpoint]
+    assert client.lookup(server.endpoint, "good").get() == "ok"
+    assert client.transport._connections[server.endpoint] is connection
+
+
+def test_export_of_lone_surrogate_fails_before_the_wire(loop_pair):
+    server, client = loop_pair
+    frames_before = client.transport.request_frames
+    with pytest.raises(NotSerializableError):
+        client.export_to(server.endpoint, "\ud800")
+    assert client.transport.request_frames == frames_before
+
+
 # -- locality switch --------------------------------------------------------------
 
 

@@ -123,6 +123,21 @@ def test_mixed_list_is_not_serializable():
             encode_value(value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["\ud800", ["a", "\ud800"], [["\ud800"]], ["\udfff", 1]],
+    ids=["text", "text_list", "nested_list", "mixed_list"],
+)
+def test_lone_surrogate_is_not_serializable(value):
+    with pytest.raises(NotSerializableError, match="no UTF-8 encoding"):
+        encode_value(value)
+
+
+def test_lone_surrogate_in_a_name_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="no UTF-8 encoding"):
+        encode_message(Lookup("\ud800"))
+
+
 def test_unknown_codec_id_rejected():
     with pytest.raises(ProtocolError):
         decode_value(ValuePayload("xz9", b"\x01" + b"\x00" * 8))

@@ -106,7 +106,7 @@ def register_default_functions(registry: FnRegistry) -> None:
         # The two-object composition: operate on this subject and a captured
         # reference by shipping an inner comparison to the reference's host.
         other = args[0]
-        inner = Stage("pair_equals_inner", (InlineValue(subject),))
+        inner = Stage("pair_equals_inner", (ctx.subject_capture(subject),))
         return RemoteValue(other.map(inner).descriptor)
 
     def mk_pair_equals(subject, args, ctx):

@@ -144,9 +144,9 @@ class Host:
                 f"{type(message).__name__} is not a request",
             )
         except RemoteError as exc:
-            return RespError(int(exc.code), str(exc))
+            return _error_reply(exc.code, str(exc))
         except Exception as exc:  # defensive: a request must never kill the host
-            return RespError(int(ErrorCode.EXECUTION_ERROR), f"internal error: {exc}")
+            return _error_reply(ErrorCode.EXECUTION_ERROR, f"internal error: {exc}")
 
     def handle_frame(self, frame: bytes) -> bytes:
         """Decode one complete request frame and return the response frame."""
@@ -157,10 +157,20 @@ class Host:
         return encode_message(response)
 
 
+def _error_reply(code: ErrorCode, text: str) -> RespError:
+    """A RespError whose text always encodes.
+
+    Exception text is arbitrary: lone surrogates are escaped and text beyond
+    the 65535 bytes a name field holds is cut, so the reply itself cannot fail.
+    """
+    data = text.encode("utf-8", "backslashreplace")[:0xFFFF]
+    return RespError(int(code), data.decode("utf-8", "ignore"))
+
+
 class _HostTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
-    remotable_host: Optional[Host] = None
+    remotable_host: Host
 
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -168,7 +178,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         server: _HostTCPServer = self.server  # type: ignore[assignment]
-        host = server.remotable_host  # set before start(), which checks it
+        host = server.remotable_host
         conn = self.request
         # Received bytes are appended and consumed frames deleted from the
         # front; both are amortized O(1) per byte on a bytearray, so a large
@@ -221,12 +231,8 @@ class TcpHostServer:
         self.endpoint = EndpointAddr(bind_host if bind_host else str(actual_host), actual_port)
         self._thread: Optional[threading.Thread] = None
 
-    def attach(self, host: Host) -> None:
+    def start(self, host: Host) -> None:
         self._server.remotable_host = host
-
-    def start(self) -> None:
-        if self._server.remotable_host is None:
-            raise RuntimeError("no host attached to server")
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name=f"remotable-serve-{self.endpoint}",

@@ -11,9 +11,8 @@ restarted host miss the table instead of silently hitting a different value.
 """
 from __future__ import annotations
 
-import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import UnknownObjectError
@@ -85,7 +84,6 @@ class HostedValue:
     get_count: int = 0
 
 
-@dataclass
 class HostTable:
     """Per-process map from object id to hosted value.
 
@@ -94,11 +92,12 @@ class HostTable:
     serialization. All operations are safe under concurrent request handlers.
     """
 
-    self_endpoint: EndpointAddr
-    incarnation: int = field(default_factory=lambda: random.getrandbits(64))
-    _entries: dict[ObjectId, HostedValue] = field(default_factory=dict)
-    _next_serial: int = 1
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self, self_endpoint: EndpointAddr, incarnation: int) -> None:
+        self.self_endpoint = self_endpoint
+        self.incarnation = incarnation
+        self._entries: dict[ObjectId, HostedValue] = {}
+        self._next_serial = 1
+        self._lock = threading.Lock()
 
     def new_object_id(self) -> ObjectId:
         """Issue a fresh id; serials strictly increase and are never reused."""

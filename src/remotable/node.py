@@ -16,7 +16,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional, Type, Union
 
-from .errors import error_for_code
+from .errors import ProtocolError, error_for_code
 from .funcs import Token, default_registry
 from .host import Host, TcpHostServer
 from .model import EndpointAddr, HostedValue, HostTable, ObjectId, RemoteRefDescriptor
@@ -55,24 +55,20 @@ class RemoteHandle:
 
     ``_entry`` is the local table entry when the descriptor resolved to this
     node (locality replacement); operations on such a handle never touch the
-    transport. ``_subject_ctx`` ties handles materialized inside a shipped
-    function body back to the evaluation subject, so that re-shipping the
-    subject as a capture is charged to the right serialization counter.
+    transport.
     """
 
-    __slots__ = ("descriptor", "_node", "_entry", "_subject_ctx")
+    __slots__ = ("descriptor", "_node", "_entry")
 
     def __init__(
         self,
         descriptor: RemoteRefDescriptor,
         node: "Node",
         entry: Optional[HostedValue] = None,
-        subject_ctx: Optional["HostContext"] = None,
     ) -> None:
         self.descriptor = descriptor
         self._node = node
         self._entry = entry
-        self._subject_ctx = subject_ctx
 
     @property
     def is_local(self) -> bool:
@@ -105,7 +101,11 @@ class HostContext:
         self.subject_value = subject_value
 
     def resolve_ref(self, descriptor: RemoteRefDescriptor) -> RemoteHandle:
-        return self.node._materialize(descriptor, subject_ctx=self)
+        return self.node._materialize(descriptor)
+
+    def subject_capture(self, value: Any) -> InlineValue:
+        origin = self.subject_id if value is self.subject_value else None
+        return InlineValue(value, origin)
 
     def apply(self, value: Any) -> RemoteHandle:
         return self.node.apply(value)
@@ -124,16 +124,13 @@ class Node:
         *,
         registry: Optional[FnRegistry] = None,
         locality_replacement: bool = True,
-        incarnation: Optional[int] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if incarnation is None:
-            incarnation = (rng.getrandbits(64) if rng is not None else random.getrandbits(64))
         self.endpoint = endpoint
         self.transport = transport
         self.registry = registry if registry is not None else default_registry()
         self.locality_replacement = locality_replacement
-        self.table = HostTable(endpoint, incarnation=incarnation)
+        self.table = HostTable(endpoint, (rng or random).getrandbits(64))
         self.host = Host(self.table, self.registry, self._make_context)
         self._token_lock = threading.Lock()
         self._next_token_serial = 1
@@ -152,22 +149,18 @@ class Node:
         *,
         registry: Optional[FnRegistry] = None,
         locality_replacement: bool = True,
-        incarnation: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        connect_timeout: float = 10.0,
     ) -> "Node":
         """Start a serving node on ``host:port`` (port 0 picks a free port)."""
         server = TcpHostServer(host, port)
         node = cls(
             server.endpoint,
-            TcpTransport(connect_timeout=connect_timeout),
+            TcpTransport(),
             registry=registry,
             locality_replacement=locality_replacement,
-            incarnation=incarnation,
             rng=rng,
         )
-        server.attach(node.host)
-        server.start()
+        server.start(node.host)
         node._server = server
         return node
 
@@ -178,7 +171,6 @@ class Node:
         *,
         registry: Optional[FnRegistry] = None,
         locality_replacement: bool = True,
-        incarnation: Optional[int] = None,
         rng: Optional[random.Random] = None,
         delay: float = 0.0,
     ) -> "Node":
@@ -189,7 +181,6 @@ class Node:
             LoopbackTransport(network, delay=delay),
             registry=registry,
             locality_replacement=locality_replacement,
-            incarnation=incarnation,
             rng=rng,
         )
         network.attach(endpoint, node.host.handle_frame)
@@ -220,37 +211,14 @@ class Node:
     def _make_context(self, subject_id: ObjectId, subject_value: Any) -> HostContext:
         return HostContext(self, subject_id, subject_value)
 
-    def _materialize(
-        self,
-        descriptor: RemoteRefDescriptor,
-        subject_ctx: Optional[HostContext] = None,
-    ) -> RemoteHandle:
+    def _materialize(self, descriptor: RemoteRefDescriptor) -> RemoteHandle:
         entry = None
         if self.locality_replacement:
             entry = self.table.resolve_local(descriptor)
-        return RemoteHandle(descriptor, self, entry, subject_ctx)
+        return RemoteHandle(descriptor, self, entry)
 
-    def _call(
-        self,
-        endpoint: EndpointAddr,
-        message: Message,
-        attribution: Optional[HostContext] = None,
-    ) -> Message:
-        reply = self.transport.call(endpoint, message)
-        if attribution is not None:
-            self._attribute_shipment(message, attribution)
-        if isinstance(reply, RespError):
-            raise error_for_code(reply.code, reply.text)
-        return reply
-
-    def _attribute_shipment(self, message: Message, ctx: HostContext) -> None:
-        """Charge serializations of the evaluation subject once it actually shipped."""
-        if not isinstance(message, (Map, FlatMap)):
-            return
-        for stage in message.fn.stages:
-            for capture in stage.captures:
-                if isinstance(capture, InlineValue) and capture.value is ctx.subject_value:
-                    self.table.record_serialization(ctx.subject_id)
+    def _call(self, endpoint: EndpointAddr, request: Message, reply_type: type) -> Any:
+        return _expect(request, self.transport.call(endpoint, request), reply_type)
 
     @property
     def executor(self) -> ThreadPoolExecutor:
@@ -305,8 +273,7 @@ class Node:
         """Serialize a value and host it at another endpoint."""
         if endpoint == self.endpoint:
             return self.apply(value)
-        reply = self._call(endpoint, Export(encode_value(value)))
-        assert isinstance(reply, RespDescriptor)
+        reply = self._call(endpoint, Export(encode_value(value)), RespDescriptor)
         return self._materialize(reply.descriptor)
 
     def rebind(self, name: str, value: Any) -> RemoteHandle:
@@ -319,15 +286,13 @@ class Node:
         if descriptor.endpoint == self.endpoint:
             self.host.handle_rebind(name, descriptor.id)
         else:
-            reply = self._call(descriptor.endpoint, Rebind(name, descriptor))
-            assert isinstance(reply, RespAck)
+            self._call(descriptor.endpoint, Rebind(name, descriptor), RespAck)
         return handle
 
     def lookup(self, endpoint: EndpointAddr, name: str) -> RemoteHandle:
         if endpoint == self.endpoint:
             return self._materialize(self.host.handle_lookup(name))
-        reply = self._call(endpoint, Lookup(name))
-        assert isinstance(reply, RespDescriptor)
+        reply = self._call(endpoint, Lookup(name), RespDescriptor)
         return self._materialize(reply.descriptor)
 
     # -- the remote operations ------------------------------------------------
@@ -347,28 +312,43 @@ class Node:
         """Run ``fn`` at the handle's home as a ``variant`` request.
 
         A co-located handle goes straight to this node's host, with no frame.
+        Otherwise each capture marked as a copy of a value hosted here is
+        charged one serialization once the request has been answered, whatever
+        the answer; a request that could not be encoded charges nothing.
         """
         pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
         request = variant(handle.descriptor.id, pipeline)
         if handle._entry is not None:
             return self._materialize(self.host.handle_pipeline(request))
-        reply = self._call(
-            handle.descriptor.endpoint, request, attribution=handle._subject_ctx
-        )
-        assert isinstance(reply, RespDescriptor)
-        return self._materialize(reply.descriptor)
+        reply = self.transport.call(handle.descriptor.endpoint, request)
+        for stage in pipeline.stages:
+            for capture in stage.captures:
+                if isinstance(capture, InlineValue) and capture.origin is not None:
+                    self.table.record_serialization(capture.origin)
+        return self._materialize(_expect(request, reply, RespDescriptor).descriptor)
 
     def get(self, handle: RemoteHandle) -> Any:
         if handle._entry is not None:
             # co-located force: hand the value over, nothing crosses a codec
             return handle._entry.value
-        reply = self._call(handle.descriptor.endpoint, Get(handle.descriptor.id))
-        assert isinstance(reply, RespValue)
+        reply = self._call(handle.descriptor.endpoint, Get(handle.descriptor.id), RespValue)
         return decode_value(reply.payload)
 
     def stats(self, handle: RemoteHandle) -> tuple[int, int]:
         if handle.descriptor.endpoint == self.endpoint:
             return self.table.stats(handle.descriptor.id)
-        reply = self._call(handle.descriptor.endpoint, Stats(handle.descriptor.id))
-        assert isinstance(reply, RespStats)
+        reply = self._call(handle.descriptor.endpoint, Stats(handle.descriptor.id), RespStats)
         return (reply.serialization_count, reply.get_count)
+
+
+def _expect(request: Message, reply: Message, reply_type: type) -> Any:
+    """Return ``reply`` if it is the ``reply_type`` answer to ``request``.
+
+    A RespError becomes its typed exception; any other variant is a peer that
+    broke the protocol.
+    """
+    if isinstance(reply, reply_type):
+        return reply
+    if isinstance(reply, RespError):
+        raise error_for_code(reply.code, reply.text)
+    raise ProtocolError(f"{type(request).__name__} answered with {type(reply).__name__}")

@@ -31,10 +31,10 @@ Sub-encodings used inside message bodies:
 Encodings are canonical: equal values produce byte-equal frames, and
 re-encoding a decoded message reproduces the original bytes.
 
-A flat list whose elements all share one exact scalar type (int, float, bool
-or str) is encoded and decoded in bulk, with C-level strided copies instead of
-one Python call per element; the bytes are the same as element by element.
-Any irregularity on decode (a wrong tag, truncation, a bad boolean byte, bad
+A flat list of texts, or of at least BULK_MIN_FIXED ints or floats (one
+exact type throughout), is encoded and decoded in bulk, with C-level strided
+copies instead of one Python call per element; the bytes are the same as
+element by element. Any irregularity on decode (a wrong tag, truncation, bad
 UTF-8) falls back to the element-by-element reader, so errors and their
 offsets do not depend on the fast path. Lists may nest at most
 MAX_LIST_DEPTH deep in either direction.
@@ -59,6 +59,9 @@ MAX_BODY_LEN = 2**32 - 1
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 MAX_LIST_DEPTH = 100
+# Shorter int/float lists go element by element: the strided copies of the
+# bulk path cost more than they save below this length.
+BULK_MIN_FIXED = 8
 
 TAG_INT = 0x01
 TAG_FLOAT = 0x02
@@ -214,7 +217,7 @@ def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
         out += _U32.pack(len(value))
         kinds = set(map(type, value))
         bulk = _BULK_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
-        if bulk is not None:
+        if bulk is not None and (bulk is _put_texts or len(value) >= BULK_MIN_FIXED):
             bulk(value, out)
             return
         element_tag = None
@@ -258,14 +261,6 @@ def _put_floats(value: list, out: bytearray) -> None:
     _put_fixed(TAG_FLOAT, array("d", value), out)
 
 
-def _put_bools(value: list, out: bytearray) -> None:
-    count = len(value)
-    block = bytearray(2 * count)
-    block[0::2] = bytes((TAG_BOOL,)) * count
-    block[1::2] = bytes(value)
-    out += block
-
-
 def _put_texts(value: list, out: bytearray) -> None:
     try:
         encoded = list(map(str.encode, value))
@@ -279,7 +274,7 @@ def _put_texts(value: list, out: bytearray) -> None:
 
 # Keyed by exact type: bool must not take the int path, and int subclasses
 # such as IntEnum go element by element like any other mixed list.
-_BULK_ENCODERS = {int: _put_ints, float: _put_floats, bool: _put_bools, str: _put_texts}
+_BULK_ENCODERS = {int: _put_ints, float: _put_floats, str: _put_texts}
 
 
 def encode_value(value: Any) -> ValuePayload:
@@ -379,7 +374,7 @@ def _decode_raw(cursor: _Cursor, depth: int = 0) -> Any:
 def _take_fixed(cursor: _Cursor, count: int, tag: int, typecode: str) -> list | None:
     buf, start = cursor.buf, cursor.pos
     end = start + 9 * count
-    if end > len(buf) or buf[start:end:9].count(tag) != count:
+    if count < BULK_MIN_FIXED or end > len(buf) or buf[start:end:9].count(tag) != count:
         return None
     raw = bytearray(8 * count)
     for k in range(8):
@@ -389,18 +384,6 @@ def _take_fixed(cursor: _Cursor, count: int, tag: int, typecode: str) -> list | 
         values.byteswap()
     cursor.pos = end
     return values.tolist()
-
-
-def _take_bools(cursor: _Cursor, count: int) -> list | None:
-    buf, start = cursor.buf, cursor.pos
-    end = start + 2 * count
-    if end > len(buf) or buf[start:end:2].count(TAG_BOOL) != count:
-        return None
-    flags = buf[start + 1:end:2]
-    if flags.translate(None, b"\x00\x01"):
-        return None
-    cursor.pos = end
-    return [flag == 1 for flag in flags]
 
 
 def _take_texts(cursor: _Cursor, count: int) -> list | None:
@@ -425,7 +408,6 @@ def _take_texts(cursor: _Cursor, count: int) -> list | None:
 _BULK_DECODERS = {
     TAG_INT: partial(_take_fixed, tag=TAG_INT, typecode="q"),
     TAG_FLOAT: partial(_take_fixed, tag=TAG_FLOAT, typecode="d"),
-    TAG_BOOL: _take_bools,
     TAG_TEXT: _take_texts,
 }
 

@@ -15,18 +15,25 @@ handles (zero serialization), foreign ones become remote handles.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional, Protocol, Union
 
 from .errors import ContractViolationError, ExecutionError, RemoteError, UnknownFunctionError
-from .model import RemoteRefDescriptor
+from .model import ObjectId, RemoteRefDescriptor
 
 
 @dataclass(frozen=True)
 class InlineValue:
-    """A capture carried by value."""
+    """A capture carried by value.
+
+    ``origin`` names the hosted value this capture copies, when it was built
+    by ``EvalContext.subject_capture``; the shipping node then charges one
+    serialization to that value. It stays in process: it is never encoded and
+    takes no part in equality.
+    """
 
     value: Any
+    origin: Optional[ObjectId] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,9 +110,17 @@ class EvalContext(Protocol):
     replacement when the reference is home); the returned handle supports
     nested map/flat_map/get calls, which is what lets a shipped function
     itself operate on a captured remote value.
+
+    ``subject_capture`` wraps a value as an inline capture. When the value is
+    the hosted subject itself, the capture is marked with the subject's id,
+    and shipping it to another endpoint counts one serialization of the
+    subject. A body that sends its subject along by value must build that
+    capture here, or the subject's counter misses the copy.
     """
 
     def resolve_ref(self, descriptor: RemoteRefDescriptor): ...
+
+    def subject_capture(self, value: Any) -> InlineValue: ...
 
     def apply(self, value: Any): ...
 

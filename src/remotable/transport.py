@@ -22,6 +22,8 @@ from .errors import TransportError
 from .model import EndpointAddr
 from .protocol import Message, decode_frame, encode_message
 
+_CONNECT_TIMEOUT_S = 10.0
+
 
 class Transport:
     """One logical call: ship a request frame, wait for the response frame."""
@@ -38,10 +40,6 @@ class Transport:
     def request_frames(self) -> int:
         with self._count_lock:
             return sum(self.frame_counts.values())
-
-    def reset_frame_counts(self) -> None:
-        with self._count_lock:
-            self.frame_counts.clear()
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
         raise NotImplementedError
@@ -125,9 +123,8 @@ def read_frame(sock: socket.socket) -> bytes:
 class TcpTransport(Transport):
     """Pooled TCP connections, one per endpoint, requests serialized per connection."""
 
-    def __init__(self, connect_timeout: float = 10.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._connect_timeout = connect_timeout
         self._connections: dict[EndpointAddr, socket.socket] = {}
         self._locks: dict[EndpointAddr, threading.Lock] = {}
         self._pool_lock = threading.Lock()
@@ -145,7 +142,7 @@ class TcpTransport(Transport):
             return conn
         try:
             conn = socket.create_connection(
-                (endpoint.host, endpoint.port), timeout=self._connect_timeout
+                (endpoint.host, endpoint.port), timeout=_CONNECT_TIMEOUT_S
             )
         except OSError as exc:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc

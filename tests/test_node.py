@@ -5,15 +5,24 @@ import pytest
 
 from remotable import (
     ContractViolationError,
+    ExecutionError,
+    InlineValue,
     LoopbackNetwork,
     Node,
     NotFoundError,
     NotSerializableError,
     ObjectId,
+    ProtocolError,
     RemoteRefDescriptor,
+    RemoteValue,
+    ShippedFn,
+    Stage,
     UnknownFunctionError,
     UnknownObjectError,
+    default_registry,
+    encode_message,
 )
+from remotable.protocol import RespAck, RespStats
 
 from helpers import random_ops, run_int_pipeline, stages_for_ops
 
@@ -260,6 +269,171 @@ def test_stale_incarnation_is_a_miss_not_a_wrong_value(loop_pair):
     )
     with pytest.raises(UnknownObjectError):
         client._materialize(wrong).get()
+
+
+# -- the serialization counter ------------------------------------------------------
+
+
+def _ship_constant_five(subject, args, ctx):
+    # an unmarked constant that happens to be the subject's (cached) int object
+    return RemoteValue(args[0].map(Stage("add", (InlineValue(5),))).descriptor)
+
+
+def _ship_subject_through_derived_handle(subject, args, ctx):
+    derived = args[0].map(Stage("inc"))
+    inner = Stage("pair_equals_inner", (ctx.subject_capture(subject),))
+    return RemoteValue(derived.map(inner).descriptor)
+
+
+def _counting_pair(locality):
+    """A server hosting 5 and 7 and a client; the server may ship to itself."""
+    registry = default_registry()
+    registry.register("ship_constant_five", 1, _ship_constant_five)
+    registry.register("ship_subject_through_derived_handle", 1, _ship_subject_through_derived_handle)
+    network = LoopbackNetwork()
+    server = Node.loopback(network, registry=registry, locality_replacement=locality)
+    client = Node.loopback(network)
+    return server, client
+
+
+@pytest.mark.parametrize(
+    "locality, stages, expected",
+    [
+        (True, ["pair_equals_outer"], 0),
+        (False, ["pair_equals_outer"], 1),
+        (False, ["identity", "pair_equals_outer"], 1),
+        (False, ["inc", "pair_equals_outer"], 0),
+        (False, ["ship_constant_five"], 0),
+        (False, ["ship_subject_through_derived_handle"], 1),
+    ],
+    ids=[
+        "locality_on",
+        "locality_off",
+        "identity_first",
+        "inc_first",
+        "constant_equal_to_the_subject",
+        "subject_through_derived_handle",
+    ],
+)
+def test_serializations_count_shipped_subject_captures(locality, stages, expected):
+    server, client = _counting_pair(locality)
+    try:
+        ra = client.export_to(server.endpoint, 5)
+        rb = client.export_to(server.endpoint, 7)
+        *plain, last = stages
+        pipeline = ShippedFn(
+            tuple(client.stage(fn_id) for fn_id in plain) + (client.stage(last, rb),)
+        )
+        ra.flat_map(pipeline)
+        assert ra.stats() == (expected, 0)
+    finally:
+        client.close()
+        server.close()
+
+
+def test_marked_capture_counts_when_its_map_is_answered_with_an_error():
+    server, client = _counting_pair(locality=False)
+    try:
+        ra = client.export_to(server.endpoint, 5)
+        dangling = client._materialize(RemoteRefDescriptor(server.endpoint, ObjectId(1234, 1)))
+        with pytest.raises(UnknownObjectError):
+            ra.flat_map(client.stage("pair_equals_outer", dangling))
+        assert ra.stats() == (1, 0)
+    finally:
+        client.close()
+        server.close()
+
+
+def test_subject_that_cannot_be_encoded_counts_nothing():
+    server, client = _counting_pair(locality=False)
+    try:
+        server.rebind("tok_a", server.new_token())
+        server.rebind("tok_b", server.new_token())
+        ta = client.lookup(server.endpoint, "tok_a")
+        tb = client.lookup(server.endpoint, "tok_b")
+        with pytest.raises(NotSerializableError):
+            ta.flat_map(client.stage("pair_equals_outer", tb))
+        assert ta.stats() == (0, 0)
+    finally:
+        client.close()
+        server.close()
+
+
+# -- a peer that answers with the wrong variant -----------------------------------
+
+
+@pytest.fixture(params=["loopback", "tcp"])
+def wrong_variant_peer(request):
+    """A client and the endpoint of a peer that answers every request with ``reply``."""
+    replies = {"reply": RespAck()}
+    if request.param == "loopback":
+        network = LoopbackNetwork()
+        client = Node.loopback(network)
+        endpoint = network.allocate_endpoint()
+        network.attach(endpoint, lambda frame: encode_message(replies["reply"]))
+        yield client, endpoint, replies
+        client.close()
+    else:
+        server, client = Node.tcp(), Node.tcp()
+        server.host.dispatch = lambda message: replies["reply"]
+        yield client, server.endpoint, replies
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize(
+    "operation, request_name, reply",
+    [
+        ("lookup", "Lookup", RespAck()),
+        ("export_to", "Export", RespAck()),
+        ("map", "Map", RespAck()),
+        ("get", "Get", RespAck()),
+        ("stats", "Stats", RespAck()),
+        ("rebind", "Rebind", RespStats(0, 0)),
+    ],
+    ids=["lookup", "export_to", "map", "get", "stats", "rebind"],
+)
+def test_wrong_reply_variant_is_a_protocol_error(wrong_variant_peer, operation, request_name, reply):
+    client, endpoint, replies = wrong_variant_peer
+    replies["reply"] = reply
+    handle = client._materialize(RemoteRefDescriptor(endpoint, ObjectId(1, 1)))
+    calls = {
+        "lookup": lambda: client.lookup(endpoint, "x"),
+        "export_to": lambda: client.export_to(endpoint, 1),
+        "map": lambda: handle.map(client.stage("inc")),
+        "get": handle.get,
+        "stats": handle.stats,
+        "rebind": lambda: client.rebind("x", handle),
+    }
+    expected = f"{request_name} answered with {type(reply).__name__}"
+    with pytest.raises(ProtocolError, match=f"^{expected}$"):
+        calls[operation]()
+
+
+# -- error text that has no UTF-8 encoding ------------------------------------------
+
+
+@pytest.mark.parametrize("pair", ["loop_pair", "tcp_pair"])
+@pytest.mark.parametrize(
+    "message, shown",
+    [("bad \ud800", "bad \\ud800"), ("x" * 70_000, "x" * 1000)],
+    ids=["lone_surrogate", "longer_than_a_name"],
+)
+def test_body_error_text_always_reaches_the_caller(request, pair, message, shown):
+    server, client = request.getfixturevalue(pair)
+
+    def raise_message(subject, args, ctx):
+        raise ValueError(message)
+
+    server.registry.register("raise_message", 0, raise_message)
+    subject = client.export_to(server.endpoint, 5)
+    with pytest.raises(ExecutionError, match=re.escape(shown)) as caught:
+        subject.map(Stage("raise_message"))
+    assert len(str(caught.value).encode("utf-8")) <= 0xFFFF
+    connections = getattr(client.transport, "_connections", {})  # TCP only
+    connection = connections.get(server.endpoint)
+    assert subject.map(client.stage("inc")).get() == 6
+    assert connections.get(server.endpoint) is connection
 
 
 # -- randomized laws (small; the acceptance suite runs the full battery) ----------

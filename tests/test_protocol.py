@@ -4,7 +4,7 @@ import struct
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from remotable import (
     EndpointAddr,
@@ -23,6 +23,7 @@ from remotable import (
     encode_value,
 )
 from remotable.protocol import (
+    BULK_MIN_FIXED,
     CODEC_RV1,
     MAX_LIST_DEPTH,
     Export,
@@ -263,6 +264,11 @@ def _same_elements(back, value):
     st.integers(min_value=0, max_value=3000),
     st.integers(min_value=0, max_value=2**32),
 )
+# either side of the length from which int/float lists take the bulk path
+@example("int", BULK_MIN_FIXED - 1, 0)
+@example("int", BULK_MIN_FIXED, 0)
+@example("float", BULK_MIN_FIXED - 1, 0)
+@example("float", BULK_MIN_FIXED, 0)
 def test_long_flat_lists_match_the_oracle(kind, length, seed):
     value = _seeded_list(kind, length, seed)
     payload = encode_value(value)
@@ -497,6 +503,17 @@ def test_unserializable_capture_blames_its_position():
     pipeline = ShippedFn((Stage("inc"), Stage("add", (InlineValue(Token(1)),))))
     with pytest.raises(NotSerializableError, match="stage 1"):
         encode_message(Map(DESCRIPTOR.id, pipeline))
+
+
+def test_capture_origin_is_never_encoded():
+    def request(capture):
+        return Map(DESCRIPTOR.id, ShippedFn.single(Stage("add", (capture,))))
+
+    marked = request(InlineValue(5, origin=DESCRIPTOR.id))
+    assert marked == request(InlineValue(5))
+    assert encode_message(marked) == encode_message(request(InlineValue(5)))
+    decoded, _ = decode_message(encode_message(marked))
+    assert decoded.fn.stages[0].captures[0].origin is None
 
 
 def test_empty_pipeline_on_the_wire_is_rejected():

@@ -2,18 +2,29 @@
 
 ``AsyncHandle`` makes composition non-blocking: each map/flat_map schedules
 the underlying remote call on the node's worker pool and returns at once;
-results and errors alike materialize when the caller forces. ``DeferredHandle``
+results and errors alike materialize when the caller forces. A step whose
+predecessor completed on a worker continues on that worker instead of being
+handed to another one, up to INLINE_DEPTH steps deep. ``DeferredHandle``
 goes the other way and does nothing at composition time: stages pile up in a
 client-side pipeline and ship as one Map when the value is finally forced, so
 an n-stage chain crosses the wire in two frames instead of n+1.
 """
 from __future__ import annotations
 
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Future, InvalidStateError
+from functools import partial
 from typing import Any, Callable, Optional, Union
 
 from .node import Node, RemoteHandle
 from .shipping import ShippedFn, Stage, compose
+
+# Steps run inline, one inside the other, on one worker before the next step
+# is submitted to the executor again; bounds that worker's stack.
+INLINE_DEPTH = 32
+# Per thread, set only while a step's run completes its future: that future
+# (cleared by the first continuation, which claims it) and the nesting depth.
+_inline = threading.local()
 
 
 class AsyncHandle:
@@ -39,21 +50,33 @@ class AsyncHandle:
     def _chain(self, step: Callable[[RemoteHandle], Any]) -> "Future[Any]":
         nxt: "Future[Any]" = Future()
 
-        def run(handle: RemoteHandle) -> None:
+        def run(prev: "Future[RemoteHandle]") -> None:
             try:
-                nxt.set_result(step(handle))
+                complete = partial(nxt.set_result, step(prev.result()))
+            # prev failed or was cancelled, or the step raised; anything else
+            # would escape into the executor and leave nxt pending for good
             except BaseException as exc:
-                nxt.set_exception(exc)
+                complete = partial(nxt.set_exception, exc)
+            depth = getattr(_inline, "depth", 0)
+            _inline.depth, _inline.completing = depth + 1, nxt
+            try:
+                complete()
+            except InvalidStateError:  # whoever holds nxt cancelled it
+                pass
+            finally:
+                _inline.depth, _inline.completing = depth, None
 
         def on_done(prev: "Future[RemoteHandle]") -> None:
-            exc = prev.exception()
-            if exc is not None:
-                nxt.set_exception(exc)
+            # inline only as the first continuation of a step that a run on
+            # this worker is completing: never on the composing caller's thread
+            if prev is getattr(_inline, "completing", None) and _inline.depth < INLINE_DEPTH:
+                _inline.completing = None
+                run(prev)
                 return
             try:
-                self._node.executor.submit(run, prev.result())
-            except RuntimeError as submit_exc:  # pool already shut down
-                nxt.set_exception(submit_exc)
+                self._node.executor.submit(run, prev)
+            except RuntimeError as exc:  # pool already shut down
+                nxt.set_exception(exc)
 
         self._future.add_done_callback(on_done)
         return nxt

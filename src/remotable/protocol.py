@@ -38,6 +38,9 @@ element by element. Any irregularity on decode (a wrong tag, truncation, bad
 UTF-8) falls back to the element-by-element reader, so errors and their
 offsets do not depend on the fast path. Lists may nest at most
 MAX_LIST_DEPTH deep in either direction.
+
+Decoders return (value, next offset), reading at offsets into the body. An
+endpoint is parsed or rendered once per distinct text (see _ENDPOINTS).
 """
 from __future__ import annotations
 
@@ -62,6 +65,8 @@ MAX_LIST_DEPTH = 100
 # Shorter int/float lists go element by element: the strided copies of the
 # bulk path cost more than they save below this length.
 BULK_MIN_FIXED = 8
+# Distinct endpoints remembered per direction before the memo starts over.
+ENDPOINT_CACHE_MAX = 256
 
 TAG_INT = 0x01
 TAG_FLOAT = 0x02
@@ -80,6 +85,8 @@ _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _TEXT_HEAD = struct.Struct(">BI")
+_OBJECT_ID_PAIR = struct.Struct(">QQ")
+_RV1_NAME = _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
 
 # rv1 numbers are big-endian; array() holds them in native order.
 _SWAP = sys.byteorder == "little"
@@ -175,19 +182,12 @@ Message = Union[
 
 
 def _tag_for(value: Any) -> int:
-    if isinstance(value, bool):
-        return TAG_BOOL
-    if isinstance(value, int):
-        return TAG_INT
-    if isinstance(value, float):
-        return TAG_FLOAT
-    if isinstance(value, str):
-        return TAG_TEXT
-    if isinstance(value, (bytes, bytearray)):
-        return TAG_BLOB
-    if isinstance(value, list):
-        return TAG_LIST
-    raise NotSerializableError(f"no codec binding for {type(value).__name__}")
+    tag = _TAGS.get(type(value))
+    if tag is None:  # a subclass, such as an IntEnum, takes its base's tag
+        tag = next((t for kind, t in _TAGS.items() if isinstance(value, kind)), None)
+        if tag is None:
+            raise NotSerializableError(f"no codec binding for {type(value).__name__}")
+    return tag
 
 
 def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
@@ -275,6 +275,9 @@ def _put_texts(value: list, out: bytearray) -> None:
 # Keyed by exact type: bool must not take the int path, and int subclasses
 # such as IntEnum go element by element like any other mixed list.
 _BULK_ENCODERS = {int: _put_ints, float: _put_floats, str: _put_texts}
+# In isinstance order for subclasses: bool before int.
+_TAGS = {bool: TAG_BOOL, int: TAG_INT, float: TAG_FLOAT, str: TAG_TEXT,
+         bytes: TAG_BLOB, bytearray: TAG_BLOB, list: TAG_LIST}
 
 
 def encode_value(value: Any) -> ValuePayload:
@@ -284,110 +287,91 @@ def encode_value(value: Any) -> ValuePayload:
     return ValuePayload(CODEC_RV1, bytes(out))
 
 
-class _Cursor:
-    """Sequential reader over one frame body; failures carry the byte offset."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes, pos: int = 0) -> None:
-        self.buf = buf
-        self.pos = pos
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.buf):
-            raise ProtocolError(
-                f"short body: need {count} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
-            )
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
+def _short(buf: bytes, pos: int, size: int) -> ProtocolError:
+    return ProtocolError(f"short body: need {size} bytes at offset {pos}, have {len(buf) - pos}")
 
 
-def _decode_raw(cursor: _Cursor, depth: int = 0) -> Any:
-    offset = cursor.pos
-    tag = cursor.u8()
-    if tag == TAG_INT:
-        return _I64.unpack(cursor.take(8))[0]
-    if tag == TAG_FLOAT:
-        return _F64.unpack(cursor.take(8))[0]
+def _unpack(fmt: struct.Struct, buf: bytes, pos: int) -> tuple[Any, int]:
+    try:
+        return fmt.unpack_from(buf, pos)[0], pos + fmt.size
+    except struct.error:
+        raise _short(buf, pos, fmt.size) from None
+
+
+def _take_bytes(buf: bytes, length: int, pos: int) -> tuple[bytes, int]:
+    end = pos + length
+    if end > len(buf):
+        raise _short(buf, pos, length)
+    return buf[pos:end], end
+
+
+def _take_text(head: struct.Struct, what: str, buf: bytes, pos: int, offset: int = -1) -> tuple:
+    """UTF-8 text after a ``head`` length; errors name ``what`` and ``offset`` (default pos)."""
+    offset = pos if offset < 0 else offset
+    raw, end = _take_bytes(buf, *_unpack(head, buf, pos))
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad UTF-8 in {what} at offset {offset}: {exc}") from exc
+
+
+def _take_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
+    offset = pos
+    if pos >= len(buf):
+        raise _short(buf, pos, 1)
+    tag = buf[pos]
+    pos += 1
+    if tag == TAG_INT or tag == TAG_FLOAT:
+        return _unpack(_I64 if tag == TAG_INT else _F64, buf, pos)
     if tag == TAG_BOOL:
-        flag = cursor.u8()
+        flag, pos = _unpack(_U8, buf, pos)
         if flag > 1:
             raise ProtocolError(f"bad boolean byte 0x{flag:02x} at offset {offset}")
-        return flag == 1
+        return flag == 1, pos
     if tag == TAG_TEXT:
-        length = cursor.u32()
-        try:
-            return cursor.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"bad UTF-8 in text at offset {offset}: {exc}") from exc
+        return _take_text(_U32, "text", buf, pos, offset)
     if tag == TAG_BLOB:
-        return cursor.take(cursor.u32())
-    if tag == TAG_LIST:
-        if depth >= MAX_LIST_DEPTH:
-            raise ProtocolError(
-                f"lists nested deeper than {MAX_LIST_DEPTH} at offset {offset}"
-            )
-        count = cursor.u32()
-        if count and cursor.pos < len(cursor.buf):
-            bulk = _BULK_DECODERS.get(cursor.buf[cursor.pos])
-            items = bulk(cursor, count) if bulk is not None else None
-            if items is not None:
-                return items
-        items = []
-        element_tag = None
-        for _ in range(count):
-            if cursor.pos >= len(cursor.buf):
-                raise ProtocolError(f"truncated list at offset {cursor.pos}")
-            found = cursor.buf[cursor.pos]
-            if element_tag is None:
-                element_tag = found
-            elif found != element_tag:
-                raise ProtocolError(f"heterogeneous list at offset {cursor.pos}")
-            items.append(_decode_raw(cursor, depth + 1))
-        return items
-    raise ProtocolError(f"unknown value tag 0x{tag:02x} at offset {offset}")
+        return _take_bytes(buf, *_unpack(_U32, buf, pos))
+    if tag != TAG_LIST:
+        raise ProtocolError(f"unknown value tag 0x{tag:02x} at offset {offset}")
+    if depth >= MAX_LIST_DEPTH:
+        raise ProtocolError(f"lists nested deeper than {MAX_LIST_DEPTH} at offset {offset}")
+    count, pos = _unpack(_U32, buf, pos)
+    bulk = _BULK_DECODERS.get(buf[pos]) if count and pos < len(buf) else None
+    taken = bulk(buf, pos, count) if bulk is not None else None
+    if taken is not None:
+        return taken
+    items = []
+    first = pos  # every element's tag must match the first one's
+    for _ in range(count):
+        if pos >= len(buf):
+            raise ProtocolError(f"truncated list at offset {pos}")
+        if buf[pos] != buf[first]:
+            raise ProtocolError(f"heterogeneous list at offset {pos}")
+        item, pos = _take_value(buf, pos, depth + 1)
+        items.append(item)
+    return items, pos
 
 
-# Bulk readers for a list of ``count`` elements starting at the cursor. Each
-# returns None, leaving the cursor where it was, on anything irregular; the
+# Bulk readers for a list of ``count`` elements starting at ``pos``. Each
+# returns (items, next offset), or None on anything irregular; the
 # element-by-element reader then produces the error.
 
 
-def _take_fixed(cursor: _Cursor, count: int, tag: int, typecode: str) -> list | None:
-    buf, start = cursor.buf, cursor.pos
-    end = start + 9 * count
-    if count < BULK_MIN_FIXED or end > len(buf) or buf[start:end:9].count(tag) != count:
+def _take_fixed(buf: bytes, pos: int, count: int, tag: int, typecode: str) -> tuple | None:
+    end = pos + 9 * count
+    if count < BULK_MIN_FIXED or end > len(buf) or buf[pos:end:9].count(tag) != count:
         return None
     raw = bytearray(8 * count)
     for k in range(8):
-        raw[k::8] = buf[start + 1 + k:end:9]
+        raw[k::8] = buf[pos + 1 + k:end:9]
     values = array(typecode, raw)
     if _SWAP:
         values.byteswap()
-    cursor.pos = end
-    return values.tolist()
+    return values.tolist(), end
 
 
-def _take_texts(cursor: _Cursor, count: int) -> list | None:
-    buf, pos = cursor.buf, cursor.pos
+def _take_texts(buf: bytes, pos: int, count: int) -> tuple | None:
     size = len(buf)
     head = _TEXT_HEAD.unpack_from
     items = []
@@ -401,27 +385,22 @@ def _take_texts(cursor: _Cursor, count: int) -> list | None:
             items.append(buf[start:pos].decode("utf-8"))
     except (struct.error, UnicodeDecodeError):
         return None
-    cursor.pos = pos
-    return items
+    return items, pos
 
 
-_BULK_DECODERS = {
-    TAG_INT: partial(_take_fixed, tag=TAG_INT, typecode="q"),
-    TAG_FLOAT: partial(_take_fixed, tag=TAG_FLOAT, typecode="d"),
-    TAG_TEXT: _take_texts,
-}
+_BULK_DECODERS = {TAG_INT: partial(_take_fixed, tag=TAG_INT, typecode="q"),
+                  TAG_FLOAT: partial(_take_fixed, tag=TAG_FLOAT, typecode="d"),
+                  TAG_TEXT: _take_texts}
 
 
 def decode_value(payload: ValuePayload) -> Any:
     """Inverse of encode_value; rejects unknown codecs and malformed bytes."""
     if payload.codec_id != CODEC_RV1:
         raise ProtocolError(f"unknown codec id {payload.codec_id!r}")
-    cursor = _Cursor(payload.data)
-    value = _decode_raw(cursor)
-    if not cursor.done():
-        raise ProtocolError(
-            f"{len(payload.data) - cursor.pos} trailing bytes after value"
-        )
+    data = payload.data
+    value, pos = _take_value(data, 0)
+    if pos != len(data):
+        raise ProtocolError(f"{len(data) - pos} trailing bytes after value")
     return value
 
 
@@ -441,45 +420,63 @@ def _put_name(text: str, out: bytearray) -> None:
     out += encoded
 
 
-def _take_name(cursor: _Cursor) -> str:
-    offset = cursor.pos
-    length = cursor.u16()
-    try:
-        return cursor.take(length).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"bad UTF-8 in name at offset {offset}: {exc}") from exc
+_take_name = partial(_take_text, _U16, "name")
 
 
 def _put_object_id(object_id: ObjectId, out: bytearray) -> None:
-    out += _U64.pack(object_id.incarnation)
-    out += _U64.pack(object_id.serial)
+    out += _OBJECT_ID_PAIR.pack(object_id.incarnation, object_id.serial)
 
 
-def _take_object_id(cursor: _Cursor) -> ObjectId:
-    offset = cursor.pos
-    incarnation = cursor.u64()
-    serial = cursor.u64()
+def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
     try:
-        return ObjectId(incarnation, serial)
+        incarnation, serial = _OBJECT_ID_PAIR.unpack_from(buf, pos)
+    except struct.error:  # name the one of the two u64 reads that overruns
+        raise _short(buf, pos if len(buf) - pos < 8 else pos + 8, 8) from None
+    try:
+        return ObjectId(incarnation, serial), pos + 16
     except ValueError as exc:
-        raise ProtocolError(f"bad object id at offset {offset}: {exc}") from exc
+        raise ProtocolError(f"bad object id at offset {pos}: {exc}") from exc
+
+
+# Memos of two pure functions, EndpointAddr -> encoded rv1 text and back, each
+# emptied when full. Only successes are stored: a bad text fails every time.
+_ENDPOINT_TEXTS: dict[EndpointAddr, bytes] = {}
+_ENDPOINTS: dict[bytes, EndpointAddr] = {}
+
+
+def _remember(memo: dict, key: Any, value: Any) -> Any:
+    if len(memo) >= ENDPOINT_CACHE_MAX:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _put_descriptor(descriptor: RemoteRefDescriptor, out: bytearray) -> None:
-    _encode_raw(str(descriptor.endpoint), out)
+    text = _ENDPOINT_TEXTS.get(descriptor.endpoint)
+    if text is None:
+        rendered = bytearray()
+        _encode_raw(str(descriptor.endpoint), rendered)
+        text = _remember(_ENDPOINT_TEXTS, descriptor.endpoint, bytes(rendered))
+    out += text
     _put_object_id(descriptor.id, out)
 
 
-def _take_descriptor(cursor: _Cursor) -> RemoteRefDescriptor:
-    offset = cursor.pos
-    rendered = _decode_raw(cursor)
-    if not isinstance(rendered, str):
-        raise ProtocolError(f"descriptor endpoint is not text at offset {offset}")
-    try:
-        endpoint = EndpointAddr.parse(rendered)
-    except ValueError as exc:
-        raise ProtocolError(f"bad endpoint at offset {offset}: {exc}") from exc
-    return RemoteRefDescriptor(endpoint, _take_object_id(cursor))
+def _take_descriptor(buf: bytes, pos: int) -> tuple[RemoteRefDescriptor, int]:
+    offset = pos
+    # the rv1 text as long as its head says; cut short, it matches no stored key
+    end = pos + 5 + int.from_bytes(buf[pos + 1:pos + 5], "big")
+    endpoint = _ENDPOINTS.get(buf[pos:end])
+    if endpoint is None:
+        rendered, end = _take_value(buf, pos)
+        if not isinstance(rendered, str):
+            raise ProtocolError(f"descriptor endpoint is not text at offset {offset}")
+        try:
+            endpoint = EndpointAddr.parse(rendered)
+        except ValueError as exc:
+            raise ProtocolError(f"bad endpoint at offset {offset}: {exc}") from exc
+        _remember(_ENDPOINTS, buf[pos:end], endpoint)
+    object_id, pos = _take_object_id(buf, end)
+    return RemoteRefDescriptor(endpoint, object_id), pos
 
 
 def _put_payload(payload: ValuePayload, out: bytearray) -> None:
@@ -488,37 +485,44 @@ def _put_payload(payload: ValuePayload, out: bytearray) -> None:
     out += payload.data
 
 
-def _take_payload(cursor: _Cursor) -> ValuePayload:
-    codec_id = _take_name(cursor)
-    return ValuePayload(codec_id, cursor.take(cursor.u32()))
+def _take_payload(buf: bytes, pos: int) -> tuple[ValuePayload, int]:
+    if buf.startswith(_RV1_NAME, pos):  # the codec id nearly every payload has
+        codec_id, pos = CODEC_RV1, pos + len(_RV1_NAME)
+    else:
+        codec_id, pos = _take_name(buf, pos)
+    data, pos = _take_bytes(buf, *_unpack(_U32, buf, pos))
+    return ValuePayload(codec_id, data), pos
 
 
-def _put_capture(capture: Capture, where: str, out: bytearray) -> None:
+def _put_capture(capture: Capture, index: int, ci: int, out: bytearray) -> None:
     if isinstance(capture, InlineValue):
         out.append(_CAPTURE_INLINE)
         try:
             _put_payload(encode_value(capture.value), out)
         except NotSerializableError as exc:
-            raise NotSerializableError(f"{where}: {exc}") from exc
+            raise NotSerializableError(f"stage {index} capture {ci}: {exc}") from exc
     elif isinstance(capture, RemoteRef):
         out.append(_CAPTURE_REF)
         _put_descriptor(capture.descriptor, out)
     else:
-        raise ProtocolError(f"{where}: unknown capture kind {type(capture).__name__}")
+        kind = type(capture).__name__
+        raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind {kind}")
 
 
-def _take_capture(cursor: _Cursor, where: str) -> Capture:
-    offset = cursor.pos
-    kind = cursor.u8()
+def _take_capture(buf: bytes, pos: int, index: int, ci: int) -> tuple[Capture, int]:
+    offset = pos
+    kind, pos = _unpack(_U8, buf, pos)
     if kind == _CAPTURE_INLINE:
-        payload = _take_payload(cursor)
+        payload, pos = _take_payload(buf, pos)
         try:
-            return InlineValue(decode_value(payload))
+            return InlineValue(decode_value(payload)), pos
         except ProtocolError as exc:
-            raise ProtocolError(f"{where}: {exc}") from exc
+            raise ProtocolError(f"stage {index} capture {ci}: {exc}") from exc
     if kind == _CAPTURE_REF:
-        return RemoteRef(_take_descriptor(cursor))
-    raise ProtocolError(f"{where}: unknown capture kind 0x{kind:02x} at offset {offset}")
+        descriptor, pos = _take_descriptor(buf, pos)
+        return RemoteRef(descriptor), pos
+    raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind 0x{kind:02x} "
+                        f"at offset {offset}")
 
 
 def _put_stage(stage: Stage, index: int, out: bytearray) -> None:
@@ -527,19 +531,20 @@ def _put_stage(stage: Stage, index: int, out: bytearray) -> None:
         raise ProtocolError("too many captures in one stage")
     out += _U16.pack(len(stage.captures))
     for ci, capture in enumerate(stage.captures):
-        _put_capture(capture, f"stage {index} capture {ci}", out)
+        _put_capture(capture, index, ci, out)
 
 
-def _take_stage(cursor: _Cursor, index: int) -> Stage:
-    offset = cursor.pos
-    fn_id = _decode_raw(cursor)
+def _take_stage(buf: bytes, pos: int, index: int) -> tuple[Stage, int]:
+    offset = pos
+    fn_id, pos = _take_value(buf, pos)
     if not isinstance(fn_id, str) or not fn_id:
         raise ProtocolError(f"stage {index}: bad fn id at offset {offset}")
-    count = cursor.u16()
-    captures = tuple(
-        _take_capture(cursor, f"stage {index} capture {ci}") for ci in range(count)
-    )
-    return Stage(fn_id, captures)
+    count, pos = _unpack(_U16, buf, pos)
+    captures = []
+    for ci in range(count):
+        capture, pos = _take_capture(buf, pos, index, ci)
+        captures.append(capture)
+    return Stage(fn_id, tuple(captures)), pos
 
 
 def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
@@ -550,19 +555,15 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
         _put_stage(stage, index, out)
 
 
-def _take_pipeline(cursor: _Cursor) -> ShippedFn:
-    count = cursor.u16()
+def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
+    count, pos = _unpack(_U16, buf, pos)
     if count == 0:
-        raise ProtocolError(f"empty pipeline at offset {cursor.pos - 2}")
-    return ShippedFn(tuple(_take_stage(cursor, i) for i in range(count)))
-
-
-def _put_u8(value: int, out: bytearray) -> None:
-    out += _U8.pack(value)
-
-
-def _put_u64(value: int, out: bytearray) -> None:
-    out += _U64.pack(value)
+        raise ProtocolError(f"empty pipeline at offset {pos - 2}")
+    stages = []
+    for index in range(count):
+        stage, pos = _take_stage(buf, pos, index)
+        stages.append(stage)
+    return ShippedFn(tuple(stages)), pos
 
 
 # Field codecs, each a (put, take) pair.
@@ -571,8 +572,8 @@ _OBJECT_ID = (_put_object_id, _take_object_id)
 _DESCRIPTOR = (_put_descriptor, _take_descriptor)
 _PIPELINE = (_put_pipeline, _take_pipeline)
 _PAYLOAD = (_put_payload, _take_payload)
-_UINT8 = (_put_u8, _Cursor.u8)
-_UINT64 = (_put_u64, _Cursor.u64)
+_UINT8 = (lambda value, out: out.extend(_U8.pack(value)), partial(_unpack, _U8))
+_UINT64 = (lambda value, out: out.extend(_U64.pack(value)), partial(_unpack, _U64))
 
 # The variant table: one row per message class and the codecs of its fields
 # in declared order. A variant's tag is its row number (Rebind = 1 ...
@@ -642,21 +643,20 @@ def decode_message(buf: bytes | bytearray) -> tuple[Message, int] | None:
         return None
     if body_len == 0:
         raise ProtocolError("empty frame body")
-    body = buf[4:end]
     # a bytearray body is copied once more so that blobs and payloads decode
     # to bytes; on the small frames most calls carry, this beats a memoryview
-    cursor = _Cursor(body if type(body) is bytes else bytes(body))
-    tag = cursor.u8()
-    row = _DECODERS.get(tag)
+    body = buf[4:end] if type(buf) is bytes else bytes(buf[4:end])
+    row = _DECODERS.get(body[0])
     if row is None:
-        raise ProtocolError(f"unknown message tag 0x{tag:02x} at offset 4")
+        raise ProtocolError(f"unknown message tag 0x{body[0]:02x} at offset 4")
     cls, takes = row
-    message = cls(*[take(cursor) for take in takes])
-    if not cursor.done():
-        raise ProtocolError(
-            f"{len(cursor.buf) - cursor.pos} unconsumed bytes inside frame body"
-        )
-    return message, end
+    pos, values = 1, []
+    for take in takes:
+        value, pos = take(body, pos)
+        values.append(value)
+    if pos != len(body):
+        raise ProtocolError(f"{len(body) - pos} unconsumed bytes inside frame body")
+    return cls(*values), end
 
 
 def decode_frame(frame: bytes) -> Message:

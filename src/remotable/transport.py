@@ -121,7 +121,7 @@ def read_frame(sock: socket.socket) -> bytes:
 
 
 class TcpTransport(Transport):
-    """Pooled TCP connections, one per endpoint, requests serialized per connection."""
+    """One TCP connection per endpoint, with calls serialized on it (no pool)."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -1,5 +1,8 @@
+import logging
 import random
+import threading
 import time
+from concurrent.futures import CancelledError, Future
 
 import pytest
 
@@ -9,9 +12,11 @@ from remotable import (
     LoopbackNetwork,
     Node,
     NotSerializableError,
+    PlainValue,
     Stage,
     UnknownFunctionError,
 )
+from remotable.adapters import INLINE_DEPTH
 
 from helpers import random_ops, run_int_pipeline, stages_for_ops
 
@@ -113,6 +118,93 @@ def test_composition_does_not_wait_for_the_network():
     finally:
         client.close()
         server.close()
+
+
+def test_cancelled_upstream_cancels_the_chain_without_logging(loop_pair, caplog):
+    _, client = loop_pair
+    upstream: "Future" = Future()
+    chained = AsyncHandle(client, upstream).map(client.stage("inc"))
+    with caplog.at_level(logging.DEBUG):
+        upstream.cancel()
+        with pytest.raises(CancelledError):
+            chained.force(timeout=2)
+    assert not caplog.records
+
+
+def test_cancelling_a_step_of_a_running_chain_is_quiet(loop_pair, caplog):
+    server, client = loop_pair
+    upstream: "Future" = Future()
+    first = AsyncHandle(client, upstream).map(client.stage("inc"))
+    middle = first.map(client.stage("inc"))
+    last = middle.map(client.stage("inc"))
+    assert middle._future.cancel()
+    with caplog.at_level(logging.DEBUG):
+        upstream.set_result(client.export_to(server.endpoint, 1))
+        assert first.force(10) == 2
+        with pytest.raises(CancelledError):
+            last.force(10)
+    assert middle._future.cancelled()
+    assert not caplog.records
+
+
+def test_long_async_chain_is_not_bounded_by_the_stack(loop_pair):
+    # the whole chain is composed before its first step can run, so without
+    # the depth cap every step would nest inside the one before it
+    server, client = loop_pair
+    sync_handle = client.export_to(server.endpoint, 1)
+    upstream: "Future" = Future()
+    async_handle = AsyncHandle(client, upstream)
+    steps = 300
+    assert steps > 3 * INLINE_DEPTH
+    for i in range(steps):
+        stage = client.stage("inc") if i % 2 else client.stage("add", -3)
+        sync_handle = sync_handle.map(stage)
+        async_handle = async_handle.map(stage)
+    upstream.set_result(client.export_to(server.endpoint, 1))
+    assert async_handle.force(60) == sync_handle.get()
+
+
+def test_long_failed_chain_fails_without_hanging(loop_pair, caplog):
+    _, client = loop_pair
+    upstream: "Future" = Future()
+    chained = AsyncHandle(client, upstream)
+    for _ in range(500):
+        chained = chained.map(client.stage("inc"))
+    with caplog.at_level(logging.DEBUG):
+        upstream.set_exception(UnknownFunctionError("no_such_fn"))
+        with pytest.raises(UnknownFunctionError):
+            chained.force(60)
+    assert not caplog.records
+
+
+def test_two_branches_of_one_handle_both_complete(loop_pair):
+    server, client = loop_pair
+    root = AsyncHandle.wrap(client.export_to(server.endpoint, 4)).map(client.stage("inc"))
+    left = root.map(client.stage("mul", 2))
+    right = root.map(client.stage("inc"))
+    assert (left.force(10), right.force(10)) == (10, 6)
+
+
+def test_steps_never_run_on_the_composing_thread():
+    network = LoopbackNetwork()
+    server = Node.loopback(network)
+    client = Node.loopback(network)
+    threads = set()
+
+    def record(subject, args, ctx):
+        threads.add(threading.get_ident())
+        return PlainValue(subject + 1)
+
+    server.registry.register("record", 0, record)
+    try:
+        chained = AsyncHandle.wrap(client.export_to(server.endpoint, 0))
+        for _ in range(10):
+            chained = chained.map(Stage("record"))
+        assert chained.force(10) == 10
+    finally:
+        client.close()
+        server.close()
+    assert threads and threading.get_ident() not in threads
 
 
 # -- deferred -------------------------------------------------------------------

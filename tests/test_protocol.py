@@ -1,6 +1,8 @@
 import hashlib
 import random
 import struct
+import sys
+import threading
 from enum import IntEnum
 
 import pytest
@@ -22,6 +24,7 @@ from remotable import (
     encode_message,
     encode_value,
 )
+from remotable import protocol
 from remotable.protocol import (
     BULK_MIN_FIXED,
     CODEC_RV1,
@@ -42,6 +45,7 @@ from remotable.protocol import (
     TAG_BOOL,
     TAG_FLOAT,
     ValuePayload,
+    decode_frame,
 )
 
 DESCRIPTOR = RemoteRefDescriptor(EndpointAddr("127.0.0.1", 7099), ObjectId(0xAB, 7))
@@ -542,3 +546,68 @@ def test_descriptor_round_trip_at_id_extremes(object_id):
     frame = encode_message(RespDescriptor(descriptor))
     decoded, _ = decode_message(frame)
     assert decoded.descriptor == descriptor
+
+
+def _descriptor_frame(endpoint_text, incarnation=0xAB, serial=7):
+    """A RespDescriptor frame built by hand, so any endpoint text can be sent."""
+    text = endpoint_text.encode()
+    body = b"\x08\x04" + len(text).to_bytes(4, "big") + text
+    body += incarnation.to_bytes(8, "big") + serial.to_bytes(8, "big")
+    return len(body).to_bytes(4, "big") + body
+
+
+def test_endpoint_memos_stay_bounded_over_many_distinct_endpoints():
+    for port in range(1, 10_001):
+        descriptor = RemoteRefDescriptor(EndpointAddr(f"h{port % 7}", port), ObjectId(1, port))
+        frame = encode_message(RespDescriptor(descriptor))
+        assert frame == _descriptor_frame(f"h{port % 7}:{port}", 1, port)
+        assert decode_frame(frame).descriptor == descriptor
+        assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert len(protocol._ENDPOINT_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+
+
+@pytest.mark.parametrize("text", ["h:0", "h:99999", "no-port", "h :1", ":1", "h:x1"])
+def test_bad_endpoint_is_rejected_on_every_repeat(text):
+    good = decode_frame(_descriptor_frame("h:1"))  # a valid text is remembered
+    for _ in range(3):
+        with pytest.raises(ProtocolError, match=r"^bad endpoint at offset 1: "):
+            decode_frame(_descriptor_frame(text))
+        assert encode_value(text).data not in protocol._ENDPOINTS
+    assert decode_frame(_descriptor_frame("h:1")) == good
+
+
+def test_endpoint_with_leading_zero_port_decodes_to_its_own_value():
+    # "h:07" and "h:7" are different texts for one endpoint; the memo keys
+    # by text, so each decodes through its own entry
+    assert decode_frame(_descriptor_frame("h:07")).descriptor.endpoint == EndpointAddr("h", 7)
+    assert decode_frame(_descriptor_frame("h:7")).descriptor.endpoint == EndpointAddr("h", 7)
+
+
+
+def test_endpoint_memos_under_concurrent_threads():
+    # more threads than cores, switching often, each cycling through more
+    # endpoints than the memo holds so that clears race with reads
+    errors = []
+
+    def worker(offset):
+        try:
+            for port in range(offset, offset + 2 * protocol.ENDPOINT_CACHE_MAX):
+                descriptor = RemoteRefDescriptor(EndpointAddr("t", port), ObjectId(2, port))
+                if decode_frame(encode_message(RespDescriptor(descriptor))).descriptor != descriptor:
+                    errors.append(port)
+        except Exception as exc:  # reported below, so a crash fails the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(1 + 1000 * i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX

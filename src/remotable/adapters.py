@@ -3,8 +3,8 @@
 ``AsyncHandle`` makes composition non-blocking: each map/flat_map schedules
 the underlying remote call on the node's worker pool and returns at once;
 results and errors alike materialize when the caller forces. A step whose
-predecessor completed on a worker continues on that worker instead of being
-handed to another one, up to INLINE_DEPTH steps deep. ``DeferredHandle``
+predecessor completed on a worker continues on that worker once the
+predecessor's other continuations have gone to the pool. ``DeferredHandle``
 goes the other way and does nothing at composition time: stages pile up in a
 client-side pipeline and ship as one Map when the value is finally forced, so
 an n-stage chain crosses the wire in two frames instead of n+1.
@@ -19,12 +19,29 @@ from typing import Any, Callable, Optional, Union
 from .node import Node, RemoteHandle
 from .shipping import ShippedFn, Stage, compose
 
-# Steps run inline, one inside the other, on one worker before the next step
-# is submitted to the executor again; bounds that worker's stack.
-INLINE_DEPTH = 32
-# Per thread, set only while a step's run completes its future: that future
-# (cleared by the first continuation, which claims it) and the nesting depth.
+# Per thread, set only while _drive completes a step's future: that future
+# and the step its first continuation claimed to run next on this thread.
 _inline = threading.local()
+
+
+def _drive(run: Callable[[Future], tuple], prev: Future) -> None:
+    """Run a step on this worker, then each step that its completion hands back.
+
+    Completing a step's future fires its callbacks one after another. The first
+    continuation does not run there: it only claims itself, and runs here once
+    every other callback (a sibling branch being submitted, say) has fired. So
+    branches still run side by side, and a long chain loops instead of nesting.
+    """
+    while run is not None:
+        nxt, complete = run(prev)
+        _inline.completing, _inline.claimed = nxt, None
+        try:
+            complete()
+        except InvalidStateError:  # whoever holds nxt cancelled it
+            pass
+        finally:
+            _inline.completing = None
+        run, prev = _inline.claimed, nxt
 
 
 class AsyncHandle:
@@ -50,31 +67,23 @@ class AsyncHandle:
     def _chain(self, step: Callable[[RemoteHandle], Any]) -> "Future[Any]":
         nxt: "Future[Any]" = Future()
 
-        def run(prev: "Future[RemoteHandle]") -> None:
+        def run(prev: "Future[RemoteHandle]") -> tuple:
+            """Do the step; return its future and how to complete it."""
             try:
-                complete = partial(nxt.set_result, step(prev.result()))
+                return nxt, partial(nxt.set_result, step(prev.result()))
             # prev failed or was cancelled, or the step raised; anything else
             # would escape into the executor and leave nxt pending for good
             except BaseException as exc:
-                complete = partial(nxt.set_exception, exc)
-            depth = getattr(_inline, "depth", 0)
-            _inline.depth, _inline.completing = depth + 1, nxt
-            try:
-                complete()
-            except InvalidStateError:  # whoever holds nxt cancelled it
-                pass
-            finally:
-                _inline.depth, _inline.completing = depth, None
+                return nxt, partial(nxt.set_exception, exc)
 
         def on_done(prev: "Future[RemoteHandle]") -> None:
-            # inline only as the first continuation of a step that a run on
-            # this worker is completing: never on the composing caller's thread
-            if prev is getattr(_inline, "completing", None) and _inline.depth < INLINE_DEPTH:
-                _inline.completing = None
-                run(prev)
+            # the first continuation of a step that _drive is completing on
+            # this worker runs next there; never on the composing caller's thread
+            if prev is getattr(_inline, "completing", None):
+                _inline.completing, _inline.claimed = None, run
                 return
             try:
-                self._node.executor.submit(run, prev)
+                self._node.executor.submit(_drive, run, prev)
             except RuntimeError as exc:  # pool already shut down
                 nxt.set_exception(exc)
 

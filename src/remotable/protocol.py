@@ -40,7 +40,7 @@ offsets do not depend on the fast path. Lists may nest at most
 MAX_LIST_DEPTH deep in either direction.
 
 Decoders return (value, next offset), reading at offsets into the body. An
-endpoint is parsed or rendered once per distinct text (see _ENDPOINTS).
+endpoint text is parsed once, then looked up (see _ENDPOINTS).
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ MAX_LIST_DEPTH = 100
 # Shorter int/float lists go element by element: the strided copies of the
 # bulk path cost more than they save below this length.
 BULK_MIN_FIXED = 8
-# Distinct endpoints remembered per direction before the memo starts over.
+# Distinct endpoint texts the decoder remembers before it starts over.
 ENDPOINT_CACHE_MAX = 256
 
 TAG_INT = 0x01
@@ -86,7 +86,6 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _TEXT_HEAD = struct.Struct(">BI")
 _OBJECT_ID_PAIR = struct.Struct(">QQ")
-_RV1_NAME = _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
 
 # rv1 numbers are big-endian; array() holds them in native order.
 _SWAP = sys.byteorder == "little"
@@ -182,12 +181,19 @@ Message = Union[
 
 
 def _tag_for(value: Any) -> int:
-    tag = _TAGS.get(type(value))
-    if tag is None:  # a subclass, such as an IntEnum, takes its base's tag
-        tag = next((t for kind, t in _TAGS.items() if isinstance(value, kind)), None)
-        if tag is None:
-            raise NotSerializableError(f"no codec binding for {type(value).__name__}")
-    return tag
+    if isinstance(value, bool):
+        return TAG_BOOL
+    if isinstance(value, int):
+        return TAG_INT
+    if isinstance(value, float):
+        return TAG_FLOAT
+    if isinstance(value, str):
+        return TAG_TEXT
+    if isinstance(value, (bytes, bytearray)):
+        return TAG_BLOB
+    if isinstance(value, list):
+        return TAG_LIST
+    raise NotSerializableError(f"no codec binding for {type(value).__name__}")
 
 
 def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
@@ -275,9 +281,6 @@ def _put_texts(value: list, out: bytearray) -> None:
 # Keyed by exact type: bool must not take the int path, and int subclasses
 # such as IntEnum go element by element like any other mixed list.
 _BULK_ENCODERS = {int: _put_ints, float: _put_floats, str: _put_texts}
-# In isinstance order for subclasses: bool before int.
-_TAGS = {bool: TAG_BOOL, int: TAG_INT, float: TAG_FLOAT, str: TAG_TEXT,
-         bytes: TAG_BLOB, bytearray: TAG_BLOB, list: TAG_LIST}
 
 
 def encode_value(value: Any) -> ValuePayload:
@@ -438,26 +441,13 @@ def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
         raise ProtocolError(f"bad object id at offset {pos}: {exc}") from exc
 
 
-# Memos of two pure functions, EndpointAddr -> encoded rv1 text and back, each
-# emptied when full. Only successes are stored: a bad text fails every time.
-_ENDPOINT_TEXTS: dict[EndpointAddr, bytes] = {}
+# Endpoints already parsed, keyed by their raw rv1 text and emptied when full.
+# Only successes are stored, so a bad text fails the same way every time.
 _ENDPOINTS: dict[bytes, EndpointAddr] = {}
 
 
-def _remember(memo: dict, key: Any, value: Any) -> Any:
-    if len(memo) >= ENDPOINT_CACHE_MAX:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
 def _put_descriptor(descriptor: RemoteRefDescriptor, out: bytearray) -> None:
-    text = _ENDPOINT_TEXTS.get(descriptor.endpoint)
-    if text is None:
-        rendered = bytearray()
-        _encode_raw(str(descriptor.endpoint), rendered)
-        text = _remember(_ENDPOINT_TEXTS, descriptor.endpoint, bytes(rendered))
-    out += text
+    _encode_raw(str(descriptor.endpoint), out)
     _put_object_id(descriptor.id, out)
 
 
@@ -474,7 +464,9 @@ def _take_descriptor(buf: bytes, pos: int) -> tuple[RemoteRefDescriptor, int]:
             endpoint = EndpointAddr.parse(rendered)
         except ValueError as exc:
             raise ProtocolError(f"bad endpoint at offset {offset}: {exc}") from exc
-        _remember(_ENDPOINTS, buf[pos:end], endpoint)
+        if len(_ENDPOINTS) >= ENDPOINT_CACHE_MAX:
+            _ENDPOINTS.clear()
+        _ENDPOINTS[buf[pos:end]] = endpoint
     object_id, pos = _take_object_id(buf, end)
     return RemoteRefDescriptor(endpoint, object_id), pos
 
@@ -486,10 +478,7 @@ def _put_payload(payload: ValuePayload, out: bytearray) -> None:
 
 
 def _take_payload(buf: bytes, pos: int) -> tuple[ValuePayload, int]:
-    if buf.startswith(_RV1_NAME, pos):  # the codec id nearly every payload has
-        codec_id, pos = CODEC_RV1, pos + len(_RV1_NAME)
-    else:
-        codec_id, pos = _take_name(buf, pos)
+    codec_id, pos = _take_name(buf, pos)
     data, pos = _take_bytes(buf, *_unpack(_U32, buf, pos))
     return ValuePayload(codec_id, data), pos
 

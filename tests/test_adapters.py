@@ -16,7 +16,6 @@ from remotable import (
     Stage,
     UnknownFunctionError,
 )
-from remotable.adapters import INLINE_DEPTH
 
 from helpers import random_ops, run_int_pipeline, stages_for_ops
 
@@ -148,15 +147,13 @@ def test_cancelling_a_step_of_a_running_chain_is_quiet(loop_pair, caplog):
 
 
 def test_long_async_chain_is_not_bounded_by_the_stack(loop_pair):
-    # the whole chain is composed before its first step can run, so without
-    # the depth cap every step would nest inside the one before it
+    # the whole chain is composed before its first step can run, so each
+    # step is the continuation its predecessor's worker takes up next
     server, client = loop_pair
     sync_handle = client.export_to(server.endpoint, 1)
     upstream: "Future" = Future()
     async_handle = AsyncHandle(client, upstream)
-    steps = 300
-    assert steps > 3 * INLINE_DEPTH
-    for i in range(steps):
+    for i in range(300):
         stage = client.stage("inc") if i % 2 else client.stage("add", -3)
         sync_handle = sync_handle.map(stage)
         async_handle = async_handle.map(stage)
@@ -185,6 +182,35 @@ def test_two_branches_of_one_handle_both_complete(loop_pair):
     assert (left.force(10), right.force(10)) == (10, 6)
 
 
+def test_two_branches_of_one_handle_run_side_by_side():
+    network = LoopbackNetwork()
+    server = Node.loopback(network)
+    client = Node.loopback(network)
+    gate = threading.Event()
+    meeting = threading.Barrier(2, timeout=5)
+
+    def hold(subject, args, ctx):
+        gate.wait(5)
+        return PlainValue(subject)
+
+    def meet(subject, args, ctx):
+        meeting.wait()  # broken unless the other branch is running at the same time
+        return PlainValue(subject + 1)
+
+    server.registry.register("hold", 0, hold)
+    server.registry.register("meet", 0, meet)
+    try:
+        # both branches are composed while the root step is still running
+        root = AsyncHandle.wrap(client.export_to(server.endpoint, 1)).map(Stage("hold"))
+        left = root.map(Stage("meet"))
+        right = root.map(Stage("meet"))
+        gate.set()
+        assert (left.force(10), right.force(10)) == (2, 2)
+    finally:
+        client.close()
+        server.close()
+
+
 def test_steps_never_run_on_the_composing_thread():
     network = LoopbackNetwork()
     server = Node.loopback(network)
@@ -205,6 +231,33 @@ def test_steps_never_run_on_the_composing_thread():
         client.close()
         server.close()
     assert threads and threading.get_ident() not in threads
+
+
+def test_a_chain_composed_ahead_runs_on_one_worker():
+    network = LoopbackNetwork()
+    server = Node.loopback(network)
+    client = Node.loopback(network)
+    threads = []
+
+    def record(subject, args, ctx):
+        threads.append(threading.get_ident())
+        return PlainValue(subject + 1)
+
+    server.registry.register("record", 0, record)
+    try:
+        upstream: "Future" = Future()
+        chained = AsyncHandle(client, upstream)
+        for _ in range(10):
+            chained = chained.map(Stage("record"))
+        upstream.set_result(client.export_to(server.endpoint, 0))
+        assert chained.force(10) == 10
+    finally:
+        client.close()
+        server.close()
+    # one handoff from the composing thread, then each step follows its
+    # predecessor on the same worker
+    assert len(threads) == 10 and len(set(threads)) == 1
+    assert threading.get_ident() not in threads
 
 
 # -- deferred -------------------------------------------------------------------

@@ -556,14 +556,13 @@ def _descriptor_frame(endpoint_text, incarnation=0xAB, serial=7):
     return len(body).to_bytes(4, "big") + body
 
 
-def test_endpoint_memos_stay_bounded_over_many_distinct_endpoints():
+def test_endpoint_memo_stays_bounded_over_many_distinct_endpoints():
     for port in range(1, 10_001):
         descriptor = RemoteRefDescriptor(EndpointAddr(f"h{port % 7}", port), ObjectId(1, port))
         frame = encode_message(RespDescriptor(descriptor))
         assert frame == _descriptor_frame(f"h{port % 7}:{port}", 1, port)
         assert decode_frame(frame).descriptor == descriptor
         assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
-        assert len(protocol._ENDPOINT_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
 
 
 @pytest.mark.parametrize("text", ["h:0", "h:99999", "no-port", "h :1", ":1", "h:x1"])
@@ -583,10 +582,9 @@ def test_endpoint_with_leading_zero_port_decodes_to_its_own_value():
     assert decode_frame(_descriptor_frame("h:7")).descriptor.endpoint == EndpointAddr("h", 7)
 
 
-
-def test_endpoint_memos_under_concurrent_threads():
+def test_endpoint_memo_under_concurrent_threads():
     # more threads than cores, switching often, each cycling through more
-    # endpoints than the memo holds so that clears race with reads
+    # endpoints than the memo holds so that clears race with reads and stores
     errors = []
 
     def worker(offset):

@@ -100,13 +100,13 @@ def _construct_binding(node: Node, binding: str) -> tuple[str, Any]:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     # parsed by hand: 0 means "pick a port", which descriptors never carry
-    host, sep, port_text = args.listen.rpartition(":")
-    if not sep or not host or not port_text.isdigit() or int(port_text) > 65535:
+    host, sep, port = args.listen.rpartition(":")
+    if not sep or not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise UsageError(f"bad --listen {args.listen!r}: expected host:port")
     rng = random.Random(args.seed) if args.seed is not None else None
     node = Node.tcp(
         host,
-        int(port_text),
+        int(port),
         locality_replacement=args.locality,
         rng=rng,
     )

@@ -78,21 +78,13 @@ class TransportError(Exception):
     """Connection-level failure (refused, reset, closed mid-frame). Not a wire code."""
 
 
-_ERRORS_BY_CODE: dict[ErrorCode, type[RemoteError]] = {
-    ErrorCode.NOT_FOUND: NotFoundError,
-    ErrorCode.UNKNOWN_OBJECT: UnknownObjectError,
-    ErrorCode.UNKNOWN_FUNCTION: UnknownFunctionError,
-    ErrorCode.NOT_SERIALIZABLE: NotSerializableError,
-    ErrorCode.CONTRACT_VIOLATION: ContractViolationError,
-    ErrorCode.EXECUTION_ERROR: ExecutionError,
-    ErrorCode.PROTOCOL_ERROR: ProtocolError,
-}
+_ERRORS_BY_CODE: dict[int, type[RemoteError]] = {c.code: c for c in RemoteError.__subclasses__()}
 
 
 def error_for_code(code: int, text: str) -> RemoteError:
     """Rebuild the typed exception for a wire error code."""
     try:
-        cls = _ERRORS_BY_CODE[ErrorCode(code)]
-    except ValueError:
+        cls = _ERRORS_BY_CODE[code]
+    except KeyError:
         return ProtocolError(f"unknown error code {code}: {text}")
     return cls(text)

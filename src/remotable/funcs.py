@@ -3,6 +3,9 @@
 Interoperating processes must register the same function ids, so the defaults
 below are installed on every node at startup. Anything beyond them is the
 application's business: register once per process before serving traffic.
+Map-position functions are plain callables registered unchanged with
+``FnRegistry.lift``; the rest need the evaluation context, so they keep the
+full ``(subject, args, ctx)`` body.
 
 Tokens stand in for arbitrary application objects with no codec binding. They
 can be hosted, mapped over, and compared, but forcing one across the wire
@@ -10,6 +13,7 @@ fails, which is exactly the boundary the serialization counters instrument.
 """
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage
@@ -69,23 +73,22 @@ def run_int_pipeline(ops: list, x: int) -> int:
     return value
 
 
+# module-level, so every node lifts the same callables and each arity is read once
+_LIFTED = (
+    ("identity", lambda x: x),
+    ("inc", lambda x: x + 1),
+    ("add", operator.add),
+    ("mul", operator.mul),
+    ("to_text", canonical_text),
+    ("pair_equals_inner", lambda second, first: first == second),
+    ("mk_pair_equals", lambda subject, other: subject == other.get()),
+)
+
+
 def register_default_functions(registry: FnRegistry) -> None:
     """Install the shared function set every node registers at startup."""
-
-    def identity(subject, args, ctx):
-        return PlainValue(subject)
-
-    def inc(subject, args, ctx):
-        return PlainValue(subject + 1)
-
-    def add(subject, args, ctx):
-        return PlainValue(subject + args[0])
-
-    def mul(subject, args, ctx):
-        return PlainValue(subject * args[0])
-
-    def to_text(subject, args, ctx):
-        return PlainValue(canonical_text(subject))
+    for fn_id, f in _LIFTED:
+        registry.lift(fn_id, f)
 
     def new_token(subject, args, ctx):
         return PlainValue(ctx.new_token())
@@ -98,20 +101,12 @@ def register_default_functions(registry: FnRegistry) -> None:
         # Pass a captured reference through unchanged, wherever it lives.
         return RemoteValue(args[0].descriptor)
 
-    def pair_equals_inner(subject, args, ctx):
-        # subject is the second operand; args[0] is the first, sent along.
-        return PlainValue(args[0] == subject)
-
     def pair_equals_outer(subject, args, ctx):
         # The two-object composition: operate on this subject and a captured
         # reference by shipping an inner comparison to the reference's host.
         other = args[0]
         inner = Stage("pair_equals_inner", (ctx.subject_capture(subject),))
         return RemoteValue(other.map(inner).descriptor)
-
-    def mk_pair_equals(subject, args, ctx):
-        # Map-position variant: force the captured reference here and compare.
-        return PlainValue(subject == args[0].get())
 
     def kleisli_int(subject, args, ctx):
         return RemoteValue(ctx.apply(run_int_pipeline(args[0], subject)).descriptor)
@@ -122,17 +117,10 @@ def register_default_functions(registry: FnRegistry) -> None:
         second = first.flat_map(Stage("kleisli_int", (InlineValue(args[1]),)))
         return RemoteValue(second.descriptor)
 
-    registry.register("identity", 0, identity)
-    registry.register("inc", 0, inc)
-    registry.register("add", 1, add)
-    registry.register("mul", 1, mul)
-    registry.register("to_text", 0, to_text)
     registry.register("new_token", 0, new_token)
     registry.register("pure", 0, pure)
     registry.register("const_ref", 1, const_ref)
-    registry.register("pair_equals_inner", 1, pair_equals_inner)
     registry.register("pair_equals_outer", 1, pair_equals_outer)
-    registry.register("mk_pair_equals", 1, mk_pair_equals)
     registry.register("kleisli_int", 1, kleisli_int)
     registry.register("kleisli_int_then", 2, kleisli_int_then)
 

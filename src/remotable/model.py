@@ -23,13 +23,13 @@ _MAX_SERIAL = 2**64 - 1
 
 @dataclass(frozen=True)
 class EndpointAddr:
-    """A host:port pair; equality follows the canonical text rendering."""
+    """A host:port pair; ``parse`` takes only the canonical text that ``str`` renders."""
 
     host: str
     port: int
 
     def __post_init__(self) -> None:
-        if not self.host or any(c.isspace() for c in self.host) or ":" in self.host:
+        if self.host.split() != [self.host] or ":" in self.host:  # empty or has whitespace
             raise ValueError(f"bad endpoint host: {self.host!r}")
         if not 1 <= self.port <= MAX_PORT:
             raise ValueError(f"bad endpoint port: {self.port}")
@@ -37,7 +37,7 @@ class EndpointAddr:
     @classmethod
     def parse(cls, text: str) -> "EndpointAddr":
         host, sep, port = text.rpartition(":")
-        if not sep or not port.isdigit():
+        if not sep or not (port.isascii() and port.isdigit()) or port.startswith("0"):
             raise ValueError(f"expected host:port, got {text!r}")
         return cls(host, int(port))
 

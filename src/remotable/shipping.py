@@ -14,6 +14,8 @@ handles (zero serialization), foreign ones become remote handles.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol, Union
@@ -154,6 +156,20 @@ class FnRegistry:
                 raise ValueError(f"function id already registered: {fn_id!r}")
             self._entries[fn_id] = _Registration(arity, body)
 
+    def lift(self, fn_id: str, f: Callable[..., Any]) -> None:
+        """Register an existing ``f(subject, *captures)``, unchanged, in map position.
+
+        The captures are f's required positional parameters after the subject.
+        Refused, registering nothing: ``*args``, ``**kwargs``, a required
+        keyword-only parameter, no positional parameter, no signature, an
+        unhashable callable.
+        """
+        try:
+            arity = _capture_arity(f)
+        except (TypeError, ValueError) as exc:  # no signature, or f is not hashable
+            raise ValueError(f"cannot lift {fn_id!r}: {exc}") from None
+        self.register(fn_id, arity, lambda subject, args, ctx: PlainValue(f(subject, *args)))
+
     def lookup(self, fn_id: str) -> _Registration:
         found = self._entries.get(fn_id)
         if found is None:
@@ -165,6 +181,21 @@ class FnRegistry:
 
     def __contains__(self, fn_id: str) -> bool:
         return fn_id in self._entries
+
+
+# Every node lifts the stock set when it is built, and reading a builtin's
+# signature takes about 0.1 ms, so each callable's arity is worked out once.
+@functools.lru_cache(maxsize=256)
+def _capture_arity(f: Callable[..., Any]) -> int:
+    required = []  # one flag per positional parameter: does it lack a default?
+    for param in inspect.signature(f).parameters.values():
+        if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+            required.append(param.default is param.empty)
+        elif param.kind is not param.KEYWORD_ONLY or param.default is param.empty:
+            raise ValueError(f"parameter {str(param)!r} is variadic or keyword-only")
+    if not required:
+        raise ValueError("no positional parameter for the subject")
+    return sum(required[1:])
 
 
 def resolve_captures(captures: tuple[Capture, ...], ctx: EvalContext) -> list:

@@ -129,6 +129,11 @@ def test_serve_rejects_bad_listen(capsys):
     assert main(["serve", "--listen", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("port", ["\u0667", "\uff17"])  # digits, but not ASCII ones
+def test_serve_rejects_non_ascii_listen_port(capsys, port):
+    assert main(["serve", "--listen", f"127.0.0.1:{port}"]) == 2
+
+
 def test_serve_exits_cleanly_on_interrupt():
     proc, _, _ = _spawn_serve("--bind", "x=int:1")
     time.sleep(0.2)  # let it settle into the serving wait

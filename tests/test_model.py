@@ -16,7 +16,9 @@ def test_endpoint_parse_round_trip():
     assert EndpointAddr.parse(str(ep)) == ep
 
 
-@pytest.mark.parametrize("bad", ["nohost", "h:0", "h:65536", " h:1", "a:b:1x"])
+@pytest.mark.parametrize(
+    "bad", ["nohost", "h:0", "h:65536", " h:1", "a:b:1x", ":1", "h:07", "h:\u0667", "h:\uff17"]
+)
 def test_endpoint_rejects_garbage(bad):
     with pytest.raises(ValueError):
         EndpointAddr.parse(bad)

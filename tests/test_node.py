@@ -1,10 +1,15 @@
+import math
+import operator
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from remotable import (
     ContractViolationError,
+    DeferredHandle,
     ExecutionError,
     InlineValue,
     LoopbackNetwork,
@@ -434,6 +439,83 @@ def test_body_error_text_always_reaches_the_caller(request, pair, message, shown
     connection = connections.get(server.endpoint)
     assert subject.map(client.stage("inc")).get() == 6
     assert connections.get(server.endpoint) is connection
+
+
+# -- existing functions, lifted unchanged -------------------------------------------
+
+
+def _stdlib_registry():
+    # the stock set already lifts operator.add as "add", and has the
+    # "identity" stage that DeferredHandle.wrap starts from
+    registry = default_registry()
+    registry.lift("floor", math.floor)
+    registry.lift("limit_denominator", Fraction.limit_denominator)
+    registry.lift("total", Counter.total)
+    registry.lift("get", dict.get)
+    return registry
+
+
+@pytest.fixture(params=["loopback", "tcp"])
+def stdlib_pair(request):
+    """A server and a client whose registries add lifted stdlib functions to the stock set."""
+    if request.param == "loopback":
+        network = LoopbackNetwork()
+        server = Node.loopback(network, registry=_stdlib_registry())
+        client = Node.loopback(network, registry=_stdlib_registry())
+    else:
+        server = Node.tcp(registry=_stdlib_registry())
+        client = Node.tcp(registry=_stdlib_registry())
+    yield server, client
+    client.close()
+    server.close()
+
+
+def test_stdlib_values_compose_through_lifted_stdlib_functions(stdlib_pair):
+    server, client = stdlib_pair
+    ratio, counts = Fraction(31415926, 10000000), Counter("abracadabra")
+    server.rebind("ratio", ratio)
+    server.rebind("counts", counts)
+    remote_ratio = client.lookup(server.endpoint, "ratio")
+    remote_counts = client.lookup(server.endpoint, "counts")
+    ratio_stages = [
+        client.stage("limit_denominator"),
+        client.stage("add", 2),
+        client.stage("floor"),
+    ]
+    counts_stages = [client.stage("get", "a"), client.stage("add", 1)]
+    expected_ratio = math.floor(ratio.limit_denominator() + 2)
+    expected_counts = counts.get("a") + 1
+
+    eager = remote_ratio
+    for stage in ratio_stages:
+        eager = eager.map(stage)
+    assert eager.get() == expected_ratio
+    assert remote_counts.map(client.stage("total")).get() == counts.total() == 11
+    eager = remote_counts
+    for stage in counts_stages:
+        eager = eager.map(stage)
+    assert eager.get() == expected_counts
+
+    for handle, stages, expected in [
+        (remote_ratio, ratio_stages, expected_ratio),
+        (remote_counts, counts_stages, expected_counts),
+    ]:
+        deferred = DeferredHandle.wrap(handle)
+        for stage in stages:
+            deferred = deferred.map(stage)
+        before = client.transport.request_frames
+        assert deferred.get() == expected
+        assert client.transport.request_frames - before == 2
+
+
+@pytest.mark.parametrize("pair", ["loop_pair", "tcp_pair"])
+def test_lifted_function_that_raises_names_its_fn_id(request, pair):
+    server, client = request.getfixturevalue(pair)
+    server.registry.lift("div", operator.floordiv)
+    subject = client.export_to(server.endpoint, 5)
+    with pytest.raises(ExecutionError, match="^div: integer division or modulo by zero$"):
+        subject.map(client.stage("div", 0))
+    assert subject.map(client.stage("div", 2)).get() == 2
 
 
 # -- randomized laws (small; the acceptance suite runs the full battery) ----------

@@ -565,7 +565,9 @@ def test_endpoint_memo_stays_bounded_over_many_distinct_endpoints():
         assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
 
 
-@pytest.mark.parametrize("text", ["h:0", "h:99999", "no-port", "h :1", ":1", "h:x1"])
+@pytest.mark.parametrize(
+    "text", ["h:0", "h:99999", "no-port", "h :1", ":1", "h:x1", "h:07", "h:\u0667", "h:\uff17"]
+)
 def test_bad_endpoint_is_rejected_on_every_repeat(text):
     good = decode_frame(_descriptor_frame("h:1"))  # a valid text is remembered
     for _ in range(3):
@@ -575,11 +577,13 @@ def test_bad_endpoint_is_rejected_on_every_repeat(text):
     assert decode_frame(_descriptor_frame("h:1")) == good
 
 
-def test_endpoint_with_leading_zero_port_decodes_to_its_own_value():
-    # "h:07" and "h:7" are different texts for one endpoint; the memo keys
-    # by text, so each decodes through its own entry
-    assert decode_frame(_descriptor_frame("h:07")).descriptor.endpoint == EndpointAddr("h", 7)
-    assert decode_frame(_descriptor_frame("h:7")).descriptor.endpoint == EndpointAddr("h", 7)
+@pytest.mark.parametrize("text", ["h:7", "h:10", "h.example:65535", "127.0.0.1:7099"])
+def test_decoded_endpoint_re_encodes_to_the_same_bytes(text):
+    # only the canonical port text decodes ("h:07" is rejected above), so
+    # decoding then re-encoding a descriptor frame reproduces it exactly
+    frame = _descriptor_frame(text)
+    for _ in range(2):  # once parsed, once through the memo
+        assert encode_message(decode_frame(frame)) == frame
 
 
 def test_endpoint_memo_under_concurrent_threads():

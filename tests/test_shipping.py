@@ -1,3 +1,7 @@
+import collections
+import fractions
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +57,101 @@ def test_registry_unknown_lookup():
     with pytest.raises(UnknownFunctionError):
         registry.lookup("missing")
     assert "missing" not in registry
+
+
+def test_stock_arities_are_pinned():
+    registry = default_registry()
+    arities = {
+        "identity": 0,
+        "inc": 0,
+        "add": 1,
+        "mul": 1,
+        "to_text": 0,
+        "new_token": 0,
+        "pure": 0,
+        "const_ref": 1,
+        "pair_equals_inner": 1,
+        "pair_equals_outer": 1,
+        "mk_pair_equals": 1,
+        "kleisli_int": 1,
+        "kleisli_int_then": 2,
+    }
+    assert {fn_id: registry.arity(fn_id) for fn_id in arities} == arities
+
+
+def _optional_keyword(subject, *, scale=1):
+    return subject * scale
+
+
+@pytest.mark.parametrize(
+    "f, arity",
+    [
+        (lambda x: x, 0),
+        (operator.add, 1),
+        (lambda x, y, z: x + y + z, 2),
+        (fractions.Fraction.limit_denominator, 0),  # a defaulted parameter is no capture
+        (dict.get, 1),
+        (collections.Counter.total, 0),
+        (lambda x=0: x, 0),  # the subject may fill a defaulted parameter
+        (_optional_keyword, 0),
+        ({"a": 1}.get, 0),  # bound: the subject is the key
+    ],
+)
+def test_lift_reads_the_arity_from_the_signature(f, arity):
+    registry = FnRegistry()
+    registry.lift("f", f)
+    assert registry.arity("f") == arity
+
+
+def _variadic(subject, *rest):
+    return subject
+
+
+def _keywords(subject, **options):
+    return subject
+
+
+def _required_keyword(subject, *, scale):
+    return subject * scale
+
+
+def _no_parameters():
+    return 1
+
+
+class _Unhashable:
+    __hash__ = None
+
+    def __call__(self, subject):
+        return subject
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_variadic, _keywords, _required_keyword, _no_parameters, str, max, 5, _Unhashable()],
+    ids=["*args", "**kwargs", "keyword-only", "no-positional", "str", "max", "int", "unhashable"],
+)
+def test_lift_refuses_what_its_signature_cannot_say(f):
+    registry = FnRegistry()
+    with pytest.raises(ValueError, match="'refused'"):
+        registry.lift("refused", f)
+    assert "refused" not in registry
+    registry.lift("refused", lambda x: x)  # nothing was left behind under the id
+
+
+def test_lift_is_write_once_like_register():
+    registry = FnRegistry()
+    registry.lift("f", lambda x: x)
+    with pytest.raises(ValueError):
+        registry.lift("f", lambda x: x + 1)
+    assert evaluate(registry, _pipeline(Stage("f")), 5, _StubCtx()) == PlainValue(5)
+
+
+def test_lifted_function_gets_subject_then_captures():
+    registry = FnRegistry()
+    registry.lift("sub", operator.sub)
+    pipeline = _pipeline(Stage("sub", (InlineValue(3),)))
+    assert evaluate(registry, pipeline, 10, _StubCtx()) == PlainValue(7)
 
 
 def test_stage_requires_fn_id():

@@ -5,8 +5,8 @@ the underlying remote call on the node's worker pool and returns at once;
 results and errors alike materialize when the caller forces. A step whose
 predecessor completed on a worker continues on that worker once the
 predecessor's other continuations have gone to the pool. ``DeferredHandle``
-goes the other way and does nothing at composition time: stages pile up in a
-client-side pipeline and ship as one Map when the value is finally forced, so
+goes the other way and does nothing at composition time: stages pile up on
+the client and ship as one Map when the value is finally forced, so
 an n-stage chain crosses the wire in two frames instead of n+1.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import partial
 from typing import Any, Callable, Optional, Union
 
 from .node import Node, RemoteHandle
-from .shipping import ShippedFn, Stage, compose
+from .shipping import ShippedFn, Stage
 
 # Per thread, set only while _drive completes a step's future: that future
 # and the step its first continuation claimed to run next on this thread.
@@ -109,26 +109,32 @@ class AsyncHandle:
 
 
 class DeferredHandle:
-    """A remote handle plus a pipeline of not-yet-applied stages.
+    """A remote handle plus a tuple of not-yet-applied stages.
 
-    map is pure bookkeeping — the pipeline grows, nothing ships. get applies
-    the whole pipeline in a single Map request and forces the result with a
-    single Get. flat_map is the odd one out: it must force first (that is its
-    contract), then hands the forced value to a local continuation.
+    map is pure bookkeeping — the stages grow, nothing ships. get applies the
+    whole pipeline in a single Map request and forces the result with a single
+    Get; with no stages it ships ``identity``, so that is the only case that
+    needs that id registered at the host. flat_map is the odd one out: it must
+    force first (that is its contract), then hands the forced value to a local
+    continuation.
     """
 
-    __slots__ = ("remote", "pipeline")
+    __slots__ = ("remote", "stages")
 
-    def __init__(self, remote: RemoteHandle, pipeline: ShippedFn) -> None:
+    def __init__(self, remote: RemoteHandle, stages: tuple[Stage, ...]) -> None:
         self.remote = remote
-        self.pipeline = pipeline
+        self.stages = stages
 
     @classmethod
     def wrap(cls, handle: RemoteHandle) -> "DeferredHandle":
-        return cls(handle, ShippedFn.single(Stage("identity")))
+        return cls(handle, ())
+
+    @property
+    def pipeline(self) -> ShippedFn:
+        return ShippedFn(self.stages or (Stage("identity"),))
 
     def map(self, stage: Stage) -> "DeferredHandle":
-        return DeferredHandle(self.remote, compose(self.pipeline, stage))
+        return DeferredHandle(self.remote, self.stages + (stage,))
 
     def get(self) -> Any:
         return self.remote.map(self.pipeline).get()

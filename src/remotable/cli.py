@@ -24,9 +24,7 @@ from .protocol import DEFAULT_PORT
 USAGE_EXIT = 2
 TRANSPORT_EXIT = 10
 
-_HANDLE_RE = re.compile(
-    r"^remote\[endpoint=(.+):(\d+) id=([0-9a-f]{16}):(\d+)\]$"
-)
+_HANDLE_RE = re.compile(r"^remote\[endpoint=(\S+) id=([0-9a-f]{16}):([0-9]+)\]$")
 
 
 class UsageError(Exception):
@@ -45,12 +43,12 @@ def _parse_handle_text(node: Node, text: str) -> Optional[RemoteHandle]:
     match = _HANDLE_RE.match(text)
     if match is None:
         return None
-    host, port, incarnation, serial = match.groups()
-    descriptor = RemoteRefDescriptor(
-        EndpointAddr(host, int(port)),
-        ObjectId(int(incarnation, 16), int(serial)),
-    )
-    return node._materialize(descriptor)
+    endpoint, incarnation, serial = match.groups()
+    try:
+        object_id = ObjectId(int(incarnation, 16), int(serial))
+    except ValueError as exc:
+        raise UsageError(f"bad handle {text!r}: {exc}") from None
+    return node._materialize(RemoteRefDescriptor(_parse_endpoint(endpoint), object_id))
 
 
 def _resolve_target(node: Node, connect: EndpointAddr, target: str) -> RemoteHandle:
@@ -72,9 +70,9 @@ def _parse_capture(node: Node, text: str) -> Any:
         return True
     if text == "false":
         return False
-    if re.fullmatch(r"-?\d+", text):
+    if re.fullmatch(r"-?[0-9]+", text):
         return int(text)
-    if re.fullmatch(r"-?\d+\.\d+", text):
+    if re.fullmatch(r"-?[0-9]+\.[0-9]+", text):
         return float(text)
     return text
 

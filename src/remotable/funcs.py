@@ -3,8 +3,8 @@
 Interoperating processes must register the same function ids, so the defaults
 below are installed on every node at startup. Anything beyond them is the
 application's business: register once per process before serving traffic.
-Map-position functions are plain callables registered unchanged with
-``FnRegistry.lift``; the rest need the evaluation context, so they keep the
+Map-position functions are plain callables lifted unchanged (see
+``FnRegistry.lift``); the rest need the evaluation context, so they keep the
 full ``(subject, args, ctx)`` body.
 
 Tokens stand in for arbitrary application objects with no codec binding. They
@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage
+from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage, lifted
 
 
 class Token:
@@ -73,8 +73,23 @@ def run_int_pipeline(ops: list, x: int) -> int:
     return value
 
 
-# module-level, so every node lifts the same callables and each arity is read once
-_LIFTED = (
+def _pair_equals_outer(subject, args, ctx):
+    # The two-object composition: operate on this subject and a captured
+    # reference by shipping an inner comparison to the reference's host.
+    inner = Stage("pair_equals_inner", (ctx.subject_capture(subject),))
+    return RemoteValue(args[0].map(inner).descriptor)
+
+
+def _kleisli_int_then(subject, args, ctx):
+    # x -> f(x) flat_mapped with g, the composite arrow of two int pipelines.
+    first = ctx.apply(run_int_pipeline(args[0], subject))
+    second = first.flat_map(Stage("kleisli_int", (InlineValue(args[1]),)))
+    return RemoteValue(second.descriptor)
+
+
+# (fn_id, capture arity, body), built once per process: a lifted row reads its
+# function's arity here, at import, and flat_map rows keep the full body
+_STOCK = tuple((fn_id, *lifted(f)) for fn_id, f in (
     ("identity", lambda x: x),
     ("inc", lambda x: x + 1),
     ("add", operator.add),
@@ -82,47 +97,23 @@ _LIFTED = (
     ("to_text", canonical_text),
     ("pair_equals_inner", lambda second, first: first == second),
     ("mk_pair_equals", lambda subject, other: subject == other.get()),
+)) + (
+    ("new_token", 0, lambda subject, args, ctx: PlainValue(ctx.new_token())),
+    # flatMap-position identity: re-host the subject at the executing node
+    ("pure", 0, lambda subject, args, ctx: RemoteValue(ctx.apply(subject).descriptor)),
+    # pass a captured reference through unchanged, wherever it lives
+    ("const_ref", 1, lambda subject, args, ctx: RemoteValue(args[0].descriptor)),
+    ("pair_equals_outer", 1, _pair_equals_outer),
+    ("kleisli_int", 1, lambda subject, args, ctx: RemoteValue(
+        ctx.apply(run_int_pipeline(args[0], subject)).descriptor)),
+    ("kleisli_int_then", 2, _kleisli_int_then),
 )
 
 
 def register_default_functions(registry: FnRegistry) -> None:
     """Install the shared function set every node registers at startup."""
-    for fn_id, f in _LIFTED:
-        registry.lift(fn_id, f)
-
-    def new_token(subject, args, ctx):
-        return PlainValue(ctx.new_token())
-
-    def pure(subject, args, ctx):
-        # flatMap-position identity: re-host the subject at the executing node.
-        return RemoteValue(ctx.apply(subject).descriptor)
-
-    def const_ref(subject, args, ctx):
-        # Pass a captured reference through unchanged, wherever it lives.
-        return RemoteValue(args[0].descriptor)
-
-    def pair_equals_outer(subject, args, ctx):
-        # The two-object composition: operate on this subject and a captured
-        # reference by shipping an inner comparison to the reference's host.
-        other = args[0]
-        inner = Stage("pair_equals_inner", (ctx.subject_capture(subject),))
-        return RemoteValue(other.map(inner).descriptor)
-
-    def kleisli_int(subject, args, ctx):
-        return RemoteValue(ctx.apply(run_int_pipeline(args[0], subject)).descriptor)
-
-    def kleisli_int_then(subject, args, ctx):
-        # x -> f(x) flat_mapped with g, the composite arrow of two int pipelines.
-        first = ctx.apply(run_int_pipeline(args[0], subject))
-        second = first.flat_map(Stage("kleisli_int", (InlineValue(args[1]),)))
-        return RemoteValue(second.descriptor)
-
-    registry.register("new_token", 0, new_token)
-    registry.register("pure", 0, pure)
-    registry.register("const_ref", 1, const_ref)
-    registry.register("pair_equals_outer", 1, pair_equals_outer)
-    registry.register("kleisli_int", 1, kleisli_int)
-    registry.register("kleisli_int_then", 2, kleisli_int_then)
+    for fn_id, arity, body in _STOCK:
+        registry.register(fn_id, arity, body)
 
 
 def default_registry() -> FnRegistry:

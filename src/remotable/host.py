@@ -1,9 +1,10 @@
 """The serving side: dispatch protocol requests against a host table.
 
 A Host owns the name registry (rebind/lookup bindings) and turns each request
-variant into the matching table or evaluation operation. It is transport
-agnostic: the TCP server below and the in-process loopback fabric both feed it
-one decoded request and relay back the single response.
+variant into the matching table or evaluation operation. ``Host.dispatch`` is
+its only request entry: the TCP server below, the in-process loopback fabric
+and the owning node's requests to itself all hand it one decoded request and
+relay back the single response.
 
 Request handling rules: every request gets exactly one response; request-level
 failures answer RespError and leave the connection usable; protocol-level
@@ -38,7 +39,6 @@ from .protocol import (
     RespStats,
     RespValue,
     Stats,
-    ValuePayload,
     decode_frame,
     decode_message,
     decode_value,
@@ -68,9 +68,47 @@ class Host:
         self._bindings: dict[str, ObjectId] = {}
         self._bind_lock = threading.Lock()
 
-    # -- request handlers ---------------------------------------------------
+    def dispatch(self, message: Message) -> Message:
+        """Run one request and build its response. Never raises.
 
-    def handle_pipeline(self, request: Union[Map, FlatMap]) -> RemoteRefDescriptor:
+        Every request that reaches this host enters here: loopback frames, TCP
+        frames and the node's own requests alike, so a failure gets the same
+        typed reply wherever the request came from.
+        """
+        try:
+            if isinstance(message, (Map, FlatMap)):
+                return RespDescriptor(self._pipeline(message))
+            if isinstance(message, Get):
+                # the one place forcing requires a codec
+                payload = encode_value(self.table.require(message.target).value)
+                self.table.record_serialization(message.target)
+                self.table.record_get(message.target)
+                return RespValue(payload)
+            if isinstance(message, Rebind):
+                self.table.require(message.descriptor.id)
+                with self._bind_lock:
+                    self._bindings[message.name] = message.descriptor.id
+                return RespAck()
+            if isinstance(message, Lookup):
+                with self._bind_lock:
+                    object_id = self._bindings.get(message.name)
+                if object_id is None:
+                    raise NotFoundError(f"no binding named {message.name!r}")
+                return RespDescriptor(RemoteRefDescriptor(self.table.self_endpoint, object_id))
+            if isinstance(message, Export):
+                return RespDescriptor(self.table.export(decode_value(message.payload)))
+            if isinstance(message, Stats):
+                return RespStats(*self.table.stats(message.target))
+            return RespError(
+                int(ErrorCode.PROTOCOL_ERROR),
+                f"{type(message).__name__} is not a request",
+            )
+        except RemoteError as exc:
+            return _error_reply(exc.code, str(exc))
+        except Exception as exc:  # defensive: a request must never kill the host
+            return _error_reply(ErrorCode.EXECUTION_ERROR, f"internal error: {exc}")
+
+    def _pipeline(self, request: Union[Map, FlatMap]) -> RemoteRefDescriptor:
         """Apply a shipped function to the target's value under the variant's contract.
 
         The subject is handed to the function without serialization. A Map's
@@ -94,66 +132,12 @@ class Host:
             )
         return result.descriptor
 
-    def handle_get(self, target: ObjectId) -> ValuePayload:
-        """Produce the target value's bytes; the one place forcing requires a codec."""
-        entry = self.table.require(target)
-        payload = encode_value(entry.value)
-        self.table.record_serialization(target)
-        self.table.record_get(target)
-        return payload
-
-    def handle_rebind(self, name: str, object_id: ObjectId) -> None:
-        self.table.require(object_id)
-        with self._bind_lock:
-            self._bindings[name] = object_id
-
-    def handle_lookup(self, name: str) -> RemoteRefDescriptor:
-        with self._bind_lock:
-            object_id = self._bindings.get(name)
-        if object_id is None:
-            raise NotFoundError(f"no binding named {name!r}")
-        return RemoteRefDescriptor(self.table.self_endpoint, object_id)
-
-    def handle_export(self, payload: ValuePayload) -> RemoteRefDescriptor:
-        return self.table.export(decode_value(payload))
-
-    def handle_stats(self, target: ObjectId) -> tuple[int, int]:
-        return self.table.stats(target)
-
-    # -- dispatch -----------------------------------------------------------
-
-    def dispatch(self, message: Message) -> Message:
-        """Run one request and build its response. Never raises."""
-        try:
-            if isinstance(message, Rebind):
-                self.handle_rebind(message.name, message.descriptor.id)
-                return RespAck()
-            if isinstance(message, Lookup):
-                return RespDescriptor(self.handle_lookup(message.name))
-            if isinstance(message, (Map, FlatMap)):
-                return RespDescriptor(self.handle_pipeline(message))
-            if isinstance(message, Get):
-                return RespValue(self.handle_get(message.target))
-            if isinstance(message, Export):
-                return RespDescriptor(self.handle_export(message.payload))
-            if isinstance(message, Stats):
-                serialization_count, get_count = self.handle_stats(message.target)
-                return RespStats(serialization_count, get_count)
-            return RespError(
-                int(ErrorCode.PROTOCOL_ERROR),
-                f"{type(message).__name__} is not a request",
-            )
-        except RemoteError as exc:
-            return _error_reply(exc.code, str(exc))
-        except Exception as exc:  # defensive: a request must never kill the host
-            return _error_reply(ErrorCode.EXECUTION_ERROR, f"internal error: {exc}")
-
     def handle_frame(self, frame: bytes) -> bytes:
         """Decode one complete request frame and return the response frame."""
         try:
             response = self.dispatch(decode_frame(frame))
         except ProtocolError as exc:
-            response = RespError(int(ErrorCode.PROTOCOL_ERROR), str(exc))
+            response = _error_reply(ErrorCode.PROTOCOL_ERROR, str(exc))
         return encode_message(response)
 
 
@@ -196,7 +180,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 try:
                     decoded = decode_message(buffer)
                 except ProtocolError as exc:
-                    self._send(RespError(int(ErrorCode.PROTOCOL_ERROR), str(exc)))
+                    self._send(_error_reply(ErrorCode.PROTOCOL_ERROR, str(exc)))
                     return
                 if decoded is None:
                     break

@@ -3,11 +3,12 @@
 Every node owns a host table, a function registry, and a transport. Handles
 (`RemoteHandle`) are the client-side face of hosted values: composing with
 ``map``/``flat_map`` ships a named function to the value's home, while ``get``
-forces the value back across the wire. A handle whose descriptor points at
-this very node resolves to the local table entry instead — operations on it
-run in-process with zero frames and zero serialization — unless locality
-replacement is switched off, in which case even self-addressed handles take
-the full network path (that switch exists so the difference is measurable).
+forces the value back across the wire. A request addressed to this very node
+is answered in process by its own ``Host.dispatch``: zero frames, zero
+serialization, and the same typed errors as over the wire. With locality
+replacement switched off, self-addressed requests take the full network path
+instead (that switch exists so the difference is measurable). ``get`` of a
+handle bound to a local table entry hands over the value itself either way.
 """
 from __future__ import annotations
 
@@ -53,9 +54,9 @@ _ASYNC_WORKERS = 8  # threads behind Node.executor, which runs AsyncHandle steps
 class RemoteHandle:
     """Client-side reference to a value hosted somewhere.
 
-    ``_entry`` is the local table entry when the descriptor resolved to this
-    node (locality replacement); operations on such a handle never touch the
-    transport.
+    ``_entry`` is the local table entry when the value was hosted here by
+    ``apply`` or its descriptor resolved to this node (locality replacement);
+    ``get`` on such a handle hands over the entry's value itself.
     """
 
     __slots__ = ("descriptor", "_node", "_entry")
@@ -218,7 +219,21 @@ class Node:
         return RemoteHandle(descriptor, self, entry)
 
     def _call(self, endpoint: EndpointAddr, request: Message, reply_type: type) -> Any:
-        return _expect(request, self.transport.call(endpoint, request), reply_type)
+        """Answer ``request`` at ``endpoint`` with a ``reply_type``, in process if here.
+
+        A sent Map/FlatMap charges one serialization to each capture marked as
+        a copy of a value hosted here once answered, whatever the answer; a
+        request that could not be encoded charges nothing.
+        """
+        if endpoint == self.endpoint and self.locality_replacement:
+            return _expect(request, self.host.dispatch(request), reply_type)
+        reply = self.transport.call(endpoint, request)
+        if isinstance(request, (Map, FlatMap)):
+            for stage in request.fn.stages:
+                for capture in stage.captures:
+                    if isinstance(capture, InlineValue) and capture.origin is not None:
+                        self.table.record_serialization(capture.origin)
+        return _expect(request, reply, reply_type)
 
     @property
     def executor(self) -> ThreadPoolExecutor:
@@ -283,15 +298,10 @@ class Node:
         else:
             handle = self.apply(value)
         descriptor = handle.descriptor
-        if descriptor.endpoint == self.endpoint:
-            self.host.handle_rebind(name, descriptor.id)
-        else:
-            self._call(descriptor.endpoint, Rebind(name, descriptor), RespAck)
+        self._call(descriptor.endpoint, Rebind(name, descriptor), RespAck)
         return handle
 
     def lookup(self, endpoint: EndpointAddr, name: str) -> RemoteHandle:
-        if endpoint == self.endpoint:
-            return self._materialize(self.host.handle_lookup(name))
         reply = self._call(endpoint, Lookup(name), RespDescriptor)
         return self._materialize(reply.descriptor)
 
@@ -309,23 +319,11 @@ class Node:
         handle: RemoteHandle,
         fn: Union[Stage, ShippedFn],
     ) -> RemoteHandle:
-        """Run ``fn`` at the handle's home as a ``variant`` request.
-
-        A co-located handle goes straight to this node's host, with no frame.
-        Otherwise each capture marked as a copy of a value hosted here is
-        charged one serialization once the request has been answered, whatever
-        the answer; a request that could not be encoded charges nothing.
-        """
+        """Run ``fn`` at the handle's home as a ``variant`` request."""
         pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
         request = variant(handle.descriptor.id, pipeline)
-        if handle._entry is not None:
-            return self._materialize(self.host.handle_pipeline(request))
-        reply = self.transport.call(handle.descriptor.endpoint, request)
-        for stage in pipeline.stages:
-            for capture in stage.captures:
-                if isinstance(capture, InlineValue) and capture.origin is not None:
-                    self.table.record_serialization(capture.origin)
-        return self._materialize(_expect(request, reply, RespDescriptor).descriptor)
+        reply = self._call(handle.descriptor.endpoint, request, RespDescriptor)
+        return self._materialize(reply.descriptor)
 
     def get(self, handle: RemoteHandle) -> Any:
         if handle._entry is not None:
@@ -335,8 +333,6 @@ class Node:
         return decode_value(reply.payload)
 
     def stats(self, handle: RemoteHandle) -> tuple[int, int]:
-        if handle.descriptor.endpoint == self.endpoint:
-            return self.table.stats(handle.descriptor.id)
         reply = self._call(handle.descriptor.endpoint, Stats(handle.descriptor.id), RespStats)
         return (reply.serialization_count, reply.get_count)
 

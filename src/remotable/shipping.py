@@ -14,7 +14,6 @@ handles (zero serialization), foreign ones become remote handles.
 """
 from __future__ import annotations
 
-import functools
 import inspect
 import threading
 from dataclasses import dataclass, field
@@ -161,14 +160,13 @@ class FnRegistry:
 
         The captures are f's required positional parameters after the subject.
         Refused, registering nothing: ``*args``, ``**kwargs``, a required
-        keyword-only parameter, no positional parameter, no signature, an
-        unhashable callable.
+        keyword-only parameter, no positional parameter, no signature.
         """
         try:
-            arity = _capture_arity(f)
-        except (TypeError, ValueError) as exc:  # no signature, or f is not hashable
+            arity, body = lifted(f)
+        except (TypeError, ValueError) as exc:  # not callable, or no signature
             raise ValueError(f"cannot lift {fn_id!r}: {exc}") from None
-        self.register(fn_id, arity, lambda subject, args, ctx: PlainValue(f(subject, *args)))
+        self.register(fn_id, arity, body)
 
     def lookup(self, fn_id: str) -> _Registration:
         found = self._entries.get(fn_id)
@@ -183,10 +181,11 @@ class FnRegistry:
         return fn_id in self._entries
 
 
-# Every node lifts the stock set when it is built, and reading a builtin's
-# signature takes about 0.1 ms, so each callable's arity is worked out once.
-@functools.lru_cache(maxsize=256)
-def _capture_arity(f: Callable[..., Any]) -> int:
+def lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
+    """The capture arity and map-position body of ``f(subject, *captures)``.
+
+    Raises TypeError or ValueError where ``FnRegistry.lift`` refuses ``f``.
+    """
     required = []  # one flag per positional parameter: does it lack a default?
     for param in inspect.signature(f).parameters.values():
         if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
@@ -195,7 +194,7 @@ def _capture_arity(f: Callable[..., Any]) -> int:
             raise ValueError(f"parameter {str(param)!r} is variadic or keyword-only")
     if not required:
         raise ValueError("no positional parameter for the subject")
-    return sum(required[1:])
+    return sum(required[1:]), lambda subject, args, ctx: PlainValue(f(subject, *args))
 
 
 def resolve_captures(captures: tuple[Capture, ...], ctx: EvalContext) -> list:

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from remotable.cli import main
+from remotable import LoopbackNetwork, Node
+from remotable.cli import _parse_capture, main
 
 HANDLE_SHAPE = re.compile(r"^remote\[endpoint=[^ ]+:\d+ id=[0-9a-f]{16}:\d+\]$")
 
@@ -114,6 +115,40 @@ def test_wrong_arity_is_a_usage_error(served, capsys):
 
 def test_bad_connect_endpoint_is_a_usage_error(capsys):
     assert main(["client", "--connect", "nonsense", "lookup", "x"]) == 2
+
+
+@pytest.mark.parametrize(
+    "endpoint, serial",
+    [
+        ("127.0.0.1:0", "1"),
+        ("127.0.0.1:99999", "1"),
+        ("127.0.0.1:07", "1"),
+        ("127.0.0.1:\u0667", "1"),
+        ("127.0.0.1:7099", "0"),
+    ],
+    ids=["port-0", "port-99999", "port-07", "port-non-ascii", "serial-0"],
+)
+def test_bad_printed_handle_is_a_usage_error(capsys, endpoint, serial):
+    handle = f"remote[endpoint={endpoint} id=0000000000000001:{serial}]"
+    assert main(["client", "--connect", "127.0.0.1:1", "get", handle]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_printed_handle_as_a_capture_is_a_usage_error(served, capsys):
+    endpoint, _ = served
+    handle = "remote[endpoint=127.0.0.1:99999 id=0000000000000001:1]"
+    assert main(["client", "--connect", endpoint, "map", "n", "add", handle]) == 2
+
+
+def test_captures_parse_ascii_digits_only():
+    node = Node.loopback(LoopbackNetwork())
+    try:
+        assert _parse_capture(node, "-12") == -12
+        assert _parse_capture(node, "1.5") == 1.5
+        assert _parse_capture(node, "\u0667") == "\u0667"  # a digit, not an ASCII one
+        assert _parse_capture(node, "1.\uff15") == "1.\uff15"
+    finally:
+        node.close()
 
 
 def test_unreachable_host_exits_10(capsys):

@@ -6,6 +6,7 @@ import pytest
 from remotable import (
     EndpointAddr,
     ErrorCode,
+    InlineValue,
     LoopbackNetwork,
     Node,
     ObjectId,
@@ -181,6 +182,20 @@ def test_handle_frame_rejects_garbage_with_error_frame(node):
     assert decoded.code == ErrorCode.PROTOCOL_ERROR
 
 
+def _map_with_long_codec_id(target):
+    """A Map whose inline capture names a 65535-byte codec: its error text is longer."""
+    frame = encode_message(Map(target, _pipeline(Stage("add", (InlineValue(1),)))))
+    body = frame[4:].replace(b"\x00\x03rv1", b"\xff\xff" + b"x" * 0xFFFF)
+    return len(body).to_bytes(4, "big") + body
+
+
+def test_handle_frame_answers_an_over_long_protocol_error(node):
+    descriptor = node.table.export(5)
+    decoded, _ = decode_message(node.host.handle_frame(_map_with_long_codec_id(descriptor.id)))
+    assert decoded.code == ErrorCode.PROTOCOL_ERROR
+    assert decoded.text.startswith("stage 0 capture 0: unknown codec id 'xxx")
+
+
 # -- the TCP front ------------------------------------------------------------
 
 
@@ -246,6 +261,18 @@ def test_tcp_garbage_gets_error_then_close_without_hurting_others(tcp_node):
     frame = _raw_call(tcp_node.endpoint, encode_message(Get(descriptor.id)))
     decoded, _ = decode_message(frame)
     assert decoded == RespValue(encode_value(9))
+
+
+def test_tcp_answers_an_over_long_protocol_error_then_closes(tcp_node):
+    descriptor = tcp_node.table.export(9)
+    with socket.create_connection((tcp_node.endpoint.host, tcp_node.endpoint.port), timeout=5) as sock:
+        sock.sendall(_map_with_long_codec_id(descriptor.id))
+        decoded, _ = decode_message(read_frame(sock))
+        assert decoded.code == ErrorCode.PROTOCOL_ERROR
+        assert decoded.text.startswith("stage 0 capture 0: unknown codec id 'xxx")
+        assert sock.recv(1) == b""  # server hung up
+    frame = _raw_call(tcp_node.endpoint, encode_message(Get(descriptor.id)))
+    assert decode_message(frame)[0] == RespValue(encode_value(9))
 
 
 def test_tcp_closes_connection_after_protocol_error(tcp_node):

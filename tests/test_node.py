@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from remotable import (
     ContractViolationError,
     DeferredHandle,
     ExecutionError,
+    FnRegistry,
     InlineValue,
     LoopbackNetwork,
     Node,
@@ -18,6 +20,7 @@ from remotable import (
     NotSerializableError,
     ObjectId,
     ProtocolError,
+    RemoteError,
     RemoteRefDescriptor,
     RemoteValue,
     ShippedFn,
@@ -364,6 +367,95 @@ def test_subject_that_cannot_be_encoded_counts_nothing():
         server.close()
 
 
+# -- a node's requests to itself fail as remote ones do ------------------------------
+
+
+def _pair(kind, make_registry=default_registry, locality=True):
+    """A server and a client of one transport kind, each with its own registry."""
+    make = partial(Node.loopback, LoopbackNetwork()) if kind == "loopback" else Node.tcp
+    server = make(registry=make_registry(), locality_replacement=locality)
+    return server, make(registry=make_registry())
+
+
+def _raise_surrogate(subject):
+    raise ValueError("bad \ud800")
+
+
+def _surrogate_registry():
+    registry = default_registry()
+    registry.lift("raise_surrogate", _raise_surrogate)
+    return registry
+
+
+_FAILURES = {
+    "map-unknown-object": lambda node, five, ghost: ghost.map(Stage("inc")),
+    "flat_map-unknown-object": lambda node, five, ghost: ghost.flat_map(Stage("pure")),
+    "rebind-unknown-object": lambda node, five, ghost: node.rebind("x", ghost),
+    "stats-unknown-object": lambda node, five, ghost: ghost.stats(),
+    "map-unknown-function": lambda node, five, ghost: five.map(Stage("nope")),
+    "flat_map-unknown-function": lambda node, five, ghost: five.flat_map(Stage("nope")),
+    "map-contract-violation": lambda node, five, ghost: five.map(Stage("pure")),
+    "flat_map-contract-violation": lambda node, five, ghost: five.flat_map(Stage("inc")),
+    "lookup-not-found": lambda node, five, ghost: node.lookup(five.descriptor.endpoint, "x"),
+    "map-surrogate-text": lambda node, five, ghost: five.map(Stage("raise_surrogate")),
+    "flat_map-surrogate-text": lambda node, five, ghost: five.flat_map(Stage("raise_surrogate")),
+}
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+@pytest.mark.parametrize("failure", list(_FAILURES))
+def test_self_addressed_request_fails_as_a_remote_one(kind, failure):
+    server, client = _pair(kind, _surrogate_registry)
+    try:
+        five = server.table.export(5)
+        ghost = RemoteRefDescriptor(server.endpoint, ObjectId(server.table.incarnation, 999))
+        raised = []
+        for node in (server, client):
+            with pytest.raises(RemoteError) as caught:
+                _FAILURES[failure](node, node._materialize(five), node._materialize(ghost))
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+        assert server.transport.request_frames == 0
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_locality_off_node_sends_its_own_rebind_lookup_and_stats(kind):
+    server, client = _pair(kind, locality=False)
+    try:
+        server.rebind("n", 5)
+        handle = server.lookup(server.endpoint, "n")
+        assert not handle.is_local
+        assert handle.stats() == (0, 0)
+        counts = server.transport.frame_counts
+        assert (counts["Rebind"], counts["Lookup"], counts["Stats"]) == (1, 1, 1)
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_registry_of_only_lifted_functions_serves_a_deferred_chain(kind):
+    def lifted_only():
+        registry = FnRegistry()
+        registry.lift("floor", math.floor)
+        return registry
+
+    server, client = _pair(kind, lifted_only)
+    try:
+        server.rebind("ratio", Fraction(7, 2))
+        deferred = DeferredHandle.wrap(client.lookup(server.endpoint, "ratio"))
+        deferred = deferred.map(client.stage("floor"))
+        before = client.transport.request_frames
+        assert deferred.get() == 3
+        assert client.transport.request_frames - before == 2
+    finally:
+        client.close()
+        server.close()
+
+
 # -- a peer that answers with the wrong variant -----------------------------------
 
 
@@ -445,8 +537,7 @@ def test_body_error_text_always_reaches_the_caller(request, pair, message, shown
 
 
 def _stdlib_registry():
-    # the stock set already lifts operator.add as "add", and has the
-    # "identity" stage that DeferredHandle.wrap starts from
+    # the stock set already lifts operator.add as "add"
     registry = default_registry()
     registry.lift("floor", math.floor)
     registry.lift("limit_denominator", Fraction.limit_denominator)

@@ -83,6 +83,13 @@ def _optional_keyword(subject, *, scale=1):
     return subject * scale
 
 
+class _Unhashable:
+    __hash__ = None
+
+    def __call__(self, subject):
+        return subject
+
+
 @pytest.mark.parametrize(
     "f, arity",
     [
@@ -95,6 +102,7 @@ def _optional_keyword(subject, *, scale=1):
         (lambda x=0: x, 0),  # the subject may fill a defaulted parameter
         (_optional_keyword, 0),
         ({"a": 1}.get, 0),  # bound: the subject is the key
+        pytest.param(_Unhashable(), 0, id="unhashable"),
     ],
 )
 def test_lift_reads_the_arity_from_the_signature(f, arity):
@@ -119,17 +127,10 @@ def _no_parameters():
     return 1
 
 
-class _Unhashable:
-    __hash__ = None
-
-    def __call__(self, subject):
-        return subject
-
-
 @pytest.mark.parametrize(
     "f",
-    [_variadic, _keywords, _required_keyword, _no_parameters, str, max, 5, _Unhashable()],
-    ids=["*args", "**kwargs", "keyword-only", "no-positional", "str", "max", "int", "unhashable"],
+    [_variadic, _keywords, _required_keyword, _no_parameters, str, max, 5],
+    ids=["*args", "**kwargs", "keyword-only", "no-positional", "str", "max", "int"],
 )
 def test_lift_refuses_what_its_signature_cannot_say(f):
     registry = FnRegistry()

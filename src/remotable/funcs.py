@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage, lifted
+from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage, _lifted
 
 
 class Token:
@@ -89,7 +89,7 @@ def _kleisli_int_then(subject, args, ctx):
 
 # (fn_id, capture arity, body), built once per process: a lifted row reads its
 # function's arity here, at import, and flat_map rows keep the full body
-_STOCK = tuple((fn_id, *lifted(f)) for fn_id, f in (
+_STOCK = tuple((fn_id, *_lifted(f)) for fn_id, f in (
     ("identity", lambda x: x),
     ("inc", lambda x: x + 1),
     ("add", operator.add),

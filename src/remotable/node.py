@@ -7,8 +7,9 @@ forces the value back across the wire. A request addressed to this very node
 is answered in process by its own ``Host.dispatch``: zero frames, zero
 serialization, and the same typed errors as over the wire. With locality
 replacement switched off, self-addressed requests take the full network path
-instead (that switch exists so the difference is measurable). ``get`` of a
-handle bound to a local table entry hands over the value itself either way.
+instead (that switch exists so the difference is measurable). A handle bound
+to a local table entry stays in process either way: ``map``/``flat_map`` on
+it go to ``Host.dispatch`` and ``get`` hands over the value itself.
 """
 from __future__ import annotations
 
@@ -56,7 +57,8 @@ class RemoteHandle:
 
     ``_entry`` is the local table entry when the value was hosted here by
     ``apply`` or its descriptor resolved to this node (locality replacement);
-    ``get`` on such a handle hands over the entry's value itself.
+    ``map``/``flat_map`` on such a handle are answered in process and ``get``
+    hands over the entry's value itself.
     """
 
     __slots__ = ("descriptor", "_node", "_entry")
@@ -218,14 +220,18 @@ class Node:
             entry = self.table.resolve_local(descriptor)
         return RemoteHandle(descriptor, self, entry)
 
-    def _call(self, endpoint: EndpointAddr, request: Message, reply_type: type) -> Any:
+    def _call(
+        self, endpoint: EndpointAddr, request: Message, reply_type: type, local: bool = False
+    ) -> Any:
         """Answer ``request`` at ``endpoint`` with a ``reply_type``, in process if here.
 
-        A sent Map/FlatMap charges one serialization to each capture marked as
-        a copy of a value hosted here once answered, whatever the answer; a
-        request that could not be encoded charges nothing.
+        ``local`` marks a request about a value bound to a local table entry,
+        answered here even with locality replacement off. A sent Map/FlatMap
+        charges one serialization to each capture marked as a copy of a value
+        hosted here once answered, whatever the answer; a request that could
+        not be encoded charges nothing.
         """
-        if endpoint == self.endpoint and self.locality_replacement:
+        if local or (endpoint == self.endpoint and self.locality_replacement):
             return _expect(request, self.host.dispatch(request), reply_type)
         reply = self.transport.call(endpoint, request)
         if isinstance(request, (Map, FlatMap)):
@@ -322,7 +328,9 @@ class Node:
         """Run ``fn`` at the handle's home as a ``variant`` request."""
         pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
         request = variant(handle.descriptor.id, pipeline)
-        reply = self._call(handle.descriptor.endpoint, request, RespDescriptor)
+        reply = self._call(
+            handle.descriptor.endpoint, request, RespDescriptor, handle._entry is not None
+        )
         return self._materialize(reply.descriptor)
 
     def get(self, handle: RemoteHandle) -> Any:

@@ -163,7 +163,7 @@ class FnRegistry:
         keyword-only parameter, no positional parameter, no signature.
         """
         try:
-            arity, body = lifted(f)
+            arity, body = _lifted(f)
         except (TypeError, ValueError) as exc:  # not callable, or no signature
             raise ValueError(f"cannot lift {fn_id!r}: {exc}") from None
         self.register(fn_id, arity, body)
@@ -181,10 +181,12 @@ class FnRegistry:
         return fn_id in self._entries
 
 
-def lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
+def _lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
     """The capture arity and map-position body of ``f(subject, *captures)``.
 
     Raises TypeError or ValueError where ``FnRegistry.lift`` refuses ``f``.
+    Private to the package: ``lift`` is the public way to lift, and the stock
+    table in ``funcs`` uses this to read its arities once, at import.
     """
     required = []  # one flag per positional parameter: does it lack a default?
     for param in inspect.signature(f).parameters.values():

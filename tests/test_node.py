@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import re
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -431,6 +432,29 @@ def test_locality_off_node_sends_its_own_rebind_lookup_and_stats(kind):
         assert handle.stats() == (0, 0)
         counts = server.transport.frame_counts
         assert (counts["Rebind"], counts["Lookup"], counts["Stats"]) == (1, 1, 1)
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_locality_off_node_runs_a_nested_flat_map_on_its_own_value(kind):
+    # the body calls the same node again; answered in process, it cannot wait
+    # on the transport its own caller is holding
+    server, client = _pair(kind, locality=False)
+    out = {}
+
+    def run():
+        handle = server.apply(5).flat_map(server.stage("kleisli_int_then", [0, 0], [1, 3]))
+        out["value"] = handle.get()
+
+    try:
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive(), "nested flat_map on a locality-off node hung"
+        assert out["value"] == 18
+        assert server.transport.frame_counts["FlatMap"] == 0
     finally:
         client.close()
         server.close()

@@ -5,16 +5,25 @@ by name from outside the library, so renaming or deleting one of them breaks
 the traced benchmark run. This installs the tracer, drives each client path it
 times, and checks that the spans the per-layer split reads were recorded.
 """
-import sys
+import importlib.util
 from pathlib import Path
 
 from remotable import AsyncHandle, DeferredHandle, LoopbackNetwork, Node
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
-import tracer  # noqa: E402
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    # loaded from its file under a private name, so sys.path and the top-level
+    # module namespace of the rest of the session stay as they were
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_wraps_names_that_exist_and_records_their_spans():
+    tracer = _load_tracer()
     spans = tracer.Tracer()
     undo = tracer.install(spans)
     try:

@@ -23,9 +23,11 @@ from .errors import (
     NotFoundError,
     ProtocolError,
     RemoteError,
+    UnknownObjectError,
 )
-from .model import EndpointAddr, HostTable, ObjectId, RemoteRefDescriptor
+from .model import EndpointAddr, Encoded, HostTable, ObjectId, RemoteRefDescriptor
 from .protocol import (
+    CODEC_RV1,
     Export,
     FlatMap,
     Get,
@@ -39,6 +41,7 @@ from .protocol import (
     RespStats,
     RespValue,
     Stats,
+    ValuePayload,
     decode_frame,
     decode_message,
     decode_value,
@@ -79,15 +82,25 @@ class Host:
             if isinstance(message, (Map, FlatMap)):
                 return RespDescriptor(self._pipeline(message))
             if isinstance(message, Get):
-                # the one place forcing requires a codec
-                payload = encode_value(self.table.require(message.target).value)
+                # the one place forcing requires a codec, unless the entry
+                # still holds the bytes its Export brought
+                entry = self.table.require(message.target)
+                data = entry.encoded
+                if data is None:
+                    payload = encode_value(entry.value)
+                else:
+                    payload = ValuePayload(CODEC_RV1, data)
                 self.table.record_serialization(message.target)
                 self.table.record_get(message.target)
                 return RespValue(payload)
             if isinstance(message, Rebind):
-                self.table.require(message.descriptor.id)
+                descriptor = message.descriptor
+                if self.table.resolve_local(descriptor) is None:
+                    raise UnknownObjectError(
+                        f"no hosted value under id {descriptor.id} at {descriptor.endpoint}"
+                    )
                 with self._bind_lock:
-                    self._bindings[message.name] = message.descriptor.id
+                    self._bindings[message.name] = descriptor.id
                 return RespAck()
             if isinstance(message, Lookup):
                 with self._bind_lock:
@@ -96,7 +109,9 @@ class Host:
                     raise NotFoundError(f"no binding named {message.name!r}")
                 return RespDescriptor(RemoteRefDescriptor(self.table.self_endpoint, object_id))
             if isinstance(message, Export):
-                return RespDescriptor(self.table.export(decode_value(message.payload)))
+                # decoded only to validate: the table keeps the bytes as sent
+                decode_value(message.payload)
+                return RespDescriptor(self.table.export(Encoded(message.payload.data)))
             if isinstance(message, Stats):
                 return RespStats(*self.table.stats(message.target))
             return RespError(
@@ -117,9 +132,9 @@ class Host:
         function places its result itself: the descriptor it yields is passed
         through as-is, possibly naming a third host.
         """
-        entry = self.table.require(request.target)
-        ctx = self._context_factory(request.target, entry.value)
-        result = evaluate(self.registry, request.fn, entry.value, ctx)
+        subject = self.table.require(request.target).value
+        ctx = self._context_factory(request.target, subject)
+        result = evaluate(self.registry, request.fn, subject, ctx)
         if isinstance(request, Map):
             if not isinstance(result, PlainValue):
                 raise ContractViolationError(

@@ -70,18 +70,58 @@ class RemoteRefDescriptor:
     id: ObjectId
 
 
-@dataclass
-class HostedValue:
-    """A table entry: the value plus wire-traffic counters.
+class Encoded:
+    """rv1 bytes handed to ``HostTable.export``, to be hosted as they are.
 
-    ``serialization_count`` increments exactly when the value's bytes are
-    produced for the wire; local handoffs never touch it. ``get_count``
-    increments once per remote force.
+    Internal to the host side: ``Host.dispatch`` wraps a validated Export
+    payload in it, so the table keeps the bytes and not a decoded copy.
     """
 
-    value: Any
-    serialization_count: int = 0
-    get_count: int = 0
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+class HostedValue:
+    """A table entry: the value, or its rv1 bytes, plus wire-traffic counters.
+
+    An entry holds one form at a time. One exported from ``Encoded`` bytes
+    holds only those bytes, and ``encoded`` hands them to a Get as they are.
+    The first read of ``value`` decodes them once, under the entry's own lock,
+    keeps the object and drops the bytes: every reader gets that same object,
+    and a body that mutates it cannot leave stale bytes for a later Get.
+
+    ``serialization_count`` increments exactly when the value's bytes are
+    sent for the wire, whether encoded then or kept from the Export; local
+    handoffs never touch it. ``get_count`` increments once per remote force.
+    """
+
+    __slots__ = ("_value", "encoded", "_decode_lock", "serialization_count", "get_count")
+
+    def __init__(self, value: Any) -> None:
+        self._value = value
+        self.encoded: Optional[bytes] = None
+        if type(value) is Encoded:
+            self._value = None
+            self.encoded = value.data
+            self._decode_lock = threading.Lock()
+        self.serialization_count = 0
+        self.get_count = 0
+
+    @property
+    def value(self) -> Any:
+        if self.encoded is not None:
+            self._decode()
+        return self._value
+
+    def _decode(self) -> None:
+        from .protocol import CODEC_RV1, ValuePayload, decode_value  # protocol imports model
+
+        with self._decode_lock:
+            if self.encoded is not None:
+                self._value = decode_value(ValuePayload(CODEC_RV1, self.encoded))
+                self.encoded = None
 
 
 class HostTable:
@@ -109,7 +149,10 @@ class HostTable:
         return ObjectId(self.incarnation, serial)
 
     def export(self, value: Any) -> RemoteRefDescriptor:
-        """Store a value under a fresh id. The value need not be serializable."""
+        """Store a value under a fresh id. The value need not be serializable.
+
+        An ``Encoded`` value is stored as its bytes, decoded on first read.
+        """
         object_id = self.new_object_id()
         with self._lock:
             self._entries[object_id] = HostedValue(value)

@@ -1,8 +1,12 @@
 import socket
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
 
+import remotable.protocol
 from remotable import (
     EndpointAddr,
     ErrorCode,
@@ -10,6 +14,7 @@ from remotable import (
     LoopbackNetwork,
     Node,
     ObjectId,
+    PlainValue,
     RemoteRefDescriptor,
     ShippedFn,
     Stage,
@@ -33,7 +38,8 @@ from remotable.protocol import (
     Stats,
     ValuePayload,
 )
-from remotable.transport import read_frame
+from remotable.transport import LoopbackTransport, TcpTransport, read_frame
+from test_protocol import values
 
 
 @pytest.fixture
@@ -299,3 +305,150 @@ def test_concurrent_clients_get_distinct_results(tcp_node):
     with ThreadPoolExecutor(max_workers=6) as pool:
         ids = list(pool.map(one_map, range(12)))
     assert len(set(ids)) == 12
+
+
+# -- exported values are hosted as their rv1 bytes ------------------------------
+
+
+def _append_seven(subject, args, ctx):
+    subject.append(7)
+    return PlainValue(len(subject))
+
+
+def _pair(transport):
+    if transport == "loopback":
+        network = LoopbackNetwork()
+        server, client = Node.loopback(network), Node.loopback(network)
+    else:
+        server, client = Node.tcp(), Node.tcp()
+    server.registry.register("append_seven", 0, _append_seven)
+    return server, client
+
+
+@pytest.fixture(params=["loopback", "tcp"])
+def pair(request):
+    server, client = _pair(request.param)
+    yield server, client
+    client.close()
+    server.close()
+
+
+@pytest.fixture(scope="module", params=["loopback", "tcp"])
+def shared_pair(request):
+    server, client = _pair(request.param)
+    yield server, client
+    client.close()
+    server.close()
+
+
+@given(value=values)
+@settings(max_examples=60, deadline=None)
+def test_export_then_get_answers_the_exported_bytes(shared_pair, value):
+    server, client = shared_pair
+    payload = encode_value(value)
+    exported = client.transport.call(server.endpoint, Export(payload))
+    reply = client.transport.call(server.endpoint, Get(exported.descriptor.id))
+    assert reply == RespValue(payload)
+    assert server.table.entry(exported.descriptor.id).encoded == payload.data  # not decoded
+
+
+def test_get_of_kept_bytes_counts_one_serialization_and_one_get(pair):
+    server, client = pair
+    handle = client.export_to(server.endpoint, [1.5, 2.5])
+    assert handle.stats() == (0, 0)
+    assert handle.get() == [1.5, 2.5]
+    assert handle.stats() == (1, 1)
+
+
+def test_get_after_a_map_encodes_the_decoded_object(pair):
+    server, client = pair
+    handle = client.export_to(server.endpoint, [1, 2])
+    assert handle.map(client.stage("append_seven")).get() == 3
+    entry = server.table.entry(handle.descriptor.id)
+    assert entry.encoded is None  # the bytes went when the map decoded them
+    assert handle.get() == [1, 2, 7]  # the body's mutation, not the exported bytes
+    assert handle.stats() == (1, 1)
+
+
+def _own_transport(client):
+    if isinstance(client.transport, LoopbackTransport):
+        return LoopbackTransport(client.transport.network)
+    return TcpTransport()
+
+
+def test_requests_that_decode_together_share_one_object(pair, monkeypatch):
+    server, client = pair
+    handle = client.export_to(server.endpoint, list(range(1000)))
+    subjects = []
+    server.registry.register(
+        "keep_subject", 0, lambda subject, args, ctx: subjects.append((subject, ctx)) or PlainValue(0)
+    )
+    decodes = []
+    decode_value = remotable.protocol.decode_value
+
+    def slow_decode(payload):
+        decodes.append(payload)
+        time.sleep(0.05)  # the other requests reach the entry while this one decodes
+        return decode_value(payload)
+
+    monkeypatch.setattr(remotable.protocol, "decode_value", slow_decode)
+    threads = 6
+    barrier = threading.Barrier(threads)
+    request = Map(handle.descriptor.id, _pipeline(Stage("keep_subject")))
+
+    def map_once(_):
+        transport = _own_transport(client)
+        try:
+            barrier.wait(timeout=5)
+            return transport.call(server.endpoint, request)
+        finally:
+            transport.close()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        replies = list(pool.map(map_once, range(threads)))
+    assert all(isinstance(reply, RespDescriptor) for reply in replies)
+    assert len(decodes) == 1
+    first = subjects[0][0]
+    assert first == list(range(1000))
+    assert all(subject is first and ctx.subject_value is first for subject, ctx in subjects)
+    assert len(subjects) == threads
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        DEEP_PAYLOAD,
+        ValuePayload(CODEC_RV1, encode_value([1, 2, 3]).data[:-1]),
+        ValuePayload(CODEC_RV1, encode_value(1).data + b"\x00"),
+        ValuePayload("rv2", encode_value(1).data),
+    ],
+    ids=["deep", "truncated", "trailing", "codec"],
+)
+def test_hostile_export_is_a_protocol_error_and_hosts_nothing(pair, payload):
+    server, client = pair
+    before = len(server.table)
+    reply = client.transport.call(server.endpoint, Export(payload))
+    assert reply.code == ErrorCode.PROTOCOL_ERROR
+    assert len(server.table) == before
+
+
+# -- Rebind binds only values hosted here -------------------------------------
+
+
+def test_rebind_naming_another_endpoint_is_unknown_even_when_the_id_is_here(node):
+    local = node.table.export(5)
+    elsewhere = RemoteRefDescriptor(EndpointAddr("elsewhere", 9), local.id)
+    response = node.host.dispatch(Rebind("x", elsewhere))
+    assert response.code == ErrorCode.UNKNOWN_OBJECT
+    assert node.host.dispatch(Lookup("x")).code == ErrorCode.NOT_FOUND
+
+
+def test_rebind_naming_another_endpoint_over_the_wire(pair):
+    server, client = pair
+    local = server.table.export(5)
+    elsewhere = RemoteRefDescriptor(client.endpoint, local.id)
+    reply = client.transport.call(server.endpoint, Rebind("x", elsewhere))
+    assert reply.code == ErrorCode.UNKNOWN_OBJECT
+    assert client.transport.call(server.endpoint, Lookup("x")).code == ErrorCode.NOT_FOUND
+    home = RemoteRefDescriptor(server.endpoint, local.id)
+    assert client.transport.call(server.endpoint, Rebind("x", home)) == RespAck()

@@ -42,9 +42,9 @@ from .protocol import (
     RespValue,
     Stats,
     ValuePayload,
+    check_value,
     decode_frame,
     decode_message,
-    decode_value,
     encode_message,
     encode_value,
 )
@@ -109,8 +109,8 @@ class Host:
                     raise NotFoundError(f"no binding named {message.name!r}")
                 return RespDescriptor(RemoteRefDescriptor(self.table.self_endpoint, object_id))
             if isinstance(message, Export):
-                # decoded only to validate: the table keeps the bytes as sent
-                decode_value(message.payload)
+                # checked, not built: the table keeps the bytes as sent
+                check_value(message.payload)
                 return RespDescriptor(self.table.export(Encoded(message.payload.data)))
             if isinstance(message, Stats):
                 return RespStats(*self.table.stats(message.target))

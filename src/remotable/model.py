@@ -83,21 +83,26 @@ class Encoded:
         self.data = data
 
 
+_DECODE_LOCK = threading.Lock()
+
+
 class HostedValue:
     """A table entry: the value, or its rv1 bytes, plus wire-traffic counters.
 
     An entry holds one form at a time. One exported from ``Encoded`` bytes
     holds only those bytes, and ``encoded`` hands them to a Get as they are.
-    The first read of ``value`` decodes them once, under the entry's own lock,
-    keeps the object and drops the bytes: every reader gets that same object,
-    and a body that mutates it cannot leave stale bytes for a later Get.
+    The first read of ``value`` decodes them once, under a lock all entries
+    share, keeps the object and drops the bytes: every reader gets that same
+    object, and a body that mutates it cannot leave stale bytes for a later
+    Get. Decoding holds the interpreter lock throughout, so sharing the lock
+    serializes no work that could otherwise overlap.
 
     ``serialization_count`` increments exactly when the value's bytes are
     sent for the wire, whether encoded then or kept from the Export; local
     handoffs never touch it. ``get_count`` increments once per remote force.
     """
 
-    __slots__ = ("_value", "encoded", "_decode_lock", "serialization_count", "get_count")
+    __slots__ = ("_value", "encoded", "serialization_count", "get_count")
 
     def __init__(self, value: Any) -> None:
         self._value = value
@@ -105,7 +110,6 @@ class HostedValue:
         if type(value) is Encoded:
             self._value = None
             self.encoded = value.data
-            self._decode_lock = threading.Lock()
         self.serialization_count = 0
         self.get_count = 0
 
@@ -118,7 +122,7 @@ class HostedValue:
     def _decode(self) -> None:
         from .protocol import CODEC_RV1, ValuePayload, decode_value  # protocol imports model
 
-        with self._decode_lock:
+        with _DECODE_LOCK:
             if self.encoded is not None:
                 self._value = decode_value(ValuePayload(CODEC_RV1, self.encoded))
                 self.encoded = None

@@ -39,6 +39,12 @@ UTF-8) falls back to the element-by-element reader, so errors and their
 offsets do not depend on the fast path. Lists may nest at most
 MAX_LIST_DEPTH deep in either direction.
 
+There is one rv1 reader, and it either builds the value or only checks it.
+decode_value builds; check_value, which a host runs on an Export whose bytes
+it keeps, walks the same code with building off, so it accepts the same bytes
+and raises the same errors at the same offsets. Checking makes no int or float
+list and copies no blob; a text list is still decoded, as one joined text.
+
 Decoders return (value, next offset), reading at offsets into the body. An
 endpoint text is parsed once, then looked up (see _ENDPOINTS).
 """
@@ -301,11 +307,12 @@ def _unpack(fmt: struct.Struct, buf: bytes, pos: int) -> tuple[Any, int]:
         raise _short(buf, pos, fmt.size) from None
 
 
-def _take_bytes(buf: bytes, length: int, pos: int) -> tuple[bytes, int]:
+def _take_bytes(buf: bytes, length: int, pos: int,
+                build: bool = True) -> tuple[bytes | None, int]:
     end = pos + length
     if end > len(buf):
         raise _short(buf, pos, length)
-    return buf[pos:end], end
+    return buf[pos:end] if build else None, end
 
 
 def _take_text(head: struct.Struct, what: str, buf: bytes, pos: int, offset: int = -1) -> tuple:
@@ -318,7 +325,8 @@ def _take_text(head: struct.Struct, what: str, buf: bytes, pos: int, offset: int
         raise ProtocolError(f"bad UTF-8 in {what} at offset {offset}: {exc}") from exc
 
 
-def _take_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
+def _take_value(buf: bytes, pos: int, depth: int = 0, build: bool = True) -> tuple[Any, int]:
+    """One rv1 value at ``pos``; with ``build`` off, lists and blobs are checked, not built."""
     offset = pos
     if pos >= len(buf):
         raise _short(buf, pos, 1)
@@ -334,14 +342,14 @@ def _take_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
     if tag == TAG_TEXT:
         return _take_text(_U32, "text", buf, pos, offset)
     if tag == TAG_BLOB:
-        return _take_bytes(buf, *_unpack(_U32, buf, pos))
+        return _take_bytes(buf, *_unpack(_U32, buf, pos), build)
     if tag != TAG_LIST:
         raise ProtocolError(f"unknown value tag 0x{tag:02x} at offset {offset}")
     if depth >= MAX_LIST_DEPTH:
         raise ProtocolError(f"lists nested deeper than {MAX_LIST_DEPTH} at offset {offset}")
     count, pos = _unpack(_U32, buf, pos)
     bulk = _BULK_DECODERS.get(buf[pos]) if count and pos < len(buf) else None
-    taken = bulk(buf, pos, count) if bulk is not None else None
+    taken = bulk(buf, pos, count, build) if bulk is not None else None
     if taken is not None:
         return taken
     items = []
@@ -351,20 +359,24 @@ def _take_value(buf: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
             raise ProtocolError(f"truncated list at offset {pos}")
         if buf[pos] != buf[first]:
             raise ProtocolError(f"heterogeneous list at offset {pos}")
-        item, pos = _take_value(buf, pos, depth + 1)
+        item, pos = _take_value(buf, pos, depth + 1, build)
         items.append(item)
     return items, pos
 
 
 # Bulk readers for a list of ``count`` elements starting at ``pos``. Each
-# returns (items, next offset), or None on anything irregular; the
-# element-by-element reader then produces the error.
+# returns (items, next offset), or (None, next offset) when not building, or
+# None on anything irregular; the element-by-element reader then produces the
+# error.
 
 
-def _take_fixed(buf: bytes, pos: int, count: int, tag: int, typecode: str) -> tuple | None:
+def _take_fixed(buf: bytes, pos: int, count: int, build: bool, tag: int,
+                typecode: str) -> tuple | None:
     end = pos + 9 * count
     if count < BULK_MIN_FIXED or end > len(buf) or buf[pos:end:9].count(tag) != count:
         return None
+    if not build:
+        return None, end
     raw = bytearray(8 * count)
     for k in range(8):
         raw[k::8] = buf[pos + 1 + k:end:9]
@@ -374,21 +386,27 @@ def _take_fixed(buf: bytes, pos: int, count: int, tag: int, typecode: str) -> tu
     return values.tolist(), end
 
 
-def _take_texts(buf: bytes, pos: int, count: int) -> tuple | None:
-    size = len(buf)
+def _take_texts(buf: bytes, pos: int, count: int, build: bool) -> tuple | None:
     head = _TEXT_HEAD.unpack_from
-    items = []
+    bodies = []
     try:
         for _ in range(count):
-            tag, length = head(buf, pos)
+            tag, length = head(buf, pos)  # struct.error once pos passes the end
+            if tag != TAG_TEXT:
+                return None
             start = pos + 5
             pos = start + length
-            if tag != TAG_TEXT or pos > size:
-                return None
-            items.append(buf[start:pos].decode("utf-8"))
+            bodies.append(buf[start:pos])
+        if pos > len(buf):
+            return None
+        if build:
+            return list(map(bytes.decode, bodies)), pos
+        # NUL is one whole character, so the joined text is UTF-8 exactly
+        # when every body is: no character can straddle two bodies
+        b"\0".join(bodies).decode()
     except (struct.error, UnicodeDecodeError):
         return None
-    return items, pos
+    return None, pos
 
 
 _BULK_DECODERS = {TAG_INT: partial(_take_fixed, tag=TAG_INT, typecode="q"),
@@ -398,10 +416,19 @@ _BULK_DECODERS = {TAG_INT: partial(_take_fixed, tag=TAG_INT, typecode="q"),
 
 def decode_value(payload: ValuePayload) -> Any:
     """Inverse of encode_value; rejects unknown codecs and malformed bytes."""
+    return _read_value(payload, True)
+
+
+def check_value(payload: ValuePayload) -> None:
+    """Raise exactly what decode_value would raise, without building the value."""
+    _read_value(payload, False)
+
+
+def _read_value(payload: ValuePayload, build: bool) -> Any:
     if payload.codec_id != CODEC_RV1:
         raise ProtocolError(f"unknown codec id {payload.codec_id!r}")
     data = payload.data
-    value, pos = _take_value(data, 0)
+    value, pos = _take_value(data, 0, 0, build)
     if pos != len(data):
         raise ProtocolError(f"{len(data) - pos} trailing bytes after value")
     return value

@@ -109,6 +109,41 @@ def test_criterion_1_monad_laws_on_both_transports():
     assert time.monotonic() - started < 60
 
 
+def _lifted_stages(client, rng):
+    """One to three random stages of the lifted map functions inc, add and mul."""
+    stages = []
+    for _ in range(rng.randint(1, 3)):
+        fn_id = rng.choice(("inc", "add", "mul"))
+        captures = () if fn_id == "inc" else (rng.randint(-9, 9),)
+        stages.append(client.stage(fn_id, *captures))
+    return stages
+
+
+def _check_functor_laws(server, client, rng, rounds):
+    identity = client.stage("identity")
+    for _ in range(rounds):
+        rx = client.export_to(server.endpoint, rng.randint(-100, 100))
+        f = ShippedFn(tuple(_lifted_stages(client, rng)))
+        g = ShippedFn(tuple(_lifted_stages(client, rng)))
+        assert rx.map(identity).get() == rx.get()
+        assert rx.map(f).map(g).get() == rx.map(ShippedFn(f.stages + g.stages)).get()
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_functor_laws_for_lifted_map_functions(transport):
+    rng = random.Random(2025)
+    if transport == "loopback":
+        network = LoopbackNetwork()
+        server, client = Node.loopback(network), Node.loopback(network)
+    else:
+        server, client = Node.tcp(), Node.tcp()
+    try:
+        _check_functor_laws(server, client, rng, rounds=100)
+    finally:
+        client.close()
+        server.close()
+
+
 def test_criterion_2_session_reproduction(loop_pair):
     server, client = loop_pair
     server.rebind("obj", server.new_token())

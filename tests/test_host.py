@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -15,10 +16,12 @@ from remotable import (
     Node,
     ObjectId,
     PlainValue,
+    ProtocolError,
     RemoteRefDescriptor,
     ShippedFn,
     Stage,
     decode_message,
+    decode_value,
     encode_message,
     encode_value,
 )
@@ -430,6 +433,100 @@ def test_hostile_export_is_a_protocol_error_and_hosts_nothing(pair, payload):
     reply = client.transport.call(server.endpoint, Export(payload))
     assert reply.code == ErrorCode.PROTOCOL_ERROR
     assert len(server.table) == before
+
+
+# -- an Export is checked exactly as decode_value would check it --------------
+
+# Each value's encoding is corrupted at every truncation and at every byte
+# replaced by 0xFF. The int and float lists sit on both sides of
+# BULK_MIN_FIXED, and the texts put 2-, 3- and 4-byte characters at the
+# edges of their elements.
+EXPORT_VALUES = {
+    "ints_short": [1, -2, 2**62],
+    "ints_bulk": list(range(-4, 5)),
+    "floats_short": [0.5, -1e300],
+    "floats_bulk": [k / 3 for k in range(8)],
+    "bools": [True, False, True],
+    "nested": [[1, 2], [], [3]],
+    "nested_texts": [["é"], ["€", ""]],
+    "empty": [],
+    "blob": b"\x00\xff\x80",
+    "empty_blob": b"",
+    "texts": ["é", "€a", "a😀", "😀€é", "", "x"],
+    "text": "a€😀",
+}
+
+
+def _text_list(*bodies):
+    out = bytearray(b"\x06" + len(bodies).to_bytes(4, "big"))
+    for body in bodies:
+        out += b"\x04" + len(body).to_bytes(4, "big") + body
+    return ValuePayload(CODEC_RV1, bytes(out))
+
+
+# Every element is cut inside one character, though the bodies joined are
+# valid UTF-8.
+SPLIT_CHARACTERS = {
+    "two_byte": _text_list(b"\xc3", b"\xa9"),
+    "three_byte": _text_list(b"a\xe2\x82", b"\xac"),
+    "four_byte": _text_list(b"\xf0\x9f", b"\x98", b"\x80"),
+    "after_empty": _text_list(b"\xc3", b"", b"\xa9b"),
+}
+
+
+def _corruptions(data):
+    for end in range(len(data)):
+        yield data[:end]
+    for index in range(len(data)):
+        yield data[:index] + b"\xff" + data[index + 1:]
+
+
+def _assert_export_checks_like_decode_value(node, payload):
+    try:
+        decode_value(payload)
+    except ProtocolError as exc:
+        expected = RespError(int(ErrorCode.PROTOCOL_ERROR), str(exc))
+    else:
+        expected = None
+    before = len(node.table)
+    reply = node.host.dispatch(Export(payload))
+    if expected is None:
+        assert node.table.entry(reply.descriptor.id).encoded == payload.data
+    else:
+        assert reply == expected, payload.data
+        assert len(node.table) == before
+
+
+@pytest.mark.parametrize("value", EXPORT_VALUES.values(), ids=EXPORT_VALUES.keys())
+def test_export_of_corrupted_bytes_answers_what_decode_value_raises(node, value):
+    for data in _corruptions(encode_value(value).data):
+        _assert_export_checks_like_decode_value(node, ValuePayload(CODEC_RV1, data))
+
+
+@pytest.mark.parametrize("payload", SPLIT_CHARACTERS.values(), ids=SPLIT_CHARACTERS.keys())
+def test_export_of_a_character_split_across_texts_is_rejected(node, payload):
+    with pytest.raises(ProtocolError, match="bad UTF-8 in text"):
+        decode_value(payload)
+    _assert_export_checks_like_decode_value(node, payload)
+
+
+def test_export_builds_no_value(node):
+    value = list(range(100_000))
+    payload = encode_value(value)
+    request = Export(payload)
+    tracemalloc.start()
+    try:
+        built = decode_value(payload)
+        _, build_peak = tracemalloc.get_traced_memory()
+        del built
+        tracemalloc.reset_peak()
+        reply = node.host.dispatch(request)
+        _, export_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(reply, RespDescriptor)
+    assert build_peak > 3_600_000  # the list and its ints alone take about 3.6 MB
+    assert export_peak < build_peak / 10
 
 
 # -- Rebind binds only values hosted here -------------------------------------

@@ -47,6 +47,16 @@ list and copies no blob; a text list is still decoded, as one joined text.
 
 Decoders return (value, next offset), reading at offsets into the body. An
 endpoint text is parsed once, then looked up (see _ENDPOINTS).
+
+A Map or FlatMap pipeline is read and written in one flat pass per stage, with
+direct struct calls at offsets. An inline capture's value is read by the rv1
+reader straight from the frame body and written by the rv1 writer straight
+into the frame, its length filled in after; no ValuePayload is made for it.
+A stage that is irregular in any way is read again from its start by the
+precise per-stage reader (_take_stage), which raises the error, so texts and
+offsets do not depend on the flat pass. Decoded objects are built without
+running their dataclass constructors (_built), since the readers have already
+checked what those constructors would.
 """
 from __future__ import annotations
 
@@ -92,6 +102,8 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _TEXT_HEAD = struct.Struct(">BI")
 _OBJECT_ID_PAIR = struct.Struct(">QQ")
+# An inline rv1 capture up to its payload length: kind byte, then codec id as a name
+_INLINE_RV1 = _U8.pack(_CAPTURE_INLINE) + _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
 
 # rv1 numbers are big-endian; array() holds them in native order.
 _SWAP = sys.byteorder == "little"
@@ -103,6 +115,19 @@ class ValuePayload:
 
     codec_id: str
     data: bytes
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _built(cls: type, attributes: dict) -> Any:
+    """An instance of frozen dataclass ``cls`` holding ``attributes``, made
+    without running its __init__ or __post_init__: for decoded fields the
+    reader has already checked."""
+    instance = _new(cls)
+    _set(instance, "__dict__", attributes)
+    return instance
 
 
 # --------------------------------------------------------------------------
@@ -381,6 +406,7 @@ def _take_fixed(buf: bytes, pos: int, count: int, build: bool, tag: int,
     for k in range(8):
         raw[k::8] = buf[pos + 1 + k:end:9]
     values = array(typecode, raw)
+    del raw  # the list below is built from the array alone
     if _SWAP:
         values.byteswap()
     return values.tolist(), end
@@ -462,10 +488,12 @@ def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
         incarnation, serial = _OBJECT_ID_PAIR.unpack_from(buf, pos)
     except struct.error:  # name the one of the two u64 reads that overruns
         raise _short(buf, pos if len(buf) - pos < 8 else pos + 8, 8) from None
-    try:
-        return ObjectId(incarnation, serial), pos + 16
-    except ValueError as exc:
-        raise ProtocolError(f"bad object id at offset {pos}: {exc}") from exc
+    if not serial:  # the one rule of ObjectId that a pair of u64s can break
+        try:
+            ObjectId(incarnation, serial)
+        except ValueError as exc:
+            raise ProtocolError(f"bad object id at offset {pos}: {exc}") from exc
+    return _built(ObjectId, {"incarnation": incarnation, "serial": serial}), pos + 16
 
 
 # Endpoints already parsed, keyed by their raw rv1 text and emptied when full.
@@ -495,7 +523,7 @@ def _take_descriptor(buf: bytes, pos: int) -> tuple[RemoteRefDescriptor, int]:
             _ENDPOINTS.clear()
         _ENDPOINTS[buf[pos:end]] = endpoint
     object_id, pos = _take_object_id(buf, end)
-    return RemoteRefDescriptor(endpoint, object_id), pos
+    return _built(RemoteRefDescriptor, {"endpoint": endpoint, "id": object_id}), pos
 
 
 def _put_payload(payload: ValuePayload, out: bytearray) -> None:
@@ -508,21 +536,6 @@ def _take_payload(buf: bytes, pos: int) -> tuple[ValuePayload, int]:
     codec_id, pos = _take_name(buf, pos)
     data, pos = _take_bytes(buf, *_unpack(_U32, buf, pos))
     return ValuePayload(codec_id, data), pos
-
-
-def _put_capture(capture: Capture, index: int, ci: int, out: bytearray) -> None:
-    if isinstance(capture, InlineValue):
-        out.append(_CAPTURE_INLINE)
-        try:
-            _put_payload(encode_value(capture.value), out)
-        except NotSerializableError as exc:
-            raise NotSerializableError(f"stage {index} capture {ci}: {exc}") from exc
-    elif isinstance(capture, RemoteRef):
-        out.append(_CAPTURE_REF)
-        _put_descriptor(capture.descriptor, out)
-    else:
-        kind = type(capture).__name__
-        raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind {kind}")
 
 
 def _take_capture(buf: bytes, pos: int, index: int, ci: int) -> tuple[Capture, int]:
@@ -541,15 +554,6 @@ def _take_capture(buf: bytes, pos: int, index: int, ci: int) -> tuple[Capture, i
                         f"at offset {offset}")
 
 
-def _put_stage(stage: Stage, index: int, out: bytearray) -> None:
-    _encode_raw(stage.fn_id, out)
-    if len(stage.captures) > 0xFFFF:
-        raise ProtocolError("too many captures in one stage")
-    out += _U16.pack(len(stage.captures))
-    for ci, capture in enumerate(stage.captures):
-        _put_capture(capture, index, ci, out)
-
-
 def _take_stage(buf: bytes, pos: int, index: int) -> tuple[Stage, int]:
     offset = pos
     fn_id, pos = _take_value(buf, pos)
@@ -564,22 +568,86 @@ def _take_stage(buf: bytes, pos: int, index: int) -> tuple[Stage, int]:
 
 
 def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
-    if len(pipeline.stages) > 0xFFFF:
+    stages = pipeline.stages
+    if len(stages) > 0xFFFF:
         raise ProtocolError("too many stages in one pipeline")
-    out += _U16.pack(len(pipeline.stages))
-    for index, stage in enumerate(pipeline.stages):
-        _put_stage(stage, index, out)
+    out += _U16.pack(len(stages))
+    for index, stage in enumerate(stages):
+        fn_id = stage.fn_id
+        if type(fn_id) is str:
+            try:
+                encoded = fn_id.encode()
+            except UnicodeEncodeError as exc:
+                raise _not_utf8(exc) from None
+            out += _TEXT_HEAD.pack(TAG_TEXT, len(encoded))
+            out += encoded
+        else:  # written as the rv1 value it is; a reader refuses it
+            _encode_raw(fn_id, out)
+        captures = stage.captures
+        if len(captures) > 0xFFFF:
+            raise ProtocolError("too many captures in one stage")
+        out += _U16.pack(len(captures))
+        for ci, capture in enumerate(captures):
+            if isinstance(capture, InlineValue):
+                # the value is encoded in place, and its length filled in after
+                out += _INLINE_RV1
+                at = len(out)
+                out += b"\0\0\0\0"
+                try:
+                    _encode_raw(capture.value, out)
+                except NotSerializableError as exc:
+                    raise NotSerializableError(f"stage {index} capture {ci}: {exc}") from exc
+                _U32.pack_into(out, at, len(out) - at - 4)
+            elif isinstance(capture, RemoteRef):
+                out.append(_CAPTURE_REF)
+                _put_descriptor(capture.descriptor, out)
+            else:
+                kind = type(capture).__name__
+                raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind {kind}")
+
+
+class _Irregular(Exception):
+    """A stage the flat reader leaves to _take_stage, which names the fault."""
 
 
 def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
     count, pos = _unpack(_U16, buf, pos)
     if count == 0:
         raise ProtocolError(f"empty pipeline at offset {pos - 2}")
+    text_head = _TEXT_HEAD.unpack_from
+    u16 = _U16.unpack_from
+    u32 = _U32.unpack_from
     stages = []
     for index in range(count):
-        stage, pos = _take_stage(buf, pos, index)
+        start = pos
+        try:
+            tag, length = text_head(buf, pos)
+            pos += 5 + length
+            if tag != TAG_TEXT or not length or pos > len(buf):
+                raise _Irregular
+            fn_id = buf[start + 5:pos].decode()
+            (ncaptures,) = u16(buf, pos)
+            pos += 2
+            captures = []
+            for _ in range(ncaptures):
+                if buf.startswith(_INLINE_RV1, pos):
+                    (size,) = u32(buf, pos + 6)
+                    end = pos + 10 + size
+                    value, pos = _take_value(buf, pos + 10)
+                    if pos != end:
+                        raise _Irregular
+                    captures.append(_built(InlineValue, {"value": value, "origin": None}))
+                elif buf[pos] == _CAPTURE_REF:
+                    descriptor, pos = _take_descriptor(buf, pos + 1)
+                    captures.append(_built(RemoteRef, {"descriptor": descriptor}))
+                else:
+                    raise _Irregular
+        except (_Irregular, struct.error, IndexError, UnicodeDecodeError, ProtocolError):
+            stage, pos = _take_stage(buf, start, index)  # raises the precise error
+        else:
+            stage = _built(Stage, {"fn_id": fn_id, "captures": tuple(captures)})
         stages.append(stage)
-    return ShippedFn(tuple(stages)), pos
+    return _built(ShippedFn, {"stages": tuple(stages)}), pos
 
 
 # Field codecs, each a (put, take) pair.
@@ -608,13 +676,13 @@ _VARIANTS = (
     (RespAck,),
     (RespError, _UINT8, _NAME),
 )
-# class -> (tag, ((attribute, put), ...)) and tag -> (class, (take, ...))
+# class -> (tag, ((attribute, put), ...)) and tag -> (class, ((attribute, take), ...))
 _ENCODERS = {
     cls: (tag, tuple((f.name, put) for f, (put, _) in zip(fields(cls), codecs, strict=True)))
     for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
 }
 _DECODERS = {
-    tag: (cls, tuple(take for _, take in codecs))
+    tag: (cls, tuple((f.name, take) for f, (_, take) in zip(fields(cls), codecs, strict=True)))
     for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
 }
 
@@ -665,14 +733,13 @@ def decode_message(buf: bytes | bytearray) -> tuple[Message, int] | None:
     row = _DECODERS.get(body[0])
     if row is None:
         raise ProtocolError(f"unknown message tag 0x{body[0]:02x} at offset 4")
-    cls, takes = row
-    pos, values = 1, []
-    for take in takes:
-        value, pos = take(body, pos)
-        values.append(value)
+    cls, layout = row
+    pos, attributes = 1, {}
+    for attribute, take in layout:
+        attributes[attribute], pos = take(body, pos)
     if pos != len(body):
         raise ProtocolError(f"{len(body) - pos} unconsumed bytes inside frame body")
-    return cls(*values), end
+    return _built(cls, attributes), end
 
 
 def decode_frame(frame: bytes) -> Message:

@@ -23,6 +23,9 @@ from .model import EndpointAddr
 from .protocol import Message, decode_frame, encode_message
 
 _CONNECT_TIMEOUT_S = 10.0
+# A body longer than this is read a chunk at a time, so that what the client
+# allocates follows the bytes that arrive, not the size a header claims.
+_RECV_CHUNK = 1 << 20
 
 
 class Transport:
@@ -101,13 +104,15 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
 
     MSG_WAITALL lets a blocking socket fill the whole buffer in one call; the
     loop finishes reads it cuts short (a socket with a timeout, a signal).
+    ``recv`` allocates its whole size before any byte arrives, so a count
+    above _RECV_CHUNK is read _RECV_CHUNK at a time into a growing buffer.
     """
-    data = sock.recv(count, socket.MSG_WAITALL)
+    data = sock.recv(min(count, _RECV_CHUNK), socket.MSG_WAITALL)
     if len(data) == count:
         return data
     chunks = bytearray(data)
     while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
+        chunk = sock.recv(min(count - len(chunks), _RECV_CHUNK), socket.MSG_WAITALL)
         if not chunk:
             raise TransportError("connection closed mid-frame")
         chunks += chunk

@@ -20,6 +20,7 @@ from remotable import (
     RemoteRefDescriptor,
     ShippedFn,
     Stage,
+    TransportError,
     decode_message,
     decode_value,
     encode_message,
@@ -290,6 +291,31 @@ def test_tcp_closes_connection_after_protocol_error(tcp_node):
         read_frame(sock)  # the error response
         sock.settimeout(5)
         assert sock.recv(1) == b""  # server hung up
+
+
+def test_client_reserves_no_memory_for_a_reply_header_it_never_gets_the_body_of():
+    claimed = 256 * 2**20  # the reply header's body length; no body follows
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def peer():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)  # the request
+                conn.sendall(claimed.to_bytes(4, "big"))
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        host, port = listener.getsockname()
+        transport = TcpTransport()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError, match="closed mid-frame"):
+                transport.call(EndpointAddr(host, port), Get(ObjectId(1, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            transport.close()
+            thread.join(timeout=5)
+    assert peak < 8 * 2**20
 
 
 def test_concurrent_clients_get_distinct_results(tcp_node):

@@ -27,16 +27,19 @@ from test_acceptance import CONFORMANCE_SAMPLES
 TABLE = Path(__file__).with_name("hostile_frames.json")
 
 
-def _cases(index):
+def corrupted_frames(name, message):
     """(case id, corrupted frame) for every truncation and every 0xFF byte."""
-    message = CONFORMANCE_SAMPLES[index]
     frame = encode_message(message)
     body = frame[4:]
-    name = f"{index}-{type(message).__name__}"
     for length in range(len(body)):
         yield f"{name}/cut{length}", struct.pack(">I", length) + body[:length]
     for pos in range(len(frame)):
         yield f"{name}/ff{pos}", frame[:pos] + b"\xff" + frame[pos + 1:]
+
+
+def _cases(index):
+    message = CONFORMANCE_SAMPLES[index]
+    return corrupted_frames(f"{index}-{type(message).__name__}", message)
 
 
 def _all_cases():
@@ -44,7 +47,7 @@ def _all_cases():
         yield from _cases(index)
 
 
-def _outcome(frame):
+def outcome(frame):
     try:
         message = decode_frame(frame)
     except Exception as exc:  # any class is recorded, so a stray one shows
@@ -66,11 +69,11 @@ def test_table_covers_every_case():
     ids=[type(message).__name__ for message in CONFORMANCE_SAMPLES],
 )
 def test_corrupted_frame_outcomes_are_pinned(index):
-    outcomes = {case: _outcome(frame) for case, frame in _cases(index)}
+    outcomes = {case: outcome(frame) for case, frame in _cases(index)}
     assert outcomes == {case: _golden()[case] for case in outcomes}
     assert {kind for kind, _ in outcomes.values()} <= {"ok", ProtocolError.__name__}
 
 
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps({case: _outcome(frame) for case, frame in _all_cases()},
+    TABLE.write_text(json.dumps({case: outcome(frame) for case, frame in _all_cases()},
                                 indent=0, sort_keys=True) + "\n")

@@ -3,10 +3,12 @@ import random
 import struct
 import sys
 import threading
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 from enum import IntEnum
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from remotable import (
     EndpointAddr,
@@ -530,6 +532,23 @@ def test_empty_pipeline_on_the_wire_is_rejected():
         decode_message(frame)
 
 
+@pytest.mark.parametrize("fn_id", ["", 5, ["f"]], ids=["empty", "int", "list"])
+def test_stage_whose_fn_id_is_not_non_empty_text_is_rejected(fn_id):
+    body = bytearray(b"\x03")
+    body += (0xAB).to_bytes(8, "big") + (7).to_bytes(8, "big")
+    body += (1).to_bytes(2, "big") + encode_value(fn_id).data + (0).to_bytes(2, "big")
+    frame = len(body).to_bytes(4, "big") + bytes(body)
+    with pytest.raises(ProtocolError, match=r"^stage 0: bad fn id at offset 19$"):
+        decode_frame(frame)
+
+
+def test_object_id_with_serial_zero_on_the_wire_is_rejected():
+    body = b"\x05" + (0xAB).to_bytes(8, "big") + (0).to_bytes(8, "big")
+    frame = len(body).to_bytes(4, "big") + body
+    with pytest.raises(ProtocolError, match=r"^bad object id at offset 1: serial must be in "):
+        decode_frame(frame)
+
+
 # -- descriptor corners ---------------------------------------------------------
 
 object_ids = st.builds(
@@ -613,3 +632,80 @@ def test_endpoint_memo_under_concurrent_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
+
+
+def test_decoding_a_long_int_list_keeps_no_spare_copy():
+    value = list(range(100_000))
+    payload = encode_value(value)
+    tracemalloc.start()
+    try:
+        back = decode_value(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == value
+    # the list and its ints take about 3.6 MB, the array it is built from 0.8 MB
+    assert peak < 5_000_000
+
+
+# -- pipeline frames: the flat stage codec and the objects it builds ----------
+
+endpoints = st.builds(
+    EndpointAddr, st.sampled_from(["loop", "h.example", "10.0.0.1", "hôte"]),
+    st.integers(min_value=1, max_value=65535),
+)
+captures = st.one_of(
+    values.map(InlineValue),
+    st.builds(RemoteRefDescriptor, endpoints, object_ids).map(RemoteRef),
+)
+stages = st.builds(Stage, st.text(min_size=1, max_size=12),
+                   st.lists(captures, max_size=4).map(tuple))
+pipeline_messages = st.builds(
+    lambda variant, target, pipeline: variant(target, pipeline),
+    st.sampled_from([Map, FlatMap]),
+    object_ids,
+    st.lists(stages, min_size=1, max_size=6).map(lambda drawn: ShippedFn(tuple(drawn))),
+)
+
+
+def _hash_or_unhashable(message):
+    try:
+        return hash(message)
+    except TypeError:  # a list capture makes the whole message unhashable
+        return "unhashable"
+
+
+def _decoded_objects(message):
+    """(object, the class it must have) for everything decode builds in ``message``."""
+    yield message, type(message)
+    yield message.target, ObjectId
+    yield message.fn, ShippedFn
+    for stage in message.fn.stages:
+        yield stage, Stage
+        for capture in stage.captures:
+            if isinstance(capture, RemoteRef):
+                yield capture, RemoteRef
+                yield capture.descriptor, RemoteRefDescriptor
+                yield capture.descriptor.id, ObjectId
+            else:
+                yield capture, InlineValue
+
+
+@seed(20121)
+@settings(max_examples=300, deadline=None)
+@given(pipeline_messages)
+def test_pipeline_frames_decode_to_equal_frozen_objects_of_the_same_classes(message):
+    frame = encode_message(message)
+    decoded = decode_frame(frame)
+    assert decoded == message
+    assert _hash_or_unhashable(decoded) == _hash_or_unhashable(message)
+    assert encode_message(decoded) == frame
+    built = list(_decoded_objects(decoded))
+    assert [cls for _, cls in built] == [type(obj) for obj, _ in _decoded_objects(message)]
+    for obj, cls in built:
+        assert type(obj) is cls
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, fields(obj)[0].name, None)
+    for stage in decoded.fn.stages:
+        assert all(capture.origin is None for capture in stage.captures
+                   if isinstance(capture, InlineValue))

@@ -573,16 +573,7 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
         raise ProtocolError("too many stages in one pipeline")
     out += _U16.pack(len(stages))
     for index, stage in enumerate(stages):
-        fn_id = stage.fn_id
-        if type(fn_id) is str:
-            try:
-                encoded = fn_id.encode()
-            except UnicodeEncodeError as exc:
-                raise _not_utf8(exc) from None
-            out += _TEXT_HEAD.pack(TAG_TEXT, len(encoded))
-            out += encoded
-        else:  # written as the rv1 value it is; a reader refuses it
-            _encode_raw(fn_id, out)
+        _encode_raw(stage.fn_id, out)
         captures = stage.captures
         if len(captures) > 0xFFFF:
             raise ProtocolError("too many captures in one stage")

@@ -99,30 +99,34 @@ class LoopbackTransport(Transport):
         return decode_frame(self.network.deliver(endpoint, frame))
 
 
-def recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Receive exactly ``count`` bytes.
+def _recv_chunks(sock: socket.socket, count: int) -> list[bytes]:
+    """Receive exactly ``count`` bytes, as the chunks they arrived in.
 
-    MSG_WAITALL lets a blocking socket fill the whole buffer in one call; the
+    MSG_WAITALL lets a blocking socket fill a whole chunk in one call; the
     loop finishes reads it cuts short (a socket with a timeout, a signal).
-    ``recv`` allocates its whole size before any byte arrives, so a count
-    above _RECV_CHUNK is read _RECV_CHUNK at a time into a growing buffer.
+    ``recv`` allocates its whole size before any byte arrives, so no call
+    asks for more than _RECV_CHUNK.
     """
-    data = sock.recv(min(count, _RECV_CHUNK), socket.MSG_WAITALL)
-    if len(data) == count:
-        return data
-    chunks = bytearray(data)
-    while len(chunks) < count:
-        chunk = sock.recv(min(count - len(chunks), _RECV_CHUNK), socket.MSG_WAITALL)
+    chunks = []
+    while count:
+        chunk = sock.recv(min(count, _RECV_CHUNK), socket.MSG_WAITALL)
         if not chunk:
             raise TransportError("connection closed mid-frame")
-        chunks += chunk
-    return bytes(chunks)
+        chunks.append(chunk)
+        count -= len(chunk)
+    return chunks
+
+
+def recv_exact(sock: socket.socket, count: int) -> bytes:
+    """Receive exactly ``count`` bytes (one chunk is returned without a copy)."""
+    return b"".join(_recv_chunks(sock, count))
 
 
 def read_frame(sock: socket.socket) -> bytes:
     header = recv_exact(sock, 4)
     body_len = int.from_bytes(header, "big")
-    return header + recv_exact(sock, body_len)
+    # one copy joins the header and the body's chunks, as `header + body` did
+    return b"".join([header, *_recv_chunks(sock, body_len)])
 
 
 class TcpTransport(Transport):

@@ -20,10 +20,11 @@ import pytest
 
 from remotable import ProtocolError
 from remotable.model import EndpointAddr, ObjectId, RemoteRefDescriptor
-from remotable.protocol import FlatMap, Map
+from remotable.protocol import FlatMap, Map, decode_frame
 from remotable.shipping import InlineValue, RemoteRef, ShippedFn, Stage
 
-from test_hostile_frames import corrupted_frames, outcome
+from test_hostile_frames import TABLE as FRAMES_TABLE, corrupted_frames, outcome
+from test_protocol import assert_constructors_accept
 
 TABLE = Path(__file__).with_name("hostile_pipelines.json")
 
@@ -69,6 +70,15 @@ def test_corrupted_pipeline_outcomes_are_pinned(name):
     outcomes = {case: outcome(frame) for case, frame in _cases(name)}
     assert outcomes == {case: _golden()[case] for case in outcomes}
     assert {kind for kind, _ in outcomes.values()} <= {"ok", ProtocolError.__name__}
+
+
+@pytest.mark.parametrize("table", [FRAMES_TABLE, TABLE], ids=lambda table: table.stem)
+def test_decoded_objects_pass_their_constructors(table):
+    decoded = [decode_frame(bytes.fromhex(frame))
+               for kind, frame in json.loads(table.read_text()).values() if kind == "ok"]
+    assert decoded
+    for message in decoded:
+        assert_constructors_accept(message)
 
 
 if __name__ == "__main__":

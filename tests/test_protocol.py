@@ -4,7 +4,7 @@ import struct
 import sys
 import threading
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from enum import IntEnum
 
 import pytest
@@ -691,6 +691,24 @@ def _decoded_objects(message):
                 yield capture, InlineValue
 
 
+def assert_constructors_accept(obj):
+    """Rebuild every dataclass instance inside ``obj`` through its constructor.
+
+    Decoding builds these objects without running __init__ or __post_init__,
+    so a constructor rule that the readers do not enforce fails here.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        rebuilt = type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj) if f.init})
+        assert rebuilt == obj
+        inner = [getattr(obj, f.name) for f in fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    else:
+        return
+    for value in inner:
+        assert_constructors_accept(value)
+
+
 @seed(20121)
 @settings(max_examples=300, deadline=None)
 @given(pipeline_messages)
@@ -706,6 +724,7 @@ def test_pipeline_frames_decode_to_equal_frozen_objects_of_the_same_classes(mess
         assert type(obj) is cls
         with pytest.raises(FrozenInstanceError):
             setattr(obj, fields(obj)[0].name, None)
+    assert_constructors_accept(decoded)
     for stage in decoded.fn.stages:
         assert all(capture.origin is None for capture in stage.captures
                    if isinstance(capture, InlineValue))

@@ -52,11 +52,12 @@ A Map or FlatMap pipeline is read and written in one flat pass per stage, with
 direct struct calls at offsets. An inline capture's value is read by the rv1
 reader straight from the frame body and written by the rv1 writer straight
 into the frame, its length filled in after; no ValuePayload is made for it.
-A stage that is irregular in any way is read again from its start by the
-precise per-stage reader (_take_stage), which raises the error, so texts and
-offsets do not depend on the flat pass. Decoded objects are built without
-running their dataclass constructors (_built), since the readers have already
-checked what those constructors would.
+Each field is read once, and a fault is named where it is found. An inline
+capture that is not an rv1 value ending exactly at its payload's end is named
+by reading its payload alone, so offsets inside a capture's value count from
+its payload's start. Decoded objects are built without running their
+dataclass constructors (_built), since the readers have already checked what
+those constructors would.
 """
 from __future__ import annotations
 
@@ -65,11 +66,11 @@ import sys
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Any, Union
+from typing import Any, NoReturn, Union
 
 from .errors import NotSerializableError, ProtocolError
 from .model import EndpointAddr, ObjectId, RemoteRefDescriptor
-from .shipping import Capture, InlineValue, RemoteRef, ShippedFn, Stage
+from .shipping import InlineValue, RemoteRef, ShippedFn, Stage
 
 CODEC_RV1 = "rv1"
 DEFAULT_PORT = 7099
@@ -538,35 +539,6 @@ def _take_payload(buf: bytes, pos: int) -> tuple[ValuePayload, int]:
     return ValuePayload(codec_id, data), pos
 
 
-def _take_capture(buf: bytes, pos: int, index: int, ci: int) -> tuple[Capture, int]:
-    offset = pos
-    kind, pos = _unpack(_U8, buf, pos)
-    if kind == _CAPTURE_INLINE:
-        payload, pos = _take_payload(buf, pos)
-        try:
-            return InlineValue(decode_value(payload)), pos
-        except ProtocolError as exc:
-            raise ProtocolError(f"stage {index} capture {ci}: {exc}") from exc
-    if kind == _CAPTURE_REF:
-        descriptor, pos = _take_descriptor(buf, pos)
-        return RemoteRef(descriptor), pos
-    raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind 0x{kind:02x} "
-                        f"at offset {offset}")
-
-
-def _take_stage(buf: bytes, pos: int, index: int) -> tuple[Stage, int]:
-    offset = pos
-    fn_id, pos = _take_value(buf, pos)
-    if not isinstance(fn_id, str) or not fn_id:
-        raise ProtocolError(f"stage {index}: bad fn id at offset {offset}")
-    count, pos = _unpack(_U16, buf, pos)
-    captures = []
-    for ci in range(count):
-        capture, pos = _take_capture(buf, pos, index, ci)
-        captures.append(capture)
-    return Stage(fn_id, tuple(captures)), pos
-
-
 def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
     stages = pipeline.stages
     if len(stages) > 0xFFFF:
@@ -597,8 +569,28 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
                 raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind {kind}")
 
 
-class _Irregular(Exception):
-    """A stage the flat reader leaves to _take_stage, which names the fault."""
+def _bad_fn_id(buf: bytes, pos: int, index: int) -> NoReturn:
+    """Raise the fault of stage ``index``, whose fn id at ``pos`` is not one
+    whole, non-empty UTF-8 text: the rv1 reader's, if the field is no value."""
+    _take_value(buf, pos)
+    raise ProtocolError(f"stage {index}: bad fn id at offset {pos}")
+
+
+def _bad_capture(buf: bytes, pos: int, index: int, ci: int) -> NoReturn:
+    """Raise the fault of a capture at ``pos`` that is neither a reference nor
+    an rv1 value ending at its payload's end. The payload is read alone, so
+    offsets inside the value count from the payload's start."""
+    where = f"stage {index} capture {ci}"
+    kind, at = _unpack(_U8, buf, pos)
+    if kind != _CAPTURE_INLINE:
+        raise ProtocolError(f"{where}: unknown capture kind 0x{kind:02x} at offset {pos}")
+    payload, _ = _take_payload(buf, at)
+    try:
+        decode_value(payload)
+    except ProtocolError as exc:
+        raise ProtocolError(f"{where}: {exc}") from exc
+    # not reached while the two reads agree; a disagreement must not pass
+    raise ProtocolError(f"{where}: bad inline capture at offset {pos}")
 
 
 def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
@@ -610,34 +602,38 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
     u32 = _U32.unpack_from
     stages = []
     for index in range(count):
-        start = pos
         try:
             tag, length = text_head(buf, pos)
-            pos += 5 + length
-            if tag != TAG_TEXT or not length or pos > len(buf):
-                raise _Irregular
-            fn_id = buf[start + 5:pos].decode()
+            end = pos + 5 + length
+            fn_id = buf[pos + 5:end].decode() if tag == TAG_TEXT and end <= len(buf) else ""
+        except (struct.error, UnicodeDecodeError):
+            fn_id = ""
+        if not fn_id:
+            _bad_fn_id(buf, pos, index)
+        pos = end
+        try:
             (ncaptures,) = u16(buf, pos)
-            pos += 2
-            captures = []
-            for _ in range(ncaptures):
-                if buf.startswith(_INLINE_RV1, pos):
+        except struct.error:
+            raise _short(buf, pos, 2) from None
+        pos += 2
+        captures = []
+        for ci in range(ncaptures):
+            if buf.startswith(_INLINE_RV1, pos):
+                try:
                     (size,) = u32(buf, pos + 6)
-                    end = pos + 10 + size
-                    value, pos = _take_value(buf, pos + 10)
-                    if pos != end:
-                        raise _Irregular
-                    captures.append(_built(InlineValue, {"value": value, "origin": None}))
-                elif buf[pos] == _CAPTURE_REF:
-                    descriptor, pos = _take_descriptor(buf, pos + 1)
-                    captures.append(_built(RemoteRef, {"descriptor": descriptor}))
-                else:
-                    raise _Irregular
-        except (_Irregular, struct.error, IndexError, UnicodeDecodeError, ProtocolError):
-            stage, pos = _take_stage(buf, start, index)  # raises the precise error
-        else:
-            stage = _built(Stage, {"fn_id": fn_id, "captures": tuple(captures)})
-        stages.append(stage)
+                    value, end = _take_value(buf, pos + 10)
+                except (struct.error, ProtocolError):
+                    _bad_capture(buf, pos, index, ci)
+                if end != pos + 10 + size:
+                    _bad_capture(buf, pos, index, ci)
+                pos = end
+                captures.append(_built(InlineValue, {"value": value, "origin": None}))
+            elif pos < len(buf) and buf[pos] == _CAPTURE_REF:
+                descriptor, pos = _take_descriptor(buf, pos + 1)
+                captures.append(_built(RemoteRef, {"descriptor": descriptor}))
+            else:
+                _bad_capture(buf, pos, index, ci)
+        stages.append(_built(Stage, {"fn_id": fn_id, "captures": tuple(captures)}))
     return _built(ShippedFn, {"stages": tuple(stages)}), pos
 
 

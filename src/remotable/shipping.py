@@ -55,8 +55,8 @@ class Stage:
     captures: tuple[Capture, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.fn_id:
-            raise ValueError("stage fn_id must be non-empty")
+        if not isinstance(self.fn_id, str) or not self.fn_id:
+            raise ValueError(f"stage fn_id must be non-empty text, got {self.fn_id!r}")
 
 
 @dataclass(frozen=True)

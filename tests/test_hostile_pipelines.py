@@ -5,8 +5,10 @@ The same corruptions as ``test_hostile_frames.py`` (every truncation, every
 not have: the benchmark's one-stage ``add``, a stage with no captures, inline
 captures of every rv1 kind, empty and nested lists, a non-ASCII fn id, and a
 longer pipeline mixing inline and reference captures. ``hostile_pipelines.json``
-pins each outcome, so the stage reader's fast path and its precise fallback
-must agree on every error text and offset.
+pins each outcome. The pipeline reader names each fault where it finds it,
+and an inline capture's fault by reading that capture's payload alone; these
+tables, and the forged frames below for faults no corruption reaches, pin
+every such error text and offset.
 
 Regenerate the table (only when an error text is meant to change) with:
 
@@ -14,13 +16,14 @@ Regenerate the table (only when an error text is meant to change) with:
 """
 import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from remotable import ProtocolError
 from remotable.model import EndpointAddr, ObjectId, RemoteRefDescriptor
-from remotable.protocol import FlatMap, Map, decode_frame
+from remotable.protocol import FlatMap, Map, decode_frame, encode_message, encode_value
 from remotable.shipping import InlineValue, RemoteRef, ShippedFn, Stage
 
 from test_hostile_frames import TABLE as FRAMES_TABLE, corrupted_frames, outcome
@@ -70,6 +73,41 @@ def test_corrupted_pipeline_outcomes_are_pinned(name):
     outcomes = {case: outcome(frame) for case, frame in _cases(name)}
     assert outcomes == {case: _golden()[case] for case in outcomes}
     assert {kind for kind, _ in outcomes.values()} <= {"ok", ProtocolError.__name__}
+
+
+# Faults that no corruption above reaches, forged into the two-capture ``add``
+# frame below. Body offsets: stage count 17, fn id 19, capture 0 at 29 (codec
+# name length 30, payload length 35, value 39), capture 1 at 48, end 67.
+_FORGED_FROM = Map(_TARGET, _one("add", 3, 4))
+
+
+def _forged(at, cut, insert):
+    """_FORGED_FROM's frame with ``cut`` body bytes at ``at`` replaced by ``insert``."""
+    body = encode_message(_FORGED_FROM)[4:]
+    body = body[:at] + insert + body[at + cut:]
+    return len(body).to_bytes(4, "big") + body
+
+
+FORGED = {
+    "payload-trailing-byte": (
+        _forged(35, 13, (10).to_bytes(4, "big") + encode_value(3).data + b"\0"),
+        "stage 0 capture 0: 1 trailing bytes after value"),
+    "payload-short": (_forged(35, 4, (8).to_bytes(4, "big")),
+                      "stage 0 capture 0: short body: need 8 bytes at offset 1, have 7"),
+    "payload-long": (_forged(35, 4, (18).to_bytes(4, "big")),
+                     "stage 0 capture 0: 9 trailing bytes after value"),
+    "codec-name-long": (_forged(30, 2, (4).to_bytes(2, "big")),
+                        "short body: need 2305 bytes at offset 40, have 27"),
+    "no-stages": (_forged(17, 2, (0).to_bytes(2, "big")), "empty pipeline at offset 17"),
+    "fn-id-list-tag": (_forged(19, 1, b"\x06"), "unknown value tag 0x61 at offset 24"),
+}
+
+
+@pytest.mark.parametrize("case", FORGED)
+def test_forged_pipeline_faults_are_named(case):
+    frame, text = FORGED[case]
+    with pytest.raises(ProtocolError, match=f"^{re.escape(text)}$"):
+        decode_frame(frame)
 
 
 @pytest.mark.parametrize("table", [FRAMES_TABLE, TABLE], ids=lambda table: table.stem)

@@ -196,6 +196,24 @@ def test_unregistered_fn_ships_and_fails_at_the_host(loop_pair):
         subject.map(Stage("mystery"))
 
 
+@pytest.mark.parametrize("fn_id", [5, b"f"], ids=["int", "bytes"])
+@pytest.mark.parametrize("kind", ["loopback", "tcp", "local"])
+def test_stage_whose_fn_id_is_not_text_is_refused_before_any_frame(kind, fn_id):
+    # shipped, such a stage would fail as ProtocolError at a peer but as
+    # UnknownFunctionError at a local host; refused when built, it fails alike
+    server, client = _pair("tcp" if kind == "tcp" else "loopback")
+    caller = server if kind == "local" else client
+    try:
+        handle = caller.export_to(server.endpoint, 5)
+        sent = caller.transport.frame_counts.copy()
+        with pytest.raises(ValueError, match="^stage fn_id must be non-empty text"):
+            caller.map(handle, Stage(fn_id))
+        assert caller.transport.frame_counts == sent
+    finally:
+        client.close()
+        server.close()
+
+
 def test_typed_errors_cross_the_wire(loop_pair):
     server, client = loop_pair
     with pytest.raises(NotFoundError):

@@ -2,9 +2,11 @@
 
 A Host owns the name registry (rebind/lookup bindings) and turns each request
 variant into the matching table or evaluation operation. ``Host.dispatch`` is
-its only request entry: the TCP server below, the in-process loopback fabric
-and the owning node's requests to itself all hand it one decoded request and
-relay back the single response.
+its only request entry: the owning node's requests to itself reach it
+directly, and every frame reaches it through ``Host.handle_frame``, which the
+loopback fabric calls with each frame it delivers and the TCP server below
+with each frame it reads with ``transport.read_frame``. So a frame gets the
+same reply on either transport.
 
 Request handling rules: every request gets exactly one response; request-level
 failures answer RespError and leave the connection usable; protocol-level
@@ -13,6 +15,7 @@ connection, without disturbing other clients.
 """
 from __future__ import annotations
 
+import socket
 import socketserver
 import threading
 from typing import Any, Callable, Optional, Union
@@ -23,6 +26,7 @@ from .errors import (
     NotFoundError,
     ProtocolError,
     RemoteError,
+    TransportError,
     UnknownObjectError,
 )
 from .model import EndpointAddr, Encoded, HostTable, ObjectId, RemoteRefDescriptor
@@ -44,11 +48,11 @@ from .protocol import (
     ValuePayload,
     check_value,
     decode_frame,
-    decode_message,
     encode_message,
     encode_value,
 )
 from .shipping import FnRegistry, PlainValue, RemoteValue, evaluate
+from .transport import read_frame
 
 
 class Host:
@@ -166,6 +170,11 @@ def _error_reply(code: ErrorCode, text: str) -> RespError:
     return RespError(int(code), data.decode("utf-8", "ignore"))
 
 
+# A reply frame whose body starts with these two bytes (the RespError tag and
+# the code) answers PROTOCOL_ERROR, after which its connection is closed.
+_PROTOCOL_ERROR_HEAD = encode_message(_error_reply(ErrorCode.PROTOCOL_ERROR, ""))[4:6]
+
+
 class _HostTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -173,48 +182,25 @@ class _HostTCPServer(socketserver.ThreadingTCPServer):
 
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
-    """Per-connection loop: frames in, responses out, FIFO per connection."""
+    """Per-connection loop: whole frames in, each answered by ``Host.handle_frame``.
+
+    Replies go out in request order. The connection closes after a
+    PROTOCOL_ERROR reply, when the peer closes it, or when a read or write
+    fails.
+    """
 
     def handle(self) -> None:
         server: _HostTCPServer = self.server  # type: ignore[assignment]
         host = server.remotable_host
         conn = self.request
-        # Received bytes are appended and consumed frames deleted from the
-        # front; both are amortized O(1) per byte on a bytearray, so a large
-        # frame arriving in many reads is not re-copied on every read.
-        buffer = bytearray()
-        while True:
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return
-            buffer += chunk
-            while True:
-                try:
-                    decoded = decode_message(buffer)
-                except ProtocolError as exc:
-                    self._send(_error_reply(ErrorCode.PROTOCOL_ERROR, str(exc)))
-                    return
-                if decoded is None:
-                    break
-                message, consumed = decoded
-                del buffer[:consumed]
-                response = host.dispatch(message)
-                if not self._send(response):
-                    return
-                if isinstance(response, RespError) and response.code == int(
-                    ErrorCode.PROTOCOL_ERROR
-                ):
-                    return
-
-    def _send(self, response: Message) -> bool:
         try:
-            self.request.sendall(encode_message(response))
-            return True
-        except OSError:
-            return False
+            while True:
+                reply = host.handle_frame(read_frame(conn))
+                conn.sendall(reply)
+                if reply[4:6] == _PROTOCOL_ERROR_HEAD:
+                    return
+        except (OSError, TransportError):
+            return
 
 
 class TcpHostServer:
@@ -240,6 +226,11 @@ class TcpHostServer:
         self._thread.start()
 
     def shutdown(self) -> None:
+        try:
+            # wakes serve_forever's select now rather than at its next poll
+            self._server.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # serve_forever then stops at its next poll, 0.5 s at most
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:

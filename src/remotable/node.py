@@ -262,15 +262,10 @@ class Node:
     def stage(self, fn_id: str, *captures: Any) -> Stage:
         """Build one pipeline stage; handles become references, the rest inlines.
 
-        Arity is pre-checked when the function is registered here too, which
-        catches typos before anything goes on the wire.
+        ``Stage`` checks the fn id first. Arity is then pre-checked when the
+        function is registered here too, which catches typos before anything
+        goes on the wire.
         """
-        if fn_id in self.registry:
-            expected = self.registry.arity(fn_id)
-            if expected != len(captures):
-                raise ValueError(
-                    f"{fn_id} takes {expected} capture(s), got {len(captures)}"
-                )
         converted: list[Capture] = []
         for capture in captures:
             if isinstance(capture, RemoteHandle):
@@ -281,7 +276,14 @@ class Node:
                 converted.append(capture)
             else:
                 converted.append(InlineValue(capture))
-        return Stage(fn_id, tuple(converted))
+        stage = Stage(fn_id, tuple(converted))
+        if fn_id in self.registry:
+            expected = self.registry.arity(fn_id)
+            if expected != len(captures):
+                raise ValueError(
+                    f"{fn_id} takes {expected} capture(s), got {len(captures)}"
+                )
+        return stage
 
     # -- value placement ----------------------------------------------------
 

@@ -6,7 +6,7 @@ body; the body is a 1-byte variant tag followed by the variant's fields in
 declared order. Each variant's layout is one row of the variant table
 (_VARIANTS), read by both encode_message and decode_message; a variant's tag
 is its row number, and tags are frozen. decode_message reads one frame off the
-front of a stream buffer, and trailing bytes belong to the next frame;
+front of a bytes buffer, and trailing bytes belong to the next frame;
 decode_frame reads a buffer that must hold exactly one whole frame.
 
 Value codec ("rv1"), tag byte then payload:
@@ -698,13 +698,12 @@ def encode_message(message: Message) -> bytes:
     return bytes(body)
 
 
-def decode_message(buf: bytes | bytearray) -> tuple[Message, int] | None:
-    """Decode one message from the front of a buffer.
+def decode_message(buf: bytes) -> tuple[Message, int] | None:
+    """Decode one message from the front of a bytes buffer.
 
     Returns (message, bytes consumed) so callers can keep trailing bytes for
     the next frame, or None when the buffer does not yet hold a complete
-    frame. Malformed complete frames raise ProtocolError. The body is copied
-    out, so the caller may reuse or trim ``buf`` afterwards.
+    frame. Malformed complete frames raise ProtocolError.
     """
     if len(buf) < 4:
         return None
@@ -714,9 +713,7 @@ def decode_message(buf: bytes | bytearray) -> tuple[Message, int] | None:
         return None
     if body_len == 0:
         raise ProtocolError("empty frame body")
-    # a bytearray body is copied once more so that blobs and payloads decode
-    # to bytes; on the small frames most calls carry, this beats a memoryview
-    body = buf[4:end] if type(buf) is bytes else bytes(buf[4:end])
+    body = buf[4:end]
     row = _DECODERS.get(body[0])
     if row is None:
         raise ProtocolError(f"unknown message tag 0x{body[0]:02x} at offset 4")

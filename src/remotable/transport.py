@@ -3,7 +3,8 @@
 A transport delivers one encoded request frame to an endpoint and returns the
 endpoint's single response frame. Both implementations move real protocol
 bytes, so the codec is exercised identically whether traffic stays in process
-or crosses TCP.
+or crosses TCP. ``read_frame`` is the one reader of frames off a socket: the
+TCP client reads its replies with it and a TCP host its requests.
 
 The loopback transport routes frames between nodes registered in one
 LoopbackNetwork, with an optional injected per-call delay for latency
@@ -117,16 +118,15 @@ def _recv_chunks(sock: socket.socket, count: int) -> list[bytes]:
     return chunks
 
 
-def recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Receive exactly ``count`` bytes (one chunk is returned without a copy)."""
-    return b"".join(_recv_chunks(sock, count))
-
-
 def read_frame(sock: socket.socket) -> bytes:
-    header = recv_exact(sock, 4)
-    body_len = int.from_bytes(header, "big")
-    # one copy joins the header and the body's chunks, as `header + body` did
-    return b"".join([header, *_recv_chunks(sock, body_len)])
+    """Read one whole frame: the 4-byte length prefix, then the body it declares.
+
+    Raises TransportError when the peer closes before the frame is whole.
+    """
+    header = _recv_chunks(sock, 4)
+    body_len = int.from_bytes(b"".join(header), "big")
+    # one copy joins the header and the body's chunks
+    return b"".join(header + _recv_chunks(sock, body_len))
 
 
 class TcpTransport(Transport):

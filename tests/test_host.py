@@ -293,6 +293,18 @@ def test_tcp_closes_connection_after_protocol_error(tcp_node):
         assert sock.recv(1) == b""  # server hung up
 
 
+def test_closing_a_tcp_node_with_a_connected_client_returns_at_once():
+    server, client = Node.tcp(), Node.tcp()
+    try:
+        assert client.export_to(server.endpoint, 5).get() == 5  # connection left open
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 0.25
+    finally:
+        client.close()
+        server.close()
+
+
 def test_client_reserves_no_memory_for_a_reply_header_it_never_gets_the_body_of():
     claimed = 256 * 2**20  # the reply header's body length; no body follows
     with socket.create_server(("127.0.0.1", 0)) as listener:

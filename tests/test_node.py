@@ -196,7 +196,7 @@ def test_unregistered_fn_ships_and_fails_at_the_host(loop_pair):
         subject.map(Stage("mystery"))
 
 
-@pytest.mark.parametrize("fn_id", [5, b"f"], ids=["int", "bytes"])
+@pytest.mark.parametrize("fn_id", [5, b"f", ["f"]], ids=["int", "bytes", "list"])
 @pytest.mark.parametrize("kind", ["loopback", "tcp", "local"])
 def test_stage_whose_fn_id_is_not_text_is_refused_before_any_frame(kind, fn_id):
     # shipped, such a stage would fail as ProtocolError at a peer but as
@@ -206,8 +206,9 @@ def test_stage_whose_fn_id_is_not_text_is_refused_before_any_frame(kind, fn_id):
     try:
         handle = caller.export_to(server.endpoint, 5)
         sent = caller.transport.frame_counts.copy()
-        with pytest.raises(ValueError, match="^stage fn_id must be non-empty text"):
-            caller.map(handle, Stage(fn_id))
+        for build in (Stage, caller.stage):
+            with pytest.raises(ValueError, match="^stage fn_id must be non-empty text"):
+                caller.map(handle, build(fn_id))
         assert caller.transport.frame_counts == sent
     finally:
         client.close()

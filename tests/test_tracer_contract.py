@@ -43,5 +43,5 @@ def test_tracer_wraps_names_that_exist_and_records_their_spans():
     finally:
         undo()
     recorded = {spans.names[index] for index in spans.name}
-    assert {"host.dispatch.Map", "host.dispatch.Get", "shipping.evaluate",
-            "adapters.deferred.get"} <= recorded
+    assert {"host.dispatch.Map", "host.dispatch.Get", "host.connection",
+            "shipping.evaluate", "adapters.deferred.get"} <= recorded

@@ -111,7 +111,8 @@ class AsyncHandle:
 class DeferredHandle:
     """A remote handle plus a tuple of not-yet-applied stages.
 
-    map is pure bookkeeping — the stages grow, nothing ships. get applies the
+    map is pure bookkeeping — the stages grow (by one Stage, or by all of a
+    ShippedFn's), nothing ships. get applies the
     whole pipeline in a single Map request and forces the result with a single
     Get; with no stages it ships ``identity``, so that is the only case that
     needs that id registered at the host. flat_map is the odd one out: it must
@@ -133,8 +134,9 @@ class DeferredHandle:
     def pipeline(self) -> ShippedFn:
         return ShippedFn(self.stages or (Stage("identity"),))
 
-    def map(self, stage: Stage) -> "DeferredHandle":
-        return DeferredHandle(self.remote, self.stages + (stage,))
+    def map(self, fn: Union[Stage, ShippedFn]) -> "DeferredHandle":
+        added = (fn,) if isinstance(fn, Stage) else fn.stages
+        return DeferredHandle(self.remote, self.stages + added)
 
     def get(self) -> Any:
         return self.remote.map(self.pipeline).get()

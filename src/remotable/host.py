@@ -1,7 +1,8 @@
 """The serving side: dispatch protocol requests against a host table.
 
-A Host owns the name registry (rebind/lookup bindings) and turns each request
-variant into the matching table or evaluation operation. ``Host.dispatch`` is
+A Host keeps no state of its own: it turns each request variant into the
+matching operation on its ``HostTable``, which owns the entries, their
+counters and the name bindings, or into an evaluation. ``Host.dispatch`` is
 its only request entry: the owning node's requests to itself reach it
 directly, and every frame reaches it through ``Host.handle_frame``, which the
 loopback fabric calls with each frame it delivers and the TCP server below
@@ -20,15 +21,7 @@ import socketserver
 import threading
 from typing import Any, Callable, Optional, Union
 
-from .errors import (
-    ContractViolationError,
-    ErrorCode,
-    NotFoundError,
-    ProtocolError,
-    RemoteError,
-    TransportError,
-    UnknownObjectError,
-)
+from .errors import ContractViolationError, ErrorCode, ProtocolError, RemoteError, TransportError
 from .model import EndpointAddr, Encoded, HostTable, ObjectId, RemoteRefDescriptor
 from .protocol import (
     CODEC_RV1,
@@ -58,6 +51,8 @@ from .transport import read_frame
 class Host:
     """Executes requests against one host table and function registry.
 
+    The table holds every piece of host-side state; a Host holds none.
+
     ``context_factory(subject_id, subject_value)`` supplies the evaluation
     context handed to shipped function bodies; it is the hook through which
     nested remote calls and locality replacement reach the client API.
@@ -72,8 +67,6 @@ class Host:
         self.table = table
         self.registry = registry
         self._context_factory = context_factory
-        self._bindings: dict[str, ObjectId] = {}
-        self._bind_lock = threading.Lock()
 
     def dispatch(self, message: Message) -> Message:
         """Run one request and build its response. Never raises.
@@ -87,37 +80,27 @@ class Host:
                 return RespDescriptor(self._pipeline(message))
             if isinstance(message, Get):
                 # the one place forcing requires a codec, unless the entry
-                # still holds the bytes its Export brought
+                # still holds the bytes its Export brought; a failed encode
+                # counts nothing
                 entry = self.table.require(message.target)
                 data = entry.encoded
                 if data is None:
                     payload = encode_value(entry.value)
                 else:
                     payload = ValuePayload(CODEC_RV1, data)
-                self.table.record_serialization(message.target)
-                self.table.record_get(message.target)
+                self.table.count(message.target, 1, 1)
                 return RespValue(payload)
             if isinstance(message, Rebind):
-                descriptor = message.descriptor
-                if self.table.resolve_local(descriptor) is None:
-                    raise UnknownObjectError(
-                        f"no hosted value under id {descriptor.id} at {descriptor.endpoint}"
-                    )
-                with self._bind_lock:
-                    self._bindings[message.name] = descriptor.id
+                self.table.rebind(message.name, message.descriptor)
                 return RespAck()
             if isinstance(message, Lookup):
-                with self._bind_lock:
-                    object_id = self._bindings.get(message.name)
-                if object_id is None:
-                    raise NotFoundError(f"no binding named {message.name!r}")
-                return RespDescriptor(RemoteRefDescriptor(self.table.self_endpoint, object_id))
+                return RespDescriptor(self.table.lookup(message.name))
             if isinstance(message, Export):
                 # checked, not built: the table keeps the bytes as sent
                 check_value(message.payload)
                 return RespDescriptor(self.table.export(Encoded(message.payload.data)))
             if isinstance(message, Stats):
-                return RespStats(*self.table.stats(message.target))
+                return RespStats(*self.table.count(message.target))
             return RespError(
                 int(ErrorCode.PROTOCOL_ERROR),
                 f"{type(message).__name__} is not a request",
@@ -176,9 +159,43 @@ _PROTOCOL_ERROR_HEAD = encode_message(_error_reply(ErrorCode.PROTOCOL_ERROR, "")
 
 
 class _HostTCPServer(socketserver.ThreadingTCPServer):
+    """Keeps its open connections, so that closing it ends them too.
+
+    ``socketserver`` ends each connection with ``shutdown_request``: SHUT_WR,
+    so the peer reads every reply, then ``close_request``.
+    """
+
     daemon_threads = True
     allow_reuse_address = True
     remotable_host: Host
+
+    def __init__(self, address: tuple[str, int]) -> None:
+        super().__init__(address, _ConnectionHandler)
+        self.connections: Optional[set[socket.socket]] = set()  # None once closed
+        self.connections_lock = threading.Lock()
+
+    def verify_request(self, request: Any, client_address: Any) -> bool:
+        with self.connections_lock:
+            if self.connections is None:
+                return False  # closed: refused, then ended by shutdown_request
+            self.connections.add(request)
+        return True
+
+    def close_request(self, request: Any) -> None:
+        with self.connections_lock:
+            if self.connections is not None:
+                self.connections.discard(request)
+        super().close_request(request)
+
+    def close_connections(self) -> None:
+        """Refuse new connections and wake each open one's handler, which then ends it."""
+        with self.connections_lock:
+            connections, self.connections = self.connections or set(), None
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already ended it
 
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -211,7 +228,7 @@ class TcpHostServer:
     """
 
     def __init__(self, bind_host: str, bind_port: int):
-        self._server = _HostTCPServer((bind_host, bind_port), _ConnectionHandler)
+        self._server = _HostTCPServer((bind_host, bind_port))
         actual_host, actual_port = self._server.server_address[:2]
         self.endpoint = EndpointAddr(bind_host if bind_host else str(actual_host), actual_port)
         self._thread: Optional[threading.Thread] = None
@@ -226,6 +243,8 @@ class TcpHostServer:
         self._thread.start()
 
     def shutdown(self) -> None:
+        """Stop listening and end every open connection; calls in them then fail."""
+        self._server.close_connections()
         try:
             # wakes serve_forever's select now rather than at its next poll
             self._server.socket.shutdown(socket.SHUT_RDWR)

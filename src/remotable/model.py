@@ -1,10 +1,11 @@
 """Identity, addressing, and hosting of remote values.
 
-A process that hosts values owns one :class:`HostTable`. Exporting a value
-stores it under a fresh :class:`ObjectId` and hands back a portable
-:class:`RemoteRefDescriptor` that any process can use to address it. The
-descriptor is the only thing that ever crosses the wire; the value itself
-stays home until somebody forces it.
+A process that hosts values owns one :class:`HostTable`, the only store of
+its host-side state: the hosted values, their serialization/get counters and
+the names bound to them. Exporting a value stores it under a fresh
+:class:`ObjectId` and hands back a portable :class:`RemoteRefDescriptor` that
+any process can use to address it. The descriptor is the only thing that ever
+crosses the wire; the value itself stays home until somebody forces it.
 
 Object ids embed a random per-process incarnation so that references into a
 restarted host miss the table instead of silently hitting a different value.
@@ -15,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .errors import UnknownObjectError
+from .errors import NotFoundError, UnknownObjectError
 
 MAX_PORT = 65535
 _MAX_SERIAL = 2**64 - 1
@@ -100,6 +101,7 @@ class HostedValue:
     ``serialization_count`` increments exactly when the value's bytes are
     sent for the wire, whether encoded then or kept from the Export; local
     handoffs never touch it. ``get_count`` increments once per remote force.
+    Both change only through ``HostTable.count``, under the table's lock.
     """
 
     __slots__ = ("_value", "encoded", "serialization_count", "get_count")
@@ -129,37 +131,37 @@ class HostedValue:
 
 
 class HostTable:
-    """Per-process map from object id to hosted value.
+    """Per-process host-side state: hosted values, their counters and the names bound to them.
 
     Also serves as the locality-replacement cache: a descriptor whose endpoint
     and incarnation match this table resolves straight to its entry, with zero
-    serialization. All operations are safe under concurrent request handlers.
+    serialization. ``rebind`` and ``lookup`` answer the requests they are
+    named after. Every operation takes the one lock once, so each is safe
+    under concurrent request handlers.
     """
 
     def __init__(self, self_endpoint: EndpointAddr, incarnation: int) -> None:
         self.self_endpoint = self_endpoint
         self.incarnation = incarnation
         self._entries: dict[ObjectId, HostedValue] = {}
+        self._names: dict[str, ObjectId] = {}
         self._next_serial = 1
         self._lock = threading.Lock()
-
-    def new_object_id(self) -> ObjectId:
-        """Issue a fresh id; serials strictly increase and are never reused."""
-        with self._lock:
-            serial = self._next_serial
-            if serial > _MAX_SERIAL:
-                raise OverflowError("object id serial space exhausted")
-            self._next_serial += 1
-        return ObjectId(self.incarnation, serial)
 
     def export(self, value: Any) -> RemoteRefDescriptor:
         """Store a value under a fresh id. The value need not be serializable.
 
-        An ``Encoded`` value is stored as its bytes, decoded on first read.
+        Serials strictly increase and are never reused. An ``Encoded`` value
+        is stored as its bytes, decoded on first read.
         """
-        object_id = self.new_object_id()
+        entry = HostedValue(value)
         with self._lock:
-            self._entries[object_id] = HostedValue(value)
+            serial = self._next_serial
+            if serial > _MAX_SERIAL:
+                raise OverflowError("object id serial space exhausted")
+            self._next_serial = serial + 1
+            object_id = ObjectId(self.incarnation, serial)
+            self._entries[object_id] = entry
         return RemoteRefDescriptor(self.self_endpoint, object_id)
 
     def resolve_local(self, descriptor: RemoteRefDescriptor) -> Optional[HostedValue]:
@@ -177,36 +179,39 @@ class HostTable:
             return self._entries.get(object_id)
 
     def require(self, object_id: ObjectId) -> HostedValue:
-        found = self.entry(object_id)
+        with self._lock:
+            return self._find(object_id)
+
+    def count(self, object_id: ObjectId, serializations: int = 0, gets: int = 0) -> tuple[int, int]:
+        """Add to the entry's counters; returns them as (serializations, gets)."""
+        with self._lock:
+            found = self._find(object_id)
+            found.serialization_count += serializations
+            found.get_count += gets
+            return found.serialization_count, found.get_count
+
+    def rebind(self, name: str, descriptor: RemoteRefDescriptor) -> None:
+        """Bind ``name`` to a value hosted here; a foreign or unknown one is refused."""
+        with self._lock:
+            if descriptor.endpoint != self.self_endpoint or descriptor.id not in self._entries:
+                raise UnknownObjectError(
+                    f"no hosted value under id {descriptor.id} at {descriptor.endpoint}"
+                )
+            self._names[name] = descriptor.id
+
+    def lookup(self, name: str) -> RemoteRefDescriptor:
+        with self._lock:
+            object_id = self._names.get(name)
+        if object_id is None:
+            raise NotFoundError(f"no binding named {name!r}")
+        return RemoteRefDescriptor(self.self_endpoint, object_id)
+
+    def _find(self, object_id: ObjectId) -> HostedValue:
+        """The entry under ``object_id``; the caller holds the lock."""
+        found = self._entries.get(object_id)
         if found is None:
             raise UnknownObjectError(f"no hosted value under id {object_id}")
         return found
-
-    def record_serialization(self, object_id: ObjectId) -> int:
-        """Count one wire serialization of the entry's value; returns the new count."""
-        with self._lock:
-            found = self._entries.get(object_id)
-            if found is None:
-                raise UnknownObjectError(
-                    f"record_serialization on unknown id {object_id}"
-                )
-            found.serialization_count += 1
-            return found.serialization_count
-
-    def record_get(self, object_id: ObjectId) -> None:
-        """Count one remote force of the entry's value."""
-        with self._lock:
-            found = self._entries.get(object_id)
-            if found is None:
-                raise UnknownObjectError(f"record_get on unknown id {object_id}")
-            found.get_count += 1
-
-    def stats(self, object_id: ObjectId) -> tuple[int, int]:
-        with self._lock:
-            found = self._entries.get(object_id)
-            if found is None:
-                raise UnknownObjectError(f"stats on unknown id {object_id}")
-            return found.serialization_count, found.get_count
 
     def __len__(self) -> int:
         with self._lock:

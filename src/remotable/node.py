@@ -238,7 +238,7 @@ class Node:
             for stage in request.fn.stages:
                 for capture in stage.captures:
                     if isinstance(capture, InlineValue) and capture.origin is not None:
-                        self.table.record_serialization(capture.origin)
+                        self.table.count(capture.origin, 1)
         return _expect(request, reply, reply_type)
 
     @property

@@ -561,12 +561,9 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
                 except NotSerializableError as exc:
                     raise NotSerializableError(f"stage {index} capture {ci}: {exc}") from exc
                 _U32.pack_into(out, at, len(out) - at - 4)
-            elif isinstance(capture, RemoteRef):
+            else:  # a RemoteRef, the only other kind a Stage admits
                 out.append(_CAPTURE_REF)
                 _put_descriptor(capture.descriptor, out)
-            else:
-                kind = type(capture).__name__
-                raise ProtocolError(f"stage {index} capture {ci}: unknown capture kind {kind}")
 
 
 def _bad_fn_id(buf: bytes, pos: int, index: int) -> NoReturn:

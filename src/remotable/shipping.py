@@ -57,6 +57,9 @@ class Stage:
     def __post_init__(self) -> None:
         if not isinstance(self.fn_id, str) or not self.fn_id:
             raise ValueError(f"stage fn_id must be non-empty text, got {self.fn_id!r}")
+        for capture in self.captures:
+            if not isinstance(capture, (InlineValue, RemoteRef)):
+                raise ValueError(f"stage capture must be an InlineValue or a RemoteRef, got {capture!r}")
 
 
 @dataclass(frozen=True)
@@ -207,15 +210,8 @@ def resolve_captures(captures: tuple[Capture, ...], ctx: EvalContext) -> list:
     locality replacement is disabled) and a wire-backed handle otherwise. Home
     resolution performs zero serialization.
     """
-    resolved = []
-    for index, capture in enumerate(captures):
-        if isinstance(capture, InlineValue):
-            resolved.append(capture.value)
-        elif isinstance(capture, RemoteRef):
-            resolved.append(ctx.resolve_ref(capture.descriptor))
-        else:
-            raise ContractViolationError(f"capture {index}: unknown capture kind")
-    return resolved
+    return [capture.value if isinstance(capture, InlineValue) else ctx.resolve_ref(capture.descriptor)
+            for capture in captures]
 
 
 def evaluate(registry: FnRegistry, pipeline: ShippedFn, subject: Any, ctx: EvalContext) -> FnResult:

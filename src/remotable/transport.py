@@ -160,13 +160,20 @@ class TcpTransport(Transport):
         self._connections[endpoint] = conn
         return conn
 
-    def _drop(self, endpoint: EndpointAddr) -> None:
-        conn = self._connections.pop(endpoint, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _drop(self, endpoint: EndpointAddr, conn: socket.socket) -> None:
+        """Forget ``conn`` if it is still the endpoint's connection, and end it.
+
+        Shutting it down first wakes a call blocked reading it; a bare close
+        would leave that call waiting on a silent peer.
+        """
+        with self._pool_lock:
+            if self._connections.get(endpoint) is conn:
+                del self._connections[endpoint]
+        try:
+            conn.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer already reset it, or it never connected
+        conn.close()
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
         frame = encode_message(message)
@@ -177,7 +184,7 @@ class TcpTransport(Transport):
                 conn.sendall(frame)
                 response = read_frame(conn)
             except (OSError, TransportError) as exc:
-                self._drop(endpoint)
+                self._drop(endpoint, conn)
                 if isinstance(exc, TransportError):
                     raise
                 raise TransportError(f"call to {endpoint} failed: {exc}") from exc
@@ -185,6 +192,6 @@ class TcpTransport(Transport):
 
     def close(self) -> None:
         with self._pool_lock:
-            endpoints = list(self._connections)
-        for endpoint in endpoints:
-            self._drop(endpoint)
+            connections = list(self._connections.items())
+        for endpoint, conn in connections:
+            self._drop(endpoint, conn)

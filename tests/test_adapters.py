@@ -13,6 +13,7 @@ from remotable import (
     Node,
     NotSerializableError,
     PlainValue,
+    ShippedFn,
     Stage,
     UnknownFunctionError,
 )
@@ -347,3 +348,16 @@ def test_deferred_over_local_handle_never_touches_the_wire(loop_pair):
     deferred = DeferredHandle.wrap(client.apply(4)).map(client.stage("inc"))
     assert deferred.get() == 5
     assert client.transport.request_frames == 0
+
+
+@pytest.mark.parametrize("kind", ["local", "loopback", "tcp"])
+def test_deferred_map_takes_a_shipped_fn_as_eager_map_does(kind, request):
+    server, client = request.getfixturevalue("tcp_pair" if kind == "tcp" else "loop_pair")
+    handle = client.apply(5) if kind == "local" else client.export_to(server.endpoint, 5)
+    fn = ShippedFn((client.stage("inc"), client.stage("mul", 3)))
+    eager = handle.map(fn).get()
+    before = client.transport.request_frames
+    deferred = DeferredHandle.wrap(handle).map(fn).map(client.stage("add", 2))
+    assert [s.fn_id for s in deferred.stages] == ["inc", "mul", "add"]
+    assert deferred.get() == eager + 2 == 20
+    assert client.transport.request_frames - before == (0 if kind == "local" else 2)

@@ -1,9 +1,10 @@
 """No dead code in ``src/remotable``, checked on the source with ``ast``.
 
 Every name a module imports is used in that module (the package's
-``__init__`` counts its ``__all__`` as use), and every module-level private
+``__init__`` counts its ``__all__`` as use), every module-level private
 name (``_name``) is referenced somewhere in the package, its own module
-included.
+included, and every private attribute a method assigns (``self._name = ...``)
+is read somewhere in the package.
 """
 import ast
 from pathlib import Path
@@ -74,3 +75,37 @@ def test_every_private_module_name_is_referenced():
     unreferenced = [f"{path.name}:{line} {name}" for path, tree in trees.items()
                     for name, line in _private_definitions(tree) if name not in used]
     assert not unreferenced
+
+
+def _private_self_attributes(tree):
+    """(name, line) of each ``self._name`` a method assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for attribute in ast.walk(target):
+                    if (isinstance(attribute, ast.Attribute)
+                            and isinstance(attribute.value, ast.Name)
+                            and attribute.value.id == "self"
+                            and attribute.attr.startswith("_")
+                            and not attribute.attr.startswith("__")):
+                        yield attribute.attr, node.lineno
+
+
+def _read_attributes(tree):
+    """Attribute names read in ``tree``: loads, deletes and augmented assignments."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            read.add(node.target.attr)
+    return read
+
+
+def test_every_private_attribute_is_read():
+    trees = {path: _tree(path) for path in MODULES}
+    read = set().union(*map(_read_attributes, trees.values()))
+    unread = [f"{path.name}:{line} self.{name}" for path, tree in trees.items()
+              for name, line in _private_self_attributes(tree) if name not in read]
+    assert not unread

@@ -129,7 +129,7 @@ def test_get_serializes_and_counts(node):
     descriptor = node.table.export(41)
     response = node.host.dispatch(Get(descriptor.id))
     assert response == RespValue(encode_value(41))
-    assert node.table.stats(descriptor.id) == (1, 1)
+    assert node.table.count(descriptor.id) == (1, 1)
 
 
 def test_get_of_opaque_value(node):
@@ -137,7 +137,7 @@ def test_get_of_opaque_value(node):
     response = node.host.dispatch(Get(descriptor.id))
     assert response.code == ErrorCode.NOT_SERIALIZABLE
     # the failed attempt is not billed as a serialization
-    assert node.table.stats(descriptor.id) == (0, 0)
+    assert node.table.count(descriptor.id) == (0, 0)
 
 
 def test_export_hosts_decoded_value(node):
@@ -172,13 +172,20 @@ def test_get_of_lone_surrogate_is_not_serializable(node, value):
     descriptor = node.table.export(value)
     response = node.host.dispatch(Get(descriptor.id))
     assert response.code == ErrorCode.NOT_SERIALIZABLE
-    assert node.table.stats(descriptor.id) == (0, 0)
+    assert node.table.count(descriptor.id) == (0, 0)
 
 
 def test_stats_roundtrip(node):
     descriptor = node.table.export(1)
-    node.table.record_serialization(descriptor.id)
+    node.table.count(descriptor.id, 1)
     assert node.host.dispatch(Stats(descriptor.id)) == RespStats(1, 0)
+    assert node.host.dispatch(Stats(descriptor.id)) == RespStats(1, 0)  # asking counts nothing
+
+
+def test_stats_of_unknown_id_names_the_id(node):
+    ghost = ObjectId(node.table.incarnation, 999)
+    response = node.host.dispatch(Stats(ghost))
+    assert response == RespError(int(ErrorCode.UNKNOWN_OBJECT), f"no hosted value under id {ghost}")
 
 
 def test_response_variant_is_not_a_request(node):
@@ -587,3 +594,52 @@ def test_rebind_naming_another_endpoint_over_the_wire(pair):
     assert client.transport.call(server.endpoint, Lookup("x")).code == ErrorCode.NOT_FOUND
     home = RemoteRefDescriptor(server.endpoint, local.id)
     assert client.transport.call(server.endpoint, Rebind("x", home)) == RespAck()
+
+
+def _threads_left(before, within_s):
+    """Threads started since ``before`` that are still alive ``within_s`` from now."""
+    deadline = time.monotonic() + within_s
+    while True:
+        left = [t for t in threading.enumerate() if t not in before]
+        if not left or time.monotonic() > deadline:
+            return left
+        time.sleep(0.01)
+
+
+def test_closing_a_tcp_node_ends_the_connections_it_serves():
+    server, client = Node.tcp(), Node.tcp()
+    try:
+        before = set(threading.enumerate())
+        handle = client.export_to(server.endpoint, 5)
+        assert handle.get() == 5  # the connection is open and served
+        server.close()
+        with pytest.raises(TransportError):
+            handle.map(client.stage("inc")).get()
+        assert _threads_left(before, 1.0) == []
+    finally:
+        client.close()
+        server.close()
+
+
+def test_closing_a_tcp_transport_ends_a_call_to_a_silent_peer():
+    transport = TcpTransport()
+    out = {}
+
+    def run():
+        try:
+            transport.call(endpoint, Get(ObjectId(1, 1)))
+        except TransportError as exc:
+            out["error"] = exc
+
+    with socket.socket() as listener:  # accepts, and never answers
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        endpoint = EndpointAddr("127.0.0.1", listener.getsockname()[1])
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(0.2)
+        assert worker.is_alive()
+        transport.close()
+        worker.join(1.0)
+        assert not worker.is_alive(), "the call still waits 1 s after close()"
+    assert isinstance(out.get("error"), TransportError)

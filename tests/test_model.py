@@ -1,9 +1,17 @@
+import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
-from remotable import EndpointAddr, HostTable, ObjectId, RemoteRefDescriptor, UnknownObjectError
+from remotable import (
+    EndpointAddr,
+    HostTable,
+    NotFoundError,
+    ObjectId,
+    RemoteRefDescriptor,
+    UnknownObjectError,
+)
 
 
 def test_endpoint_renders_host_colon_port():
@@ -57,8 +65,8 @@ def _table():
 
 def test_serials_start_at_one_and_increase():
     table = _table()
-    first = table.new_object_id()
-    second = table.new_object_id()
+    first = table.export("a").id
+    second = table.export("b").id
     assert (first.incarnation, first.serial) == (42, 1)
     assert second.serial == 2
 
@@ -105,18 +113,16 @@ def test_resolve_local_misses_other_incarnation():
 def test_counters_accumulate():
     table = _table()
     descriptor = table.export(7)
-    assert table.record_serialization(descriptor.id) == 1
-    assert table.record_serialization(descriptor.id) == 2
-    table.record_get(descriptor.id)
-    assert table.stats(descriptor.id) == (2, 1)
+    assert table.count(descriptor.id, 1) == (1, 0)
+    assert table.count(descriptor.id, 1, 1) == (2, 1)
+    assert table.count(descriptor.id) == (2, 1)
 
 
 def test_counter_of_unknown_id_is_an_error():
     table = _table()
-    with pytest.raises(UnknownObjectError):
-        table.record_serialization(ObjectId(42, 999))
-    with pytest.raises(UnknownObjectError):
-        table.require(ObjectId(42, 999))
+    for operation in (table.count, table.require):
+        with pytest.raises(UnknownObjectError, match="no hosted value under id 000000000000002a:999"):
+            operation(ObjectId(42, 999))
 
 
 def test_concurrent_exports_issue_unique_ids():
@@ -134,3 +140,58 @@ def test_concurrent_exports_issue_unique_ids():
         t.join()
     assert len(set(seen)) == 8 * 200
     assert len(table) == 8 * 200
+
+
+def test_export_refuses_once_the_serial_space_is_spent():
+    table = _table()
+    table._next_serial = 2**64 - 1
+    assert table.export("last").id.serial == 2**64 - 1
+    with pytest.raises(OverflowError, match="serial space exhausted"):
+        table.export("one too many")
+    assert len(table) == 1
+
+
+def test_concurrent_counts_are_exact():
+    table = _table()
+    descriptor = table.export(0)
+
+    def worker():
+        for _ in range(500):
+            table.count(descriptor.id, 1, 1)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert table.count(descriptor.id) == (8 * 500, 8 * 500)
+
+
+def test_rebind_then_lookup_names_the_home_entry():
+    table = _table()
+    first, second = table.export(1), table.export(2)
+    table.rebind("x", first)
+    assert table.lookup("x") == first
+    table.rebind("x", second)  # a rebind replaces the binding
+    assert table.lookup("x") == second
+
+
+@pytest.mark.parametrize("where", ["foreign", "unknown"])
+def test_rebind_refuses_a_value_not_hosted_here(where):
+    table = _table()
+    home = table.export(1)
+    if where == "foreign":
+        descriptor = RemoteRefDescriptor(EndpointAddr("10.0.0.9", 7099), home.id)
+    else:
+        descriptor = RemoteRefDescriptor(table.self_endpoint, ObjectId(42, 999))
+    with pytest.raises(UnknownObjectError,
+                       match=f"no hosted value under id {descriptor.id} at {descriptor.endpoint}"):
+        table.rebind("x", descriptor)
+    with pytest.raises(NotFoundError, match="no binding named 'x'"):
+        table.lookup("x")

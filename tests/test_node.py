@@ -691,3 +691,19 @@ def test_map_pipelines_match_the_eager_oracle(loop_pair):
         for stage in stages_for_ops(ops):
             handle = handle.map(stage)
         assert handle.get() == run_int_pipeline(ops, x)
+
+
+@pytest.mark.parametrize("kind", ["local", "loopback", "tcp"])
+def test_a_bare_capture_is_refused_before_any_frame(kind):
+    server, client = _pair("loopback" if kind == "local" else kind)
+    try:
+        handle = client.apply(5) if kind == "local" else client.export_to(server.endpoint, 5)
+        before = client.transport.request_frames
+        with pytest.raises(ValueError, match="must be an InlineValue or a RemoteRef, got 3"):
+            handle.map(Stage("add", (3,)))
+        with pytest.raises(ValueError, match="must be an InlineValue or a RemoteRef"):
+            handle.map(Stage("pair_equals_outer", (handle,)))
+        assert client.transport.request_frames == before
+    finally:
+        client.close()
+        server.close()

@@ -160,6 +160,14 @@ def test_stage_requires_fn_id():
         Stage("")
 
 
+@pytest.mark.parametrize("capture", [3, None, "x", PlainValue(3)])
+def test_stage_refuses_a_capture_of_no_capture_kind(capture):
+    with pytest.raises(ValueError, match="must be an InlineValue or a RemoteRef"):
+        Stage("add", (capture,))
+    with pytest.raises(ValueError, match="must be an InlineValue or a RemoteRef"):
+        Stage("add", (InlineValue(1), capture))
+
+
 def test_pipeline_requires_stages():
     with pytest.raises(ValueError):
         ShippedFn(())

@@ -75,7 +75,15 @@ class ProtocolError(RemoteError):
 
 
 class TransportError(Exception):
-    """Connection-level failure (refused, reset, closed mid-frame). Not a wire code."""
+    """Connection-level failure (refused, reset, closed mid-frame). Not a wire code.
+
+    ``endpoint`` is the peer that a failed call was addressed to, when the
+    failure is a call's; transports name it in the text too.
+    """
+
+    def __init__(self, text: str, endpoint: object = None) -> None:
+        super().__init__(text)
+        self.endpoint = endpoint
 
 
 _ERRORS_BY_CODE: dict[int, type[RemoteError]] = {c.code: c for c in RemoteError.__subclasses__()}

@@ -21,6 +21,18 @@ from .errors import NotFoundError, UnknownObjectError
 MAX_PORT = 65535
 _MAX_SERIAL = 2**64 - 1
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _built(cls: type, attributes: dict) -> Any:
+    """An instance of frozen dataclass ``cls`` holding ``attributes``, made
+    without running its __init__ or __post_init__: for fields the caller has
+    already checked."""
+    instance = _new(cls)
+    _set(instance, "__dict__", attributes)
+    return instance
+
 
 @dataclass(frozen=True)
 class EndpointAddr:
@@ -138,13 +150,18 @@ class HostTable:
     serialization. ``rebind`` and ``lookup`` answer the requests they are
     named after. Every operation takes the one lock once, so each is safe
     under concurrent request handlers.
+
+    Entries and bindings are keyed by serial alone: every lookup first checks
+    that the id's incarnation is this table's, so an id of another
+    incarnation misses as if its serial were unknown.
     """
 
     def __init__(self, self_endpoint: EndpointAddr, incarnation: int) -> None:
+        ObjectId(incarnation, 1)  # refuses an incarnation out of range, once for every id
         self.self_endpoint = self_endpoint
         self.incarnation = incarnation
-        self._entries: dict[ObjectId, HostedValue] = {}
-        self._names: dict[str, ObjectId] = {}
+        self._entries: dict[int, HostedValue] = {}
+        self._names: dict[str, int] = {}
         self._next_serial = 1
         self._lock = threading.Lock()
 
@@ -152,7 +169,9 @@ class HostTable:
         """Store a value under a fresh id. The value need not be serializable.
 
         Serials strictly increase and are never reused. An ``Encoded`` value
-        is stored as its bytes, decoded on first read.
+        is stored as its bytes, decoded on first read. The id and descriptor
+        skip their constructors: the incarnation was checked once, and the
+        serial is in range here.
         """
         entry = HostedValue(value)
         with self._lock:
@@ -160,9 +179,8 @@ class HostTable:
             if serial > _MAX_SERIAL:
                 raise OverflowError("object id serial space exhausted")
             self._next_serial = serial + 1
-            object_id = ObjectId(self.incarnation, serial)
-            self._entries[object_id] = entry
-        return RemoteRefDescriptor(self.self_endpoint, object_id)
+            self._entries[serial] = entry
+        return self._descriptor(serial)
 
     def resolve_local(self, descriptor: RemoteRefDescriptor) -> Optional[HostedValue]:
         """Return the entry itself when the descriptor is home, else None.
@@ -176,7 +194,7 @@ class HostTable:
 
     def entry(self, object_id: ObjectId) -> Optional[HostedValue]:
         with self._lock:
-            return self._entries.get(object_id)
+            return self._get(object_id)
 
     def require(self, object_id: ObjectId) -> HostedValue:
         with self._lock:
@@ -193,22 +211,32 @@ class HostTable:
     def rebind(self, name: str, descriptor: RemoteRefDescriptor) -> None:
         """Bind ``name`` to a value hosted here; a foreign or unknown one is refused."""
         with self._lock:
-            if descriptor.endpoint != self.self_endpoint or descriptor.id not in self._entries:
+            if descriptor.endpoint != self.self_endpoint or self._get(descriptor.id) is None:
                 raise UnknownObjectError(
                     f"no hosted value under id {descriptor.id} at {descriptor.endpoint}"
                 )
-            self._names[name] = descriptor.id
+            self._names[name] = descriptor.id.serial
 
     def lookup(self, name: str) -> RemoteRefDescriptor:
         with self._lock:
-            object_id = self._names.get(name)
-        if object_id is None:
+            serial = self._names.get(name)
+        if serial is None:
             raise NotFoundError(f"no binding named {name!r}")
-        return RemoteRefDescriptor(self.self_endpoint, object_id)
+        return self._descriptor(serial)
+
+    def _descriptor(self, serial: int) -> RemoteRefDescriptor:
+        object_id = _built(ObjectId, {"incarnation": self.incarnation, "serial": serial})
+        return _built(RemoteRefDescriptor, {"endpoint": self.self_endpoint, "id": object_id})
+
+    def _get(self, object_id: ObjectId) -> Optional[HostedValue]:
+        """The entry under ``object_id``, or None; the caller holds the lock."""
+        if object_id.incarnation != self.incarnation:
+            return None
+        return self._entries.get(object_id.serial)
 
     def _find(self, object_id: ObjectId) -> HostedValue:
         """The entry under ``object_id``; the caller holds the lock."""
-        found = self._entries.get(object_id)
+        found = self._get(object_id)
         if found is None:
             raise UnknownObjectError(f"no hosted value under id {object_id}")
         return found

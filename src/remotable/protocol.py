@@ -57,19 +57,22 @@ capture that is not an rv1 value ending exactly at its payload's end is named
 by reading its payload alone, so offsets inside a capture's value count from
 its payload's start. Decoded objects are built without running their
 dataclass constructors (_built), since the readers have already checked what
-those constructors would.
+those constructors would. A pipeline that decodes is remembered by its bytes
+(see _PIPELINES), so a host that is sent the same pipeline again looks it up
+instead of reading it.
 """
 from __future__ import annotations
 
 import struct
 import sys
+import threading
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, NoReturn, Union
 
 from .errors import NotSerializableError, ProtocolError
-from .model import EndpointAddr, ObjectId, RemoteRefDescriptor
+from .model import EndpointAddr, ObjectId, RemoteRefDescriptor, _built
 from .shipping import InlineValue, RemoteRef, ShippedFn, Stage
 
 CODEC_RV1 = "rv1"
@@ -84,6 +87,10 @@ MAX_LIST_DEPTH = 100
 BULK_MIN_FIXED = 8
 # Distinct endpoint texts the decoder remembers before it starts over.
 ENDPOINT_CACHE_MAX = 256
+# Bytes of decoded pipelines the decoder remembers before it starts over. A
+# budget in bytes, not in entries, so that pipelines with large captures
+# cannot pin large amounts of memory; a longer pipeline is never kept.
+PIPELINE_CACHE_BYTES = 1 << 16
 
 TAG_INT = 0x01
 TAG_FLOAT = 0x02
@@ -116,19 +123,6 @@ class ValuePayload:
 
     codec_id: str
     data: bytes
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _built(cls: type, attributes: dict) -> Any:
-    """An instance of frozen dataclass ``cls`` holding ``attributes``, made
-    without running its __init__ or __post_init__: for decoded fields the
-    reader has already checked."""
-    instance = _new(cls)
-    _set(instance, "__dict__", attributes)
-    return instance
 
 
 # --------------------------------------------------------------------------
@@ -590,7 +584,33 @@ def _bad_capture(buf: bytes, pos: int, index: int, ci: int) -> NoReturn:
     raise ProtocolError(f"{where}: bad inline capture at offset {pos}")
 
 
+# Pipelines already decoded, keyed by their bytes, with the size of those
+# keys; emptied when the next one would pass PIPELINE_CACHE_BYTES. Only
+# successes are stored, so a bad pipeline fails the same way every time, and
+# only pipelines whose inline captures hold no list, so no request is handed
+# a mutable object that another request also holds.
+_PIPELINES: dict[bytes, ShippedFn] = {}
+_pipelines_size = 0
+_PIPELINES_LOCK = threading.Lock()
+
+
+def _remember_pipeline(key: bytes, pipeline: ShippedFn) -> None:
+    global _pipelines_size
+    with _PIPELINES_LOCK:
+        if _pipelines_size + len(key) > PIPELINE_CACHE_BYTES:
+            _PIPELINES.clear()
+            _pipelines_size = 0
+        _PIPELINES[key] = pipeline
+        _pipelines_size += len(key)
+
+
 def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
+    # A pipeline is the last field of its body, so the rest of the body is
+    # its key; a body with trailing bytes has another key, and misses.
+    key = buf[pos:]
+    known = _PIPELINES.get(key)
+    if known is not None:
+        return known, len(buf)
     count, pos = _unpack(_U16, buf, pos)
     if count == 0:
         raise ProtocolError(f"empty pipeline at offset {pos - 2}")
@@ -598,6 +618,7 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
     u16 = _U16.unpack_from
     u32 = _U32.unpack_from
     stages = []
+    shareable = True
     for index in range(count):
         try:
             tag, length = text_head(buf, pos)
@@ -624,6 +645,8 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
                 if end != pos + 10 + size:
                     _bad_capture(buf, pos, index, ci)
                 pos = end
+                if type(value) is list:
+                    shareable = False
                 captures.append(_built(InlineValue, {"value": value, "origin": None}))
             elif pos < len(buf) and buf[pos] == _CAPTURE_REF:
                 descriptor, pos = _take_descriptor(buf, pos + 1)
@@ -631,7 +654,10 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
             else:
                 _bad_capture(buf, pos, index, ci)
         stages.append(_built(Stage, {"fn_id": fn_id, "captures": tuple(captures)}))
-    return _built(ShippedFn, {"stages": tuple(stages)}), pos
+    pipeline = _built(ShippedFn, {"stages": tuple(stages)})
+    if shareable and pos == len(buf) and len(key) <= PIPELINE_CACHE_BYTES:
+        _remember_pipeline(key, pipeline)
+    return pipeline, pos
 
 
 # Field codecs, each a (put, take) pair.

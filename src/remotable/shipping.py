@@ -19,7 +19,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol, Union
 
-from .errors import ContractViolationError, ExecutionError, RemoteError, UnknownFunctionError
+from .errors import (
+    ContractViolationError,
+    ExecutionError,
+    RemoteError,
+    TransportError,
+    UnknownFunctionError,
+)
 from .model import ObjectId, RemoteRefDescriptor
 
 
@@ -221,7 +227,8 @@ def evaluate(registry: FnRegistry, pipeline: ShippedFn, subject: Any, ctx: EvalC
     stage's subject. The final stage's result is returned as-is; whether it
     must be plain or remote is the caller's (map vs flatMap) contract. Bodies
     raising anything other than a wire-mapped error are folded into
-    ExecutionError with a textual cause.
+    ExecutionError with a textual cause; a TransportError, a nested call's
+    lost peer, gets the fixed prefix ``<fn_id>: lost peer <endpoint>:``.
     """
     value = subject
     last = len(pipeline.stages) - 1
@@ -237,6 +244,8 @@ def evaluate(registry: FnRegistry, pipeline: ShippedFn, subject: Any, ctx: EvalC
             result = registration.body(value, args, ctx)
         except RemoteError:
             raise
+        except TransportError as exc:
+            raise ExecutionError(f"{stage.fn_id}: lost peer {exc.endpoint}: {exc}") from exc
         except Exception as exc:
             raise ExecutionError(f"{stage.fn_id}: {exc}") from exc
         if position == last:

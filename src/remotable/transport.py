@@ -9,7 +9,9 @@ TCP client reads its replies with it and a TCP host its requests.
 The loopback transport routes frames between nodes registered in one
 LoopbackNetwork, with an optional injected per-call delay for latency
 experiments. Every transport counts its outbound request frames by message
-variant, which is how the deferred-application economy is measured.
+variant, which is how the deferred-application economy is measured. A closed
+transport refuses every call, and a TransportError raised by a call names the
+endpoint it was addressed to.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ class Transport:
     def __init__(self) -> None:
         self.frame_counts: Counter[str] = Counter()
         self._count_lock = threading.Lock()
+        self._closed = False
 
     def _count(self, message: Message) -> None:
         with self._count_lock:
@@ -49,7 +52,11 @@ class Transport:
         raise NotImplementedError
 
     def close(self) -> None:
-        pass
+        self._closed = True
+
+
+def _refused(endpoint: EndpointAddr) -> TransportError:
+    return TransportError(f"transport closed: no call to {endpoint}", endpoint)
 
 
 class LoopbackNetwork:
@@ -80,7 +87,7 @@ class LoopbackNetwork:
         with self._lock:
             dispatcher = self._dispatchers.get(endpoint)
         if dispatcher is None:
-            raise TransportError(f"no host attached at {endpoint}")
+            raise TransportError(f"no host attached at {endpoint}", endpoint)
         return dispatcher(frame)
 
 
@@ -93,6 +100,8 @@ class LoopbackTransport(Transport):
         self.delay = delay
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
+        if self._closed:
+            raise _refused(endpoint)
         frame = encode_message(message)
         self._count(message)
         if self.delay > 0:
@@ -154,11 +163,15 @@ class TcpTransport(Transport):
                 (endpoint.host, endpoint.port), timeout=_CONNECT_TIMEOUT_S
             )
         except OSError as exc:
-            raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
+            raise TransportError(f"cannot connect to {endpoint}: {exc}", endpoint) from exc
         conn.settimeout(None)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._connections[endpoint] = conn
-        return conn
+        with self._pool_lock:
+            if not self._closed:
+                self._connections[endpoint] = conn
+                return conn
+        conn.close()  # the transport was closed while this one connected
+        raise _refused(endpoint)
 
     def _drop(self, endpoint: EndpointAddr, conn: socket.socket) -> None:
         """Forget ``conn`` if it is still the endpoint's connection, and end it.
@@ -176,6 +189,8 @@ class TcpTransport(Transport):
         conn.close()
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
+        if self._closed:
+            raise _refused(endpoint)
         frame = encode_message(message)
         with self._lock_for(endpoint):
             conn = self._connection(endpoint)
@@ -185,13 +200,13 @@ class TcpTransport(Transport):
                 response = read_frame(conn)
             except (OSError, TransportError) as exc:
                 self._drop(endpoint, conn)
-                if isinstance(exc, TransportError):
-                    raise
-                raise TransportError(f"call to {endpoint} failed: {exc}") from exc
+                raise TransportError(f"call to {endpoint} failed: {exc}", endpoint) from exc
         return decode_frame(response)
 
     def close(self) -> None:
+        """Refuse every later call and end every open connection."""
         with self._pool_lock:
+            self._closed = True
             connections = list(self._connections.items())
         for endpoint, conn in connections:
             self._drop(endpoint, conn)

@@ -337,6 +337,36 @@ def test_client_reserves_no_memory_for_a_reply_header_it_never_gets_the_body_of(
     assert peak < 8 * 2**20
 
 
+def test_every_tcp_transport_error_names_its_endpoint():
+    transport = TcpTransport()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def peer():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)  # the request, answered by hanging up
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        hung_up = EndpointAddr(*listener.getsockname())
+        try:
+            with pytest.raises(TransportError) as mid_frame:
+                transport.call(hung_up, Get(ObjectId(1, 1)))
+        finally:
+            thread.join(timeout=5)
+    with socket.create_server(("127.0.0.1", 0)) as unused:
+        refusing = EndpointAddr(*unused.getsockname())  # closed below, so nothing listens
+    with pytest.raises(TransportError) as refused:
+        transport.call(refusing, Get(ObjectId(1, 1)))
+    transport.close()
+    with pytest.raises(TransportError) as closed:
+        transport.call(hung_up, Get(ObjectId(1, 1)))
+    for caught, endpoint, text in [(mid_frame, hung_up, "call to {} failed: connection closed mid-frame"),
+                                   (refused, refusing, "cannot connect to {}: "),
+                                   (closed, hung_up, "transport closed: no call to {}")]:
+        assert caught.value.endpoint == endpoint
+        assert str(caught.value).startswith(text.format(endpoint))
+
+
 def test_concurrent_clients_get_distinct_results(tcp_node):
     subject = tcp_node.table.export(100)
 

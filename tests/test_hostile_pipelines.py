@@ -75,6 +75,15 @@ def test_corrupted_pipeline_outcomes_are_pinned(name):
     assert {kind for kind, _ in outcomes.values()} <= {"ok", ProtocolError.__name__}
 
 
+@pytest.mark.parametrize("name", PIPELINE_SAMPLES)
+def test_corrupted_pipeline_outcomes_hold_when_decoded_again(name):
+    # the second decoding meets every pipeline the first ones remembered, so a
+    # fault must still be found and named where it is, at the same offset
+    golden = _golden()
+    for case, frame in _cases(name):
+        assert outcome(frame) == outcome(frame) == golden[case], case
+
+
 # Faults that no corruption above reaches, forged into the two-capture ``add``
 # frame below. Body offsets: stage count 17, fn id 19, capture 0 at 29 (codec
 # name length 30, payload length 35, value 39), capture 1 at 48, end 67.

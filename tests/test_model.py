@@ -110,6 +110,36 @@ def test_resolve_local_misses_other_incarnation():
     assert table.resolve_local(stale) is None
 
 
+def test_an_id_of_another_incarnation_misses_though_its_serial_is_live():
+    table = _table()
+    live = table.export(7)
+    foreign_id = ObjectId(43, live.id.serial)
+    foreign = RemoteRefDescriptor(table.self_endpoint, foreign_id)
+    assert table.resolve_local(foreign) is None
+    assert table.entry(foreign_id) is None
+    for operation in (table.count, table.require):
+        with pytest.raises(UnknownObjectError, match=f"^no hosted value under id {foreign_id}$"):
+            operation(foreign_id)
+    with pytest.raises(UnknownObjectError, match=f"^no hosted value under id {foreign_id} at "):
+        table.rebind("n", foreign)
+    assert table.count(live.id) == (0, 0)
+
+
+def test_exported_ids_equal_and_hash_as_constructed_ones():
+    table = _table()
+    descriptor = table.export(7)
+    assert descriptor == RemoteRefDescriptor(table.self_endpoint, ObjectId(42, 1))
+    assert hash(descriptor.id) == hash(ObjectId(42, 1))
+    table.rebind("n", descriptor)
+    assert table.lookup("n") == descriptor
+
+
+@pytest.mark.parametrize("incarnation", [-1, 2**64])
+def test_table_refuses_an_incarnation_out_of_range(incarnation):
+    with pytest.raises(ValueError, match="incarnation"):
+        HostTable(EndpointAddr("127.0.0.1", 7099), incarnation)
+
+
 def test_counters_accumulate():
     table = _table()
     descriptor = table.export(7)

@@ -11,7 +11,8 @@ where a node holds one connection and one lock per endpoint for a whole call:
 
 The TCP cases are strict xfails, so they flip when the transport stops
 holding its endpoint for a whole call. Whatever the transport, closing the
-nodes must end such a call with a typed error, not leave it blocked.
+nodes must end such a call with a typed error, not leave it blocked; a body
+whose nested call lost its peer says which peer it lost.
 """
 import threading
 from functools import partial
@@ -19,6 +20,7 @@ from functools import partial
 import pytest
 
 from remotable import (
+    ExecutionError,
     LoopbackNetwork,
     Node,
     RemoteError,
@@ -133,3 +135,30 @@ def test_closing_the_nodes_ends_a_blocked_nested_call(shape):
     worker.join(RETURNS_S)
     assert not worker.is_alive(), f"{shape} still blocked {RETURNS_S} s after closing the nodes"
     assert isinstance(out.get("error"), (RemoteError, TransportError)), out
+    if shape == "x_y_x_y":
+        # Closing X ends the body at Y's nested call to X, and Y's reply names
+        # X as lost; if X's own transport is closed before that reply arrives,
+        # X's call fails first, naming Y.
+        x, y = nodes
+        error = out["error"]
+        if isinstance(error, TransportError):
+            assert error.endpoint == y.endpoint, out
+        else:
+            assert isinstance(error, ExecutionError), out
+            assert str(error).startswith(f"bounce: lost peer {x.endpoint}: "), out
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_body_whose_nested_call_loses_its_peer_names_that_peer(kind):
+    # X flat_maps a value at Y whose body calls Z, which is closed by then
+    x, y, z = _nodes(kind, 3)
+    try:
+        a = x.export_to(y.endpoint, 1)
+        gone = x.export_to(z.endpoint, 5)
+        back = x.export_to(y.endpoint, 5)
+        z.close()
+        with pytest.raises(ExecutionError) as caught:
+            a.flat_map(x.stage("bounce", gone, back)).get()
+        assert str(caught.value).startswith(f"bounce: lost peer {z.endpoint}: "), caught.value
+    finally:
+        _close([x, y, z])

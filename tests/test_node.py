@@ -20,12 +20,14 @@ from remotable import (
     NotFoundError,
     NotSerializableError,
     ObjectId,
+    PlainValue,
     ProtocolError,
     RemoteError,
     RemoteRefDescriptor,
     RemoteValue,
     ShippedFn,
     Stage,
+    TransportError,
     UnknownFunctionError,
     UnknownObjectError,
     default_registry,
@@ -297,6 +299,80 @@ def test_stale_incarnation_is_a_miss_not_a_wrong_value(loop_pair):
     )
     with pytest.raises(UnknownObjectError):
         client._materialize(wrong).get()
+
+
+@pytest.mark.parametrize("pair", ["loop_pair", "tcp_pair"])
+def test_an_id_of_another_incarnation_misses_on_every_request(request, pair):
+    server, client = request.getfixturevalue(pair)
+    live = client.export_to(server.endpoint, 5)
+    foreign_id = ObjectId((live.descriptor.id.incarnation + 1) % 2**64, live.descriptor.id.serial)
+    foreign = RemoteRefDescriptor(server.endpoint, foreign_id)
+    assert server.table.resolve_local(foreign) is None
+    handle = client._materialize(foreign)
+    missing = re.escape(f"no hosted value under id {foreign_id}")
+    for request_of in [
+        handle.get,  # Get
+        lambda: handle.map(client.stage("inc")),  # Map
+        lambda: handle.flat_map(client.stage("pure")),  # FlatMap
+        handle.stats,  # Stats
+    ]:
+        with pytest.raises(UnknownObjectError, match=f"^{missing}$"):
+            request_of()
+    with pytest.raises(UnknownObjectError, match=f"^{missing} at {re.escape(str(server.endpoint))}$"):
+        client.rebind("n", handle)
+    assert live.get() == 5
+    assert live.stats() == (1, 1)
+
+
+def _append_one(subject, args, ctx):
+    args[0].append(1)
+    return PlainValue(len(args[0]))
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_body_that_mutates_its_list_capture_gets_a_fresh_list_each_time(kind):
+    registry = default_registry()
+    registry.register("append_one", 1, _append_one)
+    make = partial(Node.loopback, LoopbackNetwork()) if kind == "loopback" else Node.tcp
+    server, client = make(registry=registry), make(registry=registry)
+    try:
+        subject = client.export_to(server.endpoint, 0)
+        stage = client.stage("append_one", [7, 8])
+        # the same pipeline bytes, shipped twice
+        assert [subject.map(stage).get() for _ in range(2)] == [3, 3]
+        assert stage.captures[0].value == [7, 8]
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_closed_node_refuses_every_call_and_opens_no_connection(kind):
+    make = partial(Node.loopback, LoopbackNetwork()) if kind == "loopback" else Node.tcp
+    server, client = make(), make()
+    try:
+        handle = client.export_to(server.endpoint, 5)
+        client.close()
+        calls = [
+            handle.get,
+            lambda: handle.map(client.stage("inc")),
+            lambda: handle.flat_map(client.stage("pure")),
+            handle.stats,
+            lambda: client.rebind("n", handle),
+            lambda: client.lookup(server.endpoint, "n"),
+            lambda: client.export_to(server.endpoint, 6),
+        ]
+        refused = f"^transport closed: no call to {re.escape(str(server.endpoint))}$"
+        for call in calls:
+            with pytest.raises(TransportError, match=refused) as caught:
+                call()
+            assert caught.value.endpoint == server.endpoint
+        assert client.transport.frame_counts == Counter({"Export": 1})
+        if kind == "tcp":
+            assert client.transport._connections == {}
+    finally:
+        client.close()
+        server.close()
 
 
 # -- the serialization counter ------------------------------------------------------

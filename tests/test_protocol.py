@@ -634,6 +634,80 @@ def test_endpoint_memo_under_concurrent_threads():
     assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
 
 
+# -- the pipeline memo --------------------------------------------------------
+
+
+def _map_frame(*captures, target=ObjectId(0xAB, 7)):
+    stage = Stage("add", tuple(map(InlineValue, captures)))
+    return encode_message(Map(target, ShippedFn((stage,))))
+
+
+def test_a_pipeline_sent_again_is_looked_up_not_read():
+    first = decode_frame(_map_frame(3)).fn
+    assert decode_frame(_map_frame(3)).fn is first
+    # the key is the pipeline's bytes: another target shares it
+    assert decode_frame(_map_frame(3, target=ObjectId(1, 2))).fn is first
+
+
+def test_a_pipeline_with_a_list_capture_is_read_afresh_each_time():
+    frame = _map_frame([[1], [2]], 4)
+    first, second = decode_frame(frame).fn, decode_frame(frame).fn
+    assert first == second
+    assert first.stages[0].captures[0].value is not second.stages[0].captures[0].value
+    assert first.stages[0].captures[0].value[1] is not second.stages[0].captures[0].value[1]
+
+
+def test_a_remembered_pipeline_with_trailing_bytes_is_still_refused():
+    frame = _map_frame(3)
+    remembered = decode_frame(frame).fn
+    body = frame[4:] + b"\x00\x01"
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match=r"^2 unconsumed bytes inside frame body$"):
+            decode_frame(len(body).to_bytes(4, "big") + body)
+    assert decode_frame(frame).fn is remembered
+
+
+def test_pipeline_memo_stays_within_its_byte_budget():
+    for operand in range(10_000):  # enough to empty the memo twice
+        assert decode_frame(_map_frame(operand)).fn.stages[0].captures[0].value == operand
+        assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
+    assert protocol._pipelines_size == sum(map(len, protocol._PIPELINES))
+    # a pipeline longer than the whole budget is never kept
+    long_text = "x" * protocol.PIPELINE_CACHE_BYTES
+    frame = _map_frame(long_text)
+    assert decode_frame(frame).fn is not decode_frame(frame).fn
+    assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
+
+
+def test_pipeline_memo_under_concurrent_threads():
+    # as the endpoint memo's test above: clears race with reads and stores
+    errors = []
+    per_thread = protocol.PIPELINE_CACHE_BYTES // 16
+
+    def worker(offset):
+        try:
+            for operand in range(offset, offset + per_thread):
+                if decode_frame(_map_frame(operand)).fn.stages[0].captures[0].value != operand:
+                    errors.append(operand)
+        except Exception as exc:  # reported below, so a crash fails the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(10**6 * i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert protocol._pipelines_size == sum(map(len, protocol._PIPELINES))
+    assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
+
+
 def test_decoding_a_long_int_list_keeps_no_spare_copy():
     value = list(range(100_000))
     payload = encode_value(value)

@@ -18,6 +18,7 @@ from remotable import (
     RemoteValue,
     ShippedFn,
     Stage,
+    TransportError,
     UnknownFunctionError,
     compose,
     default_registry,
@@ -236,6 +237,22 @@ def test_body_exception_becomes_execution_error():
     registry.register("boom", 0, lambda s, a, c: 1 // 0)
     with pytest.raises(ExecutionError, match="boom"):
         evaluate(registry, _pipeline(Stage("boom")), 5, _StubCtx())
+
+
+def test_a_lost_peer_in_a_body_is_named_with_a_fixed_prefix():
+    registry = FnRegistry()
+    peer = EndpointAddr("10.0.0.2", 7099)
+
+    def nested(subject, args, ctx):
+        raise TransportError(f"call to {peer} failed: connection closed mid-frame", peer)
+
+    registry.register("nested", 0, nested)
+    with pytest.raises(ExecutionError) as caught:
+        evaluate(registry, _pipeline(Stage("nested")), 5, _StubCtx())
+    assert str(caught.value) == (
+        "nested: lost peer 10.0.0.2:7099: call to 10.0.0.2:7099 failed: connection closed mid-frame"
+    )
+    assert isinstance(caught.value.__cause__, TransportError)
 
 
 def test_body_returning_bare_value_is_a_contract_violation():

@@ -30,7 +30,6 @@ from .shipping import (
     RemoteValue,
     ShippedFn,
     Stage,
-    compose,
     evaluate,
 )
 from .transport import LoopbackNetwork, LoopbackTransport, TcpTransport
@@ -72,7 +71,6 @@ __all__ = [
     "UnknownFunctionError",
     "UnknownObjectError",
     "canonical_text",
-    "compose",
     "decode_message",
     "decode_value",
     "default_registry",

@@ -6,7 +6,7 @@ counters and the name bindings, or into an evaluation. ``Host.dispatch`` is
 its only request entry: the owning node's requests to itself reach it
 directly, and every frame reaches it through ``Host.handle_frame``, which the
 loopback fabric calls with each frame it delivers and the TCP server below
-with each frame it reads with ``transport.read_frame``. So a frame gets the
+with each frame a client's ``transport.Channel`` reads. So a frame gets the
 same reply on either transport.
 
 Request handling rules: every request gets exactly one response; request-level
@@ -17,7 +17,6 @@ connection, without disturbing other clients.
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 from typing import Any, Callable, Optional, Union
 
@@ -45,7 +44,7 @@ from .protocol import (
     encode_value,
 )
 from .shipping import FnRegistry, PlainValue, RemoteValue, evaluate
-from .transport import read_frame
+from .transport import Channel
 
 
 class Host:
@@ -158,100 +157,90 @@ def _error_reply(code: ErrorCode, text: str) -> RespError:
 _PROTOCOL_ERROR_HEAD = encode_message(_error_reply(ErrorCode.PROTOCOL_ERROR, ""))[4:6]
 
 
-class _HostTCPServer(socketserver.ThreadingTCPServer):
-    """Keeps its open connections, so that closing it ends them too.
-
-    ``socketserver`` ends each connection with ``shutdown_request``: SHUT_WR,
-    so the peer reads every reply, then ``close_request``.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-    remotable_host: Host
-
-    def __init__(self, address: tuple[str, int]) -> None:
-        super().__init__(address, _ConnectionHandler)
-        self.connections: Optional[set[socket.socket]] = set()  # None once closed
-        self.connections_lock = threading.Lock()
-
-    def verify_request(self, request: Any, client_address: Any) -> bool:
-        with self.connections_lock:
-            if self.connections is None:
-                return False  # closed: refused, then ended by shutdown_request
-            self.connections.add(request)
-        return True
-
-    def close_request(self, request: Any) -> None:
-        with self.connections_lock:
-            if self.connections is not None:
-                self.connections.discard(request)
-        super().close_request(request)
-
-    def close_connections(self) -> None:
-        """Refuse new connections and wake each open one's handler, which then ends it."""
-        with self.connections_lock:
-            connections, self.connections = self.connections or set(), None
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # the peer already ended it
-
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
+class _ConnectionHandler:
     """Per-connection loop: whole frames in, each answered by ``Host.handle_frame``.
 
-    Replies go out in request order. The connection closes after a
+    Replies go out in request order. The connection ends after a
     PROTOCOL_ERROR reply, when the peer closes it, or when a read or write
-    fails.
+    fails: SHUT_WR, so the peer still reads every reply, then close.
     """
 
+    def __init__(self, server: "TcpHostServer", host: Host, channel: Channel) -> None:
+        self.server = server
+        self.host = host
+        self.channel = channel
+
     def handle(self) -> None:
-        server: _HostTCPServer = self.server  # type: ignore[assignment]
-        host = server.remotable_host
-        conn = self.request
+        channel = self.channel
         try:
             while True:
-                reply = host.handle_frame(read_frame(conn))
-                conn.sendall(reply)
+                reply = self.host.handle_frame(channel.read())
+                channel.send(reply)
                 if reply[4:6] == _PROTOCOL_ERROR_HEAD:
                     return
         except (OSError, TransportError):
             return
+        finally:
+            self.server._forget(channel)
+            channel.close(socket.SHUT_WR)
 
 
 class TcpHostServer:
-    """Listening TCP front of one Host; binds eagerly, serves on a daemon thread.
+    """Listening TCP front of one Host; binds eagerly, accepts on a daemon thread.
 
     Binding to port 0 picks an ephemeral port; ``endpoint`` reports the actual
-    address, which is what goes into the host table and all descriptors.
+    address, which is what goes into the host table and all descriptors. Each
+    accepted connection is a Channel served on its own daemon thread; the
+    server keeps the open ones, so that shutting it down ends them too.
     """
 
     def __init__(self, bind_host: str, bind_port: int):
-        self._server = _HostTCPServer((bind_host, bind_port))
-        actual_host, actual_port = self._server.server_address[:2]
+        self._listener = socket.create_server((bind_host, bind_port))
+        actual_host, actual_port = self._listener.getsockname()[:2]
         self.endpoint = EndpointAddr(bind_host if bind_host else str(actual_host), actual_port)
+        self._channels: Optional[set[Channel]] = set()  # None once shut down
+        self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
 
     def start(self, host: Host) -> None:
-        self._server.remotable_host = host
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self._accept,
+            args=(host,),
             name=f"remotable-serve-{self.endpoint}",
             daemon=True,
         )
         self._thread.start()
 
+    def _accept(self, host: Host) -> None:
+        while self._channels is not None:
+            try:
+                channel = Channel(self._listener.accept()[0])
+            except OSError:
+                continue  # shut down, or a connection that failed as it was accepted
+            with self._lock:
+                if self._channels is None:
+                    channel.close()
+                    return
+                self._channels.add(channel)
+            handler = _ConnectionHandler(self, host, channel)
+            threading.Thread(target=handler.handle, daemon=True).start()
+
+    def _forget(self, channel: Channel) -> None:
+        with self._lock:
+            if self._channels is not None:
+                self._channels.discard(channel)
+
     def shutdown(self) -> None:
         """Stop listening and end every open connection; calls in them then fail."""
-        self._server.close_connections()
+        with self._lock:
+            channels, self._channels = self._channels or set(), None
+        for channel in channels:
+            channel.close()
         try:
-            # wakes serve_forever's select now rather than at its next poll
-            self._server.socket.shutdown(socket.SHUT_RDWR)
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept at once
         except OSError:
-            pass  # serve_forever then stops at its next poll, 0.5 s at most
-        self._server.shutdown()
-        self._server.server_close()
+            pass
+        self._listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -191,13 +191,19 @@ class Node:
         return node
 
     def close(self) -> None:
+        """Refuse every later call, then stop serving.
+
+        The transport closes first, so a call of this node's that waits on a
+        peer fails with its own TransportError naming that peer, whatever the
+        peer answers meanwhile.
+        """
+        self.transport.close()
         if self._server is not None:
             self._server.shutdown()
             self._server = None
         if self._loopback is not None:
             self._loopback.detach(self.endpoint)
             self._loopback = None
-        self.transport.close()
         with self._executor_lock:
             if self._executor is not None:
                 self._executor.shutdown(wait=False)

@@ -88,11 +88,6 @@ class ShippedFn:
         return cls((stage,))
 
 
-def compose(pipeline: ShippedFn, stage: Stage) -> ShippedFn:
-    """Append a stage; the input pipeline is unchanged (value semantics)."""
-    return ShippedFn(pipeline.stages + (stage,))
-
-
 @dataclass(frozen=True)
 class PlainValue:
     """Result of a map-position function: an ordinary value to re-host."""

@@ -3,8 +3,9 @@
 A transport delivers one encoded request frame to an endpoint and returns the
 endpoint's single response frame. Both implementations move real protocol
 bytes, so the codec is exercised identically whether traffic stays in process
-or crosses TCP. ``read_frame`` is the one reader of frames off a socket: the
-TCP client reads its replies with it and a TCP host its requests.
+or crosses TCP. A ``Channel`` is one connected TCP socket, at either end: the
+TCP client keeps one per endpoint and a TCP host one per client, and only a
+Channel writes, reads (with ``read_frame``) or shuts down its socket.
 
 The loopback transport routes frames between nodes registered in one
 LoopbackNetwork, with an optional injected per-call delay for latency
@@ -138,75 +139,81 @@ def read_frame(sock: socket.socket) -> bytes:
     return b"".join(header + _recv_chunks(sock, body_len))
 
 
+class Channel:
+    """One connected socket and the lock that its callers take for a call."""
+
+    __slots__ = ("sock", "lock")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.lock = threading.Lock()
+
+    def send(self, frame: bytes) -> None:
+        self.sock.sendall(frame)
+
+    def read(self) -> bytes:
+        return read_frame(self.sock)
+
+    def close(self, how: int = socket.SHUT_RDWR) -> None:
+        """Shut the socket down, which wakes a call blocked on it, then close it."""
+        try:
+            self.sock.shutdown(how)
+        except OSError:
+            pass  # the peer already reset it, or it is closed
+        self.sock.close()
+
+
 class TcpTransport(Transport):
-    """One TCP connection per endpoint, with calls serialized on it (no pool)."""
+    """One Channel per endpoint, with calls serialized on it (no pool)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._connections: dict[EndpointAddr, socket.socket] = {}
-        self._locks: dict[EndpointAddr, threading.Lock] = {}
-        self._pool_lock = threading.Lock()
+        self._channels: dict[EndpointAddr, Channel] = {}
+        self._lock = threading.Lock()
 
-    def _lock_for(self, endpoint: EndpointAddr) -> threading.Lock:
-        with self._pool_lock:
-            lock = self._locks.get(endpoint)
-            if lock is None:
-                lock = self._locks[endpoint] = threading.Lock()
-            return lock
-
-    def _connection(self, endpoint: EndpointAddr) -> socket.socket:
-        conn = self._connections.get(endpoint)
-        if conn is not None:
-            return conn
+    def _channel(self, endpoint: EndpointAddr) -> Channel:
+        channel = self._channels.get(endpoint)
+        if channel is not None:
+            return channel
         try:
-            conn = socket.create_connection(
+            sock = socket.create_connection(
                 (endpoint.host, endpoint.port), timeout=_CONNECT_TIMEOUT_S
             )
         except OSError as exc:
             raise TransportError(f"cannot connect to {endpoint}: {exc}", endpoint) from exc
-        conn.settimeout(None)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._pool_lock:
-            if not self._closed:
-                self._connections[endpoint] = conn
-                return conn
-        conn.close()  # the transport was closed while this one connected
-        raise _refused(endpoint)
-
-    def _drop(self, endpoint: EndpointAddr, conn: socket.socket) -> None:
-        """Forget ``conn`` if it is still the endpoint's connection, and end it.
-
-        Shutting it down first wakes a call blocked reading it; a bare close
-        would leave that call waiting on a silent peer.
-        """
-        with self._pool_lock:
-            if self._connections.get(endpoint) is conn:
-                del self._connections[endpoint]
-        try:
-            conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # the peer already reset it, or it never connected
-        conn.close()
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        fresh = Channel(sock)
+        with self._lock:
+            channel = None if self._closed else self._channels.setdefault(endpoint, fresh)
+        if channel is not fresh:
+            fresh.close()  # another caller's channel won, or the transport was closed
+            if channel is None:
+                raise _refused(endpoint)
+        return channel
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
         if self._closed:
             raise _refused(endpoint)
         frame = encode_message(message)
-        with self._lock_for(endpoint):
-            conn = self._connection(endpoint)
+        channel = self._channel(endpoint)
+        with channel.lock:
             self._count(message)
             try:
-                conn.sendall(frame)
-                response = read_frame(conn)
+                channel.send(frame)
+                response = channel.read()
             except (OSError, TransportError) as exc:
-                self._drop(endpoint, conn)
+                with self._lock:
+                    if self._channels.get(endpoint) is channel:
+                        del self._channels[endpoint]
+                channel.close()
                 raise TransportError(f"call to {endpoint} failed: {exc}", endpoint) from exc
         return decode_frame(response)
 
     def close(self) -> None:
-        """Refuse every later call and end every open connection."""
-        with self._pool_lock:
+        """Refuse every later call and end every open channel."""
+        with self._lock:
             self._closed = True
-            connections = list(self._connections.items())
-        for endpoint, conn in connections:
-            self._drop(endpoint, conn)
+            channels, self._channels = list(self._channels.values()), {}
+        for channel in channels:
+            channel.close()

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from remotable import (
     ShippedFn,
     Stage,
     TransportError,
+    UnknownObjectError,
     decode_message,
     decode_value,
     encode_message,
@@ -646,6 +648,48 @@ def test_closing_a_tcp_node_ends_the_connections_it_serves():
         with pytest.raises(TransportError):
             handle.map(client.stage("inc")).get()
         assert _threads_left(before, 1.0) == []
+    finally:
+        client.close()
+        server.close()
+
+
+def test_first_calls_that_race_to_connect_share_one_channel():
+    server = Node.tcp()
+    transport = TcpTransport()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            calls = [pool.submit(transport.call, server.endpoint, Lookup("missing"))
+                     for _ in range(32)]
+            replies = [call.result(timeout=10) for call in calls]
+        assert {reply.code for reply in replies} == {ErrorCode.NOT_FOUND}
+        assert list(transport._channels) == [server.endpoint]
+        # each losing connect was closed, so the host is left serving one channel
+        deadline = time.monotonic() + 2.0
+        while len(server._server._channels) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server._server._channels) == 1
+    finally:
+        sys.setswitchinterval(interval)
+        transport.close()
+        server.close()
+
+
+def test_a_host_restarted_on_its_port_binds_and_its_old_client_reconnects():
+    server, client = Node.tcp(), Node.tcp()
+    try:
+        handle = client.export_to(server.endpoint, 5)
+        assert handle.get() == 5  # the client's connection to the old host is open
+        server.close()
+        # the old host's connections linger in TIME_WAIT; the port binds anyway
+        server = Node.tcp(port=server.endpoint.port)
+        assert server.endpoint == handle.descriptor.endpoint
+        with pytest.raises(TransportError) as lost:
+            handle.get()  # on the connection the old host ended
+        assert lost.value.endpoint == server.endpoint
+        with pytest.raises(UnknownObjectError):
+            handle.get()  # a new connection, to a new incarnation
     finally:
         client.close()
         server.close()

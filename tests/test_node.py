@@ -248,9 +248,9 @@ def test_tcp_get_of_lone_surrogate_is_typed_and_the_connection_keeps_serving(tcp
     handle = client.lookup(server.endpoint, "bad")
     with pytest.raises(NotSerializableError):
         handle.get()
-    connection = client.transport._connections[server.endpoint]
+    channel = client.transport._channels[server.endpoint]
     assert client.lookup(server.endpoint, "good").get() == "ok"
-    assert client.transport._connections[server.endpoint] is connection
+    assert client.transport._channels[server.endpoint] is channel
 
 
 def test_export_of_lone_surrogate_fails_before_the_wire(loop_pair):
@@ -369,7 +369,7 @@ def test_a_closed_node_refuses_every_call_and_opens_no_connection(kind):
             assert caught.value.endpoint == server.endpoint
         assert client.transport.frame_counts == Counter({"Export": 1})
         if kind == "tcp":
-            assert client.transport._connections == {}
+            assert client.transport._channels == {}
     finally:
         client.close()
         server.close()
@@ -646,10 +646,10 @@ def test_body_error_text_always_reaches_the_caller(request, pair, message, shown
     with pytest.raises(ExecutionError, match=re.escape(shown)) as caught:
         subject.map(Stage("raise_message"))
     assert len(str(caught.value).encode("utf-8")) <= 0xFFFF
-    connections = getattr(client.transport, "_connections", {})  # TCP only
-    connection = connections.get(server.endpoint)
+    channels = getattr(client.transport, "_channels", {})  # TCP only
+    channel = channels.get(server.endpoint)
     assert subject.map(client.stage("inc")).get() == 6
-    assert connections.get(server.endpoint) is connection
+    assert channels.get(server.endpoint) is channel
 
 
 # -- existing functions, lifted unchanged -------------------------------------------

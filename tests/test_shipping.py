@@ -20,7 +20,6 @@ from remotable import (
     Stage,
     TransportError,
     UnknownFunctionError,
-    compose,
     default_registry,
     evaluate,
 )
@@ -172,20 +171,6 @@ def test_stage_refuses_a_capture_of_no_capture_kind(capture):
 def test_pipeline_requires_stages():
     with pytest.raises(ValueError):
         ShippedFn(())
-
-
-def test_compose_appends_without_mutating():
-    p1 = ShippedFn.single(Stage("inc"))
-    p2 = compose(p1, Stage("mul", (InlineValue(3),)))
-    assert [s.fn_id for s in p1.stages] == ["inc"]
-    assert [s.fn_id for s in p2.stages] == ["inc", "mul"]
-
-
-def test_compose_batches_like_repeated_appends():
-    s1, s2 = Stage("inc"), Stage("add", (InlineValue(2),))
-    one_by_one = compose(compose(ShippedFn.single(Stage("identity")), s1), s2)
-    batched = ShippedFn((Stage("identity"), s1, s2))
-    assert one_by_one == batched
 
 
 def test_resolve_captures_mixes_inline_and_refs():

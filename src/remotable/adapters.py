@@ -2,7 +2,8 @@
 
 ``AsyncHandle`` makes composition non-blocking: each map/flat_map schedules
 the underlying remote call on the node's worker pool and returns at once;
-results and errors alike materialize when the caller forces. A step whose
+results and errors alike materialize when the caller forces; a step composed
+after the node closes fails there with a TransportError. A step whose
 predecessor completed on a worker continues on that worker once the
 predecessor's other continuations have gone to the pool. ``DeferredHandle``
 goes the other way and does nothing at composition time: stages pile up on
@@ -16,6 +17,7 @@ from concurrent.futures import Future, InvalidStateError
 from functools import partial
 from typing import Any, Callable, Optional, Union
 
+from .errors import TransportError
 from .node import Node, RemoteHandle
 from .shipping import ShippedFn, Stage
 
@@ -84,8 +86,9 @@ class AsyncHandle:
                 return
             try:
                 self._node.executor.submit(_drive, run, prev)
-            except RuntimeError as exc:  # pool already shut down
-                nxt.set_exception(exc)
+            except RuntimeError:  # the node's pool ended with the node
+                where = self._node.endpoint
+                nxt.set_exception(TransportError(f"node {where} is closed: no step runs", where))
 
         self._future.add_done_callback(on_done)
         return nxt

@@ -161,15 +161,13 @@ _DEMO_BINDINGS_OFF = ["ra=int:5", "rb=int:7"]
 
 
 class _Emitter:
-    """Collects (experiment, key, value) records and prints them as asked."""
+    """Prints (experiment, key, value) records in the form asked for."""
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
-        self.records: list[tuple[str, str, str]] = []
 
     def emit(self, experiment: str, key: str, value: Any) -> None:
         text = canonical_text(value) if not isinstance(value, str) else value
-        self.records.append((experiment, key, text))
         if self.mode == "records":
             print(f"{experiment}\t{key}\t{text}", flush=True)
         else:

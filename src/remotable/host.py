@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from typing import Any, Callable, Optional, Union
 
 from .errors import ContractViolationError, ErrorCode, ProtocolError, RemoteError, TransportError
 from .model import EndpointAddr, Encoded, HostTable, ObjectId, RemoteRefDescriptor
 from .protocol import (
-    CODEC_RV1,
     Export,
     FlatMap,
     Get,
@@ -37,7 +37,6 @@ from .protocol import (
     RespStats,
     RespValue,
     Stats,
-    ValuePayload,
     check_value,
     decode_frame,
     encode_message,
@@ -79,14 +78,12 @@ class Host:
                 return RespDescriptor(self._pipeline(message))
             if isinstance(message, Get):
                 # the one place forcing requires a codec, unless the entry
-                # still holds the bytes its Export brought; a failed encode
+                # still holds the payload its Export brought; a failed encode
                 # counts nothing
                 entry = self.table.require(message.target)
-                data = entry.encoded
-                if data is None:
+                payload = entry.encoded
+                if payload is None:
                     payload = encode_value(entry.value)
-                else:
-                    payload = ValuePayload(CODEC_RV1, data)
                 self.table.count(message.target, 1, 1)
                 return RespValue(payload)
             if isinstance(message, Rebind):
@@ -95,9 +92,9 @@ class Host:
             if isinstance(message, Lookup):
                 return RespDescriptor(self.table.lookup(message.name))
             if isinstance(message, Export):
-                # checked, not built: the table keeps the bytes as sent
+                # checked, not built: the table keeps the payload as sent
                 check_value(message.payload)
-                return RespDescriptor(self.table.export(Encoded(message.payload.data)))
+                return RespDescriptor(self.table.export(Encoded(message.payload)))
             if isinstance(message, Stats):
                 return RespStats(*self.table.count(message.target))
             return RespError(
@@ -216,7 +213,11 @@ class TcpHostServer:
             try:
                 channel = Channel(self._listener.accept()[0])
             except OSError:
-                continue  # shut down, or a connection that failed as it was accepted
+                # shut down, or a failed accept; while open, pause 50 ms so an
+                # accept that keeps failing (no free descriptor, say) cannot spin
+                if self._channels is not None:
+                    time.sleep(0.05)
+                continue
             with self._lock:
                 if self._channels is None:
                     channel.close()

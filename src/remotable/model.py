@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import NotFoundError, UnknownObjectError
+
+if TYPE_CHECKING:
+    from .protocol import ValuePayload  # protocol imports model
 
 MAX_PORT = 65535
 _MAX_SERIAL = 2**64 - 1
@@ -84,27 +87,29 @@ class RemoteRefDescriptor:
 
 
 class Encoded:
-    """rv1 bytes handed to ``HostTable.export``, to be hosted as they are.
+    """A checked ``ValuePayload`` handed to ``HostTable.export``, to be hosted as it is.
 
     Internal to the host side: ``Host.dispatch`` wraps a validated Export
-    payload in it, so the table keeps the bytes and not a decoded copy.
+    payload in it, so the table keeps the payload, codec id and bytes, and
+    not a decoded copy. A body that returns a ``ValuePayload`` is hosted as
+    that object, never as unchecked bytes.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("payload",)
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
+    def __init__(self, payload: ValuePayload) -> None:
+        self.payload = payload
 
 
 _DECODE_LOCK = threading.Lock()
 
 
 class HostedValue:
-    """A table entry: the value, or its rv1 bytes, plus wire-traffic counters.
+    """A table entry: the value, or its encoded payload, plus wire-traffic counters.
 
-    An entry holds one form at a time. One exported from ``Encoded`` bytes
-    holds only those bytes, and ``encoded`` hands them to a Get as they are.
-    The first read of ``value`` decodes them once, under a lock all entries
+    An entry holds one form at a time. One exported from an ``Encoded``
+    payload holds only that payload, and ``encoded`` hands it to a Get as it
+    is. The first read of ``value`` decodes it once, under a lock all entries
     share, keeps the object and drops the bytes: every reader gets that same
     object, and a body that mutates it cannot leave stale bytes for a later
     Get. Decoding holds the interpreter lock throughout, so sharing the lock
@@ -120,10 +125,10 @@ class HostedValue:
 
     def __init__(self, value: Any) -> None:
         self._value = value
-        self.encoded: Optional[bytes] = None
+        self.encoded: Optional[ValuePayload] = None
         if type(value) is Encoded:
             self._value = None
-            self.encoded = value.data
+            self.encoded = value.payload
         self.serialization_count = 0
         self.get_count = 0
 
@@ -134,11 +139,11 @@ class HostedValue:
         return self._value
 
     def _decode(self) -> None:
-        from .protocol import CODEC_RV1, ValuePayload, decode_value  # protocol imports model
+        from .protocol import decode_value  # protocol imports model
 
         with _DECODE_LOCK:
             if self.encoded is not None:
-                self._value = decode_value(ValuePayload(CODEC_RV1, self.encoded))
+                self._value = decode_value(self.encoded)
                 self.encoded = None
 
 

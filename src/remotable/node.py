@@ -137,8 +137,10 @@ class Node:
         self.host = Host(self.table, self.registry, self._make_context)
         self._token_lock = threading.Lock()
         self._next_token_serial = 1
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
+        # built here, ended by close; its threads start on first use
+        self._executor = ThreadPoolExecutor(
+            max_workers=_ASYNC_WORKERS, thread_name_prefix=f"remotable-{endpoint.port}"
+        )
         self._server: Optional[TcpHostServer] = None
         self._loopback: Optional[LoopbackNetwork] = None
 
@@ -175,13 +177,12 @@ class Node:
         registry: Optional[FnRegistry] = None,
         locality_replacement: bool = True,
         rng: Optional[random.Random] = None,
-        delay: float = 0.0,
     ) -> "Node":
         """Join an in-process fabric; frames are real bytes, delivery is a call."""
         endpoint = network.allocate_endpoint()
         node = cls(
             endpoint,
-            LoopbackTransport(network, delay=delay),
+            LoopbackTransport(network),
             registry=registry,
             locality_replacement=locality_replacement,
             rng=rng,
@@ -191,11 +192,11 @@ class Node:
         return node
 
     def close(self) -> None:
-        """Refuse every later call, then stop serving.
+        """Refuse every later call, then stop serving and end the worker pool.
 
         The transport closes first, so a call of this node's that waits on a
         peer fails with its own TransportError naming that peer, whatever the
-        peer answers meanwhile.
+        peer answers meanwhile. A second close does nothing more.
         """
         self.transport.close()
         if self._server is not None:
@@ -204,10 +205,7 @@ class Node:
         if self._loopback is not None:
             self._loopback.detach(self.endpoint)
             self._loopback = None
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-                self._executor = None
+        self._executor.shutdown(wait=False)
 
     def __enter__(self) -> "Node":
         return self
@@ -249,13 +247,7 @@ class Node:
 
     @property
     def executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=_ASYNC_WORKERS,
-                    thread_name_prefix=f"remotable-{self.endpoint.port}",
-                )
-            return self._executor
+        return self._executor
 
     # -- building blocks ----------------------------------------------------
 

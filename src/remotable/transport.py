@@ -8,8 +8,7 @@ TCP client keeps one per endpoint and a TCP host one per client, and only a
 Channel writes, reads (with ``read_frame``) or shuts down its socket.
 
 The loopback transport routes frames between nodes registered in one
-LoopbackNetwork, with an optional injected per-call delay for latency
-experiments. Every transport counts its outbound request frames by message
+LoopbackNetwork. Every transport counts its outbound request frames by message
 variant, which is how the deferred-application economy is measured. A closed
 transport refuses every call, and a TransportError raised by a call names the
 endpoint it was addressed to.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from collections import Counter
 from typing import Callable
 
@@ -95,18 +93,15 @@ class LoopbackNetwork:
 class LoopbackTransport(Transport):
     """Frame delivery inside one process, silently re-entrant and deadlock-free."""
 
-    def __init__(self, network: LoopbackNetwork, delay: float = 0.0) -> None:
+    def __init__(self, network: LoopbackNetwork) -> None:
         super().__init__()
         self.network = network
-        self.delay = delay
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
         if self._closed:
             raise _refused(endpoint)
         frame = encode_message(message)
         self._count(message)
-        if self.delay > 0:
-            time.sleep(self.delay)
         return decode_frame(self.network.deliver(endpoint, frame))
 
 

@@ -2,13 +2,18 @@
 
 A pipeline is a flat [opcode, operand, opcode, operand, ...] list — the form
 the registered kleisli functions take as a single capture — and can be turned
-into shipped stages or run directly against the in-process oracle.
+into shipped stages or run directly against the in-process oracle. Also a
+way to make a loopback host slow, by stalling its entry on the fabric.
 """
+import time
 
 from remotable import InlineValue, Stage
 from remotable.funcs import OP_ADD, OP_INC, OP_MUL, run_int_pipeline
 
-__all__ = ["OP_ADD", "OP_INC", "OP_MUL", "run_int_pipeline", "stages_for_ops", "random_ops"]
+__all__ = [
+    "OP_ADD", "OP_INC", "OP_MUL", "run_int_pipeline", "stages_for_ops", "random_ops",
+    "stall_at_fabric",
+]
 
 
 def stages_for_ops(ops):
@@ -32,3 +37,13 @@ def random_ops(rng, min_len=0, max_len=5):
         opcode = rng.choice((OP_INC, OP_MUL, OP_ADD))
         ops.extend([opcode, rng.randint(-9, 9)])
     return ops
+
+
+def stall_at_fabric(network, node, seconds):
+    """Make each frame ``network`` delivers to ``node`` wait ``seconds`` before it is answered."""
+    def stalled(frame):
+        time.sleep(seconds)
+        return node.host.handle_frame(frame)
+
+    network.detach(node.endpoint)
+    network.attach(node.endpoint, stalled)

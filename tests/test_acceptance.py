@@ -47,7 +47,7 @@ from remotable.protocol import (
     Stats,
 )
 
-from helpers import random_ops, stages_for_ops
+from helpers import random_ops, stages_for_ops, stall_at_fabric
 
 HANDLE_SHAPE = re.compile(r"^remote\[endpoint=[^ ]+:\d+ id=[0-9a-f]{16}:\d+\]$")
 
@@ -229,10 +229,11 @@ def test_criterion_5_async_equivalence_and_non_blocking():
     # composition must return immediately even when every call stalls 200 ms
     network = LoopbackNetwork()
     server = Node.loopback(network)
-    slow_client = Node.loopback(network, delay=0.2)
+    slow_client = Node.loopback(network)
+    stall_at_fabric(network, server, 0.2)
     try:
         server.rebind("n", 1)
-        handle = slow_client.lookup(server.endpoint, "n")  # pays one delay up front
+        handle = slow_client.lookup(server.endpoint, "n")  # pays one stall up front
         wrapped = AsyncHandle.wrap(handle)
         started = time.perf_counter()
         for _ in range(10):

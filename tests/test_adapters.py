@@ -15,10 +15,11 @@ from remotable import (
     PlainValue,
     ShippedFn,
     Stage,
+    TransportError,
     UnknownFunctionError,
 )
 
-from helpers import random_ops, run_int_pipeline, stages_for_ops
+from helpers import random_ops, run_int_pipeline, stages_for_ops, stall_at_fabric
 
 
 # -- async ---------------------------------------------------------------------
@@ -102,10 +103,11 @@ def test_async_equals_sync_on_random_pipelines(loop_pair):
 def test_composition_does_not_wait_for_the_network():
     network = LoopbackNetwork()
     server = Node.loopback(network)
-    client = Node.loopback(network, delay=0.15)
+    client = Node.loopback(network)
+    stall_at_fabric(network, server, 0.15)
     try:
         server.rebind("n", 5)
-        handle = client.lookup(server.endpoint, "n")  # pays the delay once, eagerly
+        handle = client.lookup(server.endpoint, "n")  # pays the stall once, eagerly
         wrapped = AsyncHandle.wrap(handle)
         started = time.perf_counter()
         for _ in range(5):
@@ -259,6 +261,27 @@ def test_a_chain_composed_ahead_runs_on_one_worker():
     # predecessor on the same worker
     assert len(threads) == 10 and len(set(threads)) == 1
     assert threading.get_ident() not in threads
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_closed_node_runs_no_async_step(transport):
+    node = Node.tcp() if transport == "tcp" else Node.loopback(LoopbackNetwork())
+    handle = node.apply(5)
+    before = set(threading.enumerate())
+    assert AsyncHandle.wrap(handle).map(node.stage("inc")).force(5) == 6  # the pool has run
+    workers = set(threading.enumerate()) - before
+    node.close()
+    node.close()  # a second close is harmless
+    for worker in workers:
+        worker.join(5)  # an ended pool's idle workers exit
+        assert not worker.is_alive()
+    alive = set(threading.enumerate())
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match="is closed"):
+        AsyncHandle.wrap(handle).map(node.stage("inc")).force(5)
+    assert time.perf_counter() - started < 5
+    time.sleep(0.2)
+    assert set(threading.enumerate()) <= alive  # no worker was started for the step
 
 
 # -- deferred -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from remotable import (
     InlineValue,
     LoopbackNetwork,
     Node,
+    NotSerializableError,
     ObjectId,
     PlainValue,
     ProtocolError,
@@ -314,6 +316,40 @@ def test_closing_a_tcp_node_with_a_connected_client_returns_at_once():
         server.close()
 
 
+# Runs in a child process, so that only the child's own descriptor limit is lowered.
+_ACCEPT_WITHOUT_DESCRIPTORS = """
+import os, resource, socket, time
+from remotable import Node
+
+node = Node.tcp()
+client = socket.socket()
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+held = []
+try:
+    while True:
+        held.append(os.open(os.devnull, os.O_RDONLY))
+except OSError:
+    pass
+client.connect((node.endpoint.host, node.endpoint.port))  # accept has no descriptor for it
+time.sleep(0.1)
+started = time.process_time()
+time.sleep(1)
+print(time.process_time() - started, flush=True)
+for fd in held:
+    os.close(fd)
+client.close()
+node.close()
+"""
+
+
+def test_an_accept_that_keeps_failing_does_not_spin():
+    child = subprocess.run(
+        [sys.executable, "-c", _ACCEPT_WITHOUT_DESCRIPTORS], capture_output=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert float(child.stdout) < 0.25  # CPU seconds over one wall second
+
+
 def test_client_reserves_no_memory_for_a_reply_header_it_never_gets_the_body_of():
     claimed = 256 * 2**20  # the reply header's body length; no body follows
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -429,7 +465,7 @@ def test_export_then_get_answers_the_exported_bytes(shared_pair, value):
     exported = client.transport.call(server.endpoint, Export(payload))
     reply = client.transport.call(server.endpoint, Get(exported.descriptor.id))
     assert reply == RespValue(payload)
-    assert server.table.entry(exported.descriptor.id).encoded == payload.data  # not decoded
+    assert server.table.entry(exported.descriptor.id).encoded == payload  # not decoded
 
 
 def test_get_of_kept_bytes_counts_one_serialization_and_one_get(pair):
@@ -448,6 +484,17 @@ def test_get_after_a_map_encodes_the_decoded_object(pair):
     assert entry.encoded is None  # the bytes went when the map decoded them
     assert handle.get() == [1, 2, 7]  # the body's mutation, not the exported bytes
     assert handle.stats() == (1, 1)
+
+
+def test_a_body_that_returns_a_payload_is_hosted_as_that_object(pair):
+    server, client = pair
+    forged = ValuePayload(CODEC_RV1, b"\xff")  # not rv1: it must never reach a Get as bytes
+    server.registry.register("forge", 0, lambda subject, args, ctx: PlainValue(forged))
+    handle = client.export_to(server.endpoint, 1).map(Stage("forge"))
+    entry = server.table.entry(handle.descriptor.id)
+    assert entry.encoded is None and entry.value is forged
+    with pytest.raises(NotSerializableError):
+        handle.get()
 
 
 def _own_transport(client):
@@ -568,7 +615,7 @@ def _assert_export_checks_like_decode_value(node, payload):
     before = len(node.table)
     reply = node.host.dispatch(Export(payload))
     if expected is None:
-        assert node.table.entry(reply.descriptor.id).encoded == payload.data
+        assert node.table.entry(reply.descriptor.id).encoded == payload
     else:
         assert reply == expected, payload.data
         assert len(node.table) == before

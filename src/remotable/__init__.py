@@ -20,10 +20,11 @@ from .errors import (
 from .funcs import Token, canonical_text, default_registry, register_default_functions
 from .host import Host, TcpHostServer
 from .model import EndpointAddr, HostTable, ObjectId, RemoteRefDescriptor
-from .node import HostContext, Node, RemoteHandle
+from .node import Node, RemoteHandle
 from .protocol import DEFAULT_PORT, decode_message, decode_value, encode_message, encode_value
 from .shipping import (
     FnRegistry,
+    HostContext,
     InlineValue,
     PlainValue,
     RemoteRef,

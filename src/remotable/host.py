@@ -1,8 +1,10 @@
 """The serving side: dispatch protocol requests against a host table.
 
 A Host keeps no state of its own: it turns each request variant into the
-matching operation on its ``HostTable``, which owns the entries, their
-counters and the name bindings, or into an evaluation. ``Host.dispatch`` is
+matching operation on its node's ``HostTable``, which owns the entries, their
+counters and the name bindings, or into an evaluation: a Map or FlatMap runs
+through ``shipping.evaluate`` under a ``HostContext`` on that node, and
+``evaluate`` alone checks the result contract. ``Host.dispatch`` is
 its only request entry: the owning node's requests to itself reach it
 directly, and every frame reaches it through ``Host.handle_frame``, which the
 loopback fabric calls with each frame it delivers and the TCP server below
@@ -19,10 +21,10 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
-from .errors import ContractViolationError, ErrorCode, ProtocolError, RemoteError, TransportError
-from .model import EndpointAddr, Encoded, HostTable, ObjectId, RemoteRefDescriptor
+from .errors import ErrorCode, ProtocolError, RemoteError, TransportError
+from .model import EndpointAddr, Encoded, HostTable, RemoteRefDescriptor
 from .protocol import (
     Export,
     FlatMap,
@@ -42,29 +44,22 @@ from .protocol import (
     encode_message,
     encode_value,
 )
-from .shipping import FnRegistry, PlainValue, RemoteValue, evaluate
+from .shipping import FnRegistry, HostContext, PlainValue, RemoteValue, evaluate
 from .transport import Channel
 
 
 class Host:
-    """Executes requests against one host table and function registry.
+    """Executes requests against the host table and function registry of one node.
 
-    The table holds every piece of host-side state; a Host holds none.
-
-    ``context_factory(subject_id, subject_value)`` supplies the evaluation
-    context handed to shipped function bodies; it is the hook through which
+    The table holds every piece of host-side state; a Host holds none. A
+    shipped body runs under a ``HostContext`` on ``node``, through which
     nested remote calls and locality replacement reach the client API.
     """
 
-    def __init__(
-        self,
-        table: HostTable,
-        registry: FnRegistry,
-        context_factory: Callable[[ObjectId, Any], Any],
-    ) -> None:
-        self.table = table
-        self.registry = registry
-        self._context_factory = context_factory
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        self.table: HostTable = node.table
+        self.registry: FnRegistry = node.registry
 
     def dispatch(self, message: Message) -> Message:
         """Run one request and build its response. Never raises.
@@ -110,25 +105,18 @@ class Host:
         """Apply a shipped function to the target's value under the variant's contract.
 
         The subject is handed to the function without serialization. A Map's
-        function must yield a plain value, which is exported at this host, so a
+        function yields a plain value, which is exported at this host, so a
         map result always lives at the target's home endpoint. A FlatMap's
         function places its result itself: the descriptor it yields is passed
-        through as-is, possibly naming a third host.
+        through as-is, possibly naming a third host. ``evaluate`` checks which
+        of the two the last stage yielded.
         """
         subject = self.table.require(request.target).value
-        ctx = self._context_factory(request.target, subject)
-        result = evaluate(self.registry, request.fn, subject, ctx)
+        ctx = HostContext(self.node, request.target, subject)
         if isinstance(request, Map):
-            if not isinstance(result, PlainValue):
-                raise ContractViolationError(
-                    "map function must yield a plain value, got a remote reference"
-                )
+            result = evaluate(self.registry, request.fn, subject, ctx, PlainValue)
             return self.table.export(result.value)
-        if not isinstance(result, RemoteValue):
-            raise ContractViolationError(
-                "flat_map function must yield a remote reference, got a plain value"
-            )
-        return result.descriptor
+        return evaluate(self.registry, request.fn, subject, ctx, RemoteValue).descriptor
 
     def handle_frame(self, frame: bytes) -> bytes:
         """Decode one complete request frame and return the response frame."""
@@ -186,13 +174,17 @@ class TcpHostServer:
     """Listening TCP front of one Host; binds eagerly, accepts on a daemon thread.
 
     Binding to port 0 picks an ephemeral port; ``endpoint`` reports the actual
-    address, which is what goes into the host table and all descriptors. Each
+    address, which is what goes into the host table and all descriptors. An
+    address it cannot listen on raises TransportError. Each
     accepted connection is a Channel served on its own daemon thread; the
     server keeps the open ones, so that shutting it down ends them too.
     """
 
     def __init__(self, bind_host: str, bind_port: int):
-        self._listener = socket.create_server((bind_host, bind_port))
+        try:
+            self._listener = socket.create_server((bind_host, bind_port))
+        except OSError as exc:  # in use, not resolvable, not ours to bind
+            raise TransportError(f"cannot listen on {bind_host}:{bind_port}: {exc}") from exc
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.endpoint = EndpointAddr(bind_host if bind_host else str(actual_host), actual_port)
         self._channels: Optional[set[Channel]] = set()  # None once shut down

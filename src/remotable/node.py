@@ -10,6 +10,10 @@ replacement switched off, self-addressed requests take the full network path
 instead (that switch exists so the difference is measurable). A handle bound
 to a local table entry stays in process either way: ``map``/``flat_map`` on
 it go to ``Host.dispatch`` and ``get`` hands over the value itself.
+
+A node's ``Host`` runs each shipped body under a ``shipping.HostContext``,
+which reaches the node only through ``_materialize``, ``apply`` and
+``new_token``.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import Any, Optional, Type, Union
 from .errors import ProtocolError, error_for_code
 from .funcs import Token, default_registry
 from .host import Host, TcpHostServer
-from .model import EndpointAddr, HostedValue, HostTable, ObjectId, RemoteRefDescriptor
+from .model import EndpointAddr, HostedValue, HostTable, RemoteRefDescriptor
 from .protocol import (
     Export,
     FlatMap,
@@ -93,30 +97,6 @@ class RemoteHandle:
         return f"remote[endpoint={self.descriptor.endpoint} id={self.descriptor.id}]"
 
 
-class HostContext:
-    """What a shipped function body sees while it runs at the subject's home."""
-
-    __slots__ = ("node", "subject_id", "subject_value")
-
-    def __init__(self, node: "Node", subject_id: ObjectId, subject_value: Any) -> None:
-        self.node = node
-        self.subject_id = subject_id
-        self.subject_value = subject_value
-
-    def resolve_ref(self, descriptor: RemoteRefDescriptor) -> RemoteHandle:
-        return self.node._materialize(descriptor)
-
-    def subject_capture(self, value: Any) -> InlineValue:
-        origin = self.subject_id if value is self.subject_value else None
-        return InlineValue(value, origin)
-
-    def apply(self, value: Any) -> RemoteHandle:
-        return self.node.apply(value)
-
-    def new_token(self) -> Token:
-        return self.node.new_token()
-
-
 class Node:
     """One process-local peer: host table + registry + transport + server glue."""
 
@@ -134,7 +114,7 @@ class Node:
         self.registry = registry if registry is not None else default_registry()
         self.locality_replacement = locality_replacement
         self.table = HostTable(endpoint, (rng or random).getrandbits(64))
-        self.host = Host(self.table, self.registry, self._make_context)
+        self.host = Host(self)
         self._token_lock = threading.Lock()
         self._next_token_serial = 1
         # built here, ended by close; its threads start on first use
@@ -214,9 +194,6 @@ class Node:
         self.close()
 
     # -- internals ----------------------------------------------------------
-
-    def _make_context(self, subject_id: ObjectId, subject_value: Any) -> HostContext:
-        return HostContext(self, subject_id, subject_value)
 
     def _materialize(self, descriptor: RemoteRefDescriptor) -> RemoteHandle:
         entry = None

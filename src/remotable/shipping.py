@@ -11,13 +11,18 @@ only encodes them when the stage is actually shipped to another endpoint,
 which is also the one point where serializability is checked. Reference
 captures resolve at the executing host: home references become direct local
 handles (zero serialization), foreign ones become remote handles.
+
+This module is the one place that knows how a pipeline runs at its host: a
+body's ``ctx`` is always a ``HostContext``, and ``evaluate`` is the one check
+of the result contract (a Map's last stage yields a PlainValue, a FlatMap's a
+RemoteValue). It imports neither ``node`` nor ``host``.
 """
 from __future__ import annotations
 
 import inspect
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import (
     ContractViolationError,
@@ -34,7 +39,7 @@ class InlineValue:
     """A capture carried by value.
 
     ``origin`` names the hosted value this capture copies, when it was built
-    by ``EvalContext.subject_capture``; the shipping node then charges one
+    by ``HostContext.subject_capture``; the shipping node then charges one
     serialization to that value. It stays in process: it is never encoded and
     takes no part in equality.
     """
@@ -104,12 +109,9 @@ class RemoteValue:
 
 FnResult = Union[PlainValue, RemoteValue]
 
-# body(subject, resolved_captures, ctx) -> FnResult
-FnBody = Callable[[Any, list, "EvalContext"], FnResult]
 
-
-class EvalContext(Protocol):
-    """What a function body may do at the executing host.
+class HostContext:
+    """What a function body may do at the executing host: the ``ctx`` it is handed.
 
     ``resolve_ref`` materializes a reference capture (applying locality
     replacement when the reference is home); the returned handle supports
@@ -121,15 +123,34 @@ class EvalContext(Protocol):
     and shipping it to another endpoint counts one serialization of the
     subject. A body that sends its subject along by value must build that
     capture here, or the subject's counter misses the copy.
+
+    ``apply`` hosts a value at this node and ``new_token`` mints a token; the
+    node is reached only through these and ``resolve_ref``.
     """
 
-    def resolve_ref(self, descriptor: RemoteRefDescriptor): ...
+    __slots__ = ("node", "subject_id", "subject_value")
 
-    def subject_capture(self, value: Any) -> InlineValue: ...
+    def __init__(self, node: Any, subject_id: ObjectId, subject_value: Any) -> None:
+        self.node = node
+        self.subject_id = subject_id
+        self.subject_value = subject_value
 
-    def apply(self, value: Any): ...
+    def resolve_ref(self, descriptor: RemoteRefDescriptor):
+        return self.node._materialize(descriptor)
 
-    def new_token(self): ...
+    def subject_capture(self, value: Any) -> InlineValue:
+        origin = self.subject_id if value is self.subject_value else None
+        return InlineValue(value, origin)
+
+    def apply(self, value: Any):
+        return self.node.apply(value)
+
+    def new_token(self):
+        return self.node.new_token()
+
+
+# body(subject, resolved_captures, ctx) -> FnResult
+FnBody = Callable[[Any, list, HostContext], FnResult]
 
 
 @dataclass(frozen=True)
@@ -150,10 +171,11 @@ class FnRegistry:
         self._lock = threading.Lock()
 
     def register(self, fn_id: str, arity: int, body: FnBody) -> None:
-        if not fn_id:
-            raise ValueError("fn_id must be non-empty")
-        if arity < 0:
-            raise ValueError("capture arity must be non-negative")
+        """Register ``body`` under ``fn_id``; refuses what no Stage could call."""
+        if not isinstance(fn_id, str) or not fn_id:
+            raise ValueError(f"fn_id must be non-empty text, got {fn_id!r}")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
+            raise ValueError(f"capture arity must be a non-negative int, got {arity!r}")
         with self._lock:
             if fn_id in self._entries:
                 raise ValueError(f"function id already registered: {fn_id!r}")
@@ -203,7 +225,7 @@ def _lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
     return sum(required[1:]), lambda subject, args, ctx: PlainValue(f(subject, *args))
 
 
-def resolve_captures(captures: tuple[Capture, ...], ctx: EvalContext) -> list:
+def resolve_captures(captures: tuple[Capture, ...], ctx: HostContext) -> list:
     """Materialize capture arguments for a body about to run.
 
     Inline captures yield their value directly; reference captures go through
@@ -215,12 +237,15 @@ def resolve_captures(captures: tuple[Capture, ...], ctx: EvalContext) -> list:
             for capture in captures]
 
 
-def evaluate(registry: FnRegistry, pipeline: ShippedFn, subject: Any, ctx: EvalContext) -> FnResult:
-    """Apply a pipeline to a subject, left to right.
+def evaluate(
+    registry: FnRegistry, pipeline: ShippedFn, subject: Any, ctx: HostContext, final: type
+) -> FnResult:
+    """Apply a pipeline to a subject, left to right, and return the last result.
 
     Every stage but the last must produce a plain value, which feeds the next
-    stage's subject. The final stage's result is returned as-is; whether it
-    must be plain or remote is the caller's (map vs flatMap) contract. Bodies
+    stage's subject. The last stage must produce a ``final``: a PlainValue
+    for a Map, a RemoteValue for a FlatMap; this is the one check of the
+    result contract, and its ContractViolationError names the stage. Bodies
     raising anything other than a wire-mapped error are folded into
     ExecutionError with a textual cause; a TransportError, a nested call's
     lost peer, gets the fixed prefix ``<fn_id>: lost peer <endpoint>:``.
@@ -244,9 +269,9 @@ def evaluate(registry: FnRegistry, pipeline: ShippedFn, subject: Any, ctx: EvalC
         except Exception as exc:
             raise ExecutionError(f"{stage.fn_id}: {exc}") from exc
         if position == last:
-            if not isinstance(result, (PlainValue, RemoteValue)):
+            if not isinstance(result, final):
                 raise ContractViolationError(
-                    f"{stage.fn_id!r} returned {type(result).__name__}, not a result kind"
+                    f"{stage.fn_id!r} returned {type(result).__name__}, not a {final.__name__}"
                 )
             return result
         if not isinstance(result, PlainValue):

@@ -1,6 +1,7 @@
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -162,6 +163,13 @@ def test_serve_rejects_unknown_constructor(capsys):
 
 def test_serve_rejects_bad_listen(capsys):
     assert main(["serve", "--listen", "nonsense"]) == 2
+
+
+def test_serve_on_a_port_in_use_exits_10(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        assert main(["serve", "--listen", f"127.0.0.1:{port}"]) == 10
+    assert capsys.readouterr().err.startswith(f"transport error: cannot listen on 127.0.0.1:{port}: ")
 
 
 @pytest.mark.parametrize("port", ["\u0667", "\uff17"])  # digits, but not ASCII ones

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 
 import remotable.protocol
 from remotable import (
+    ContractViolationError,
     EndpointAddr,
     ErrorCode,
+    HostContext,
     InlineValue,
     LoopbackNetwork,
     Node,
@@ -21,6 +23,7 @@ from remotable import (
     PlainValue,
     ProtocolError,
     RemoteRefDescriptor,
+    RemoteValue,
     ShippedFn,
     Stage,
     TransportError,
@@ -100,16 +103,53 @@ def test_map_with_unknown_function_names_it(node):
     assert "frobnicate" in response.text
 
 
-def test_map_result_must_be_plain(node):
+def _recording(server):
+    """Register ``rehost`` (a flat_map body) and ``keep`` (a map body); each keeps its ctx."""
+    seen = []
+
+    def rehost(subject, args, ctx):
+        seen.append(ctx)
+        return RemoteValue(ctx.apply(subject).descriptor)
+
+    def keep(subject, args, ctx):
+        seen.append(ctx)
+        return PlainValue(subject)
+
+    server.registry.register("rehost", 0, rehost)
+    server.registry.register("keep", 0, keep)
+    return seen
+
+
+def test_map_result_must_be_plain(node, loop_pair, tcp_pair):
     descriptor = node.table.export(5)
     response = node.host.dispatch(Map(descriptor.id, _pipeline(Stage("pure"))))
     assert response.code == ErrorCode.CONTRACT_VIOLATION
+    for server, client in (loop_pair, tcp_pair):
+        seen = _recording(server)
+        five = client.export_to(server.endpoint, 5)
+        with pytest.raises(ContractViolationError) as caught:
+            five.map(_pipeline(Stage("inc"), Stage("rehost")))
+        assert str(caught.value) == "'rehost' returned RemoteValue, not a PlainValue"
+        (ctx,) = seen
+        assert isinstance(ctx, HostContext)
+        assert ctx.subject_id == five.descriptor.id
+        assert five.map(_pipeline(Stage("keep"), Stage("inc"))).get() == 6
 
 
-def test_flatmap_result_must_be_remote(node):
+def test_flatmap_result_must_be_remote(node, loop_pair, tcp_pair):
     descriptor = node.table.export(5)
     response = node.host.dispatch(FlatMap(descriptor.id, _pipeline(Stage("inc"))))
     assert response.code == ErrorCode.CONTRACT_VIOLATION
+    for server, client in (loop_pair, tcp_pair):
+        seen = _recording(server)
+        five = client.export_to(server.endpoint, 5)
+        with pytest.raises(ContractViolationError) as caught:
+            five.flat_map(_pipeline(Stage("inc"), Stage("keep")))
+        assert str(caught.value) == "'keep' returned PlainValue, not a RemoteValue"
+        (ctx,) = seen
+        assert isinstance(ctx, HostContext)
+        assert ctx.subject_id == five.descriptor.id
+        assert five.flat_map(_pipeline(Stage("inc"), Stage("rehost"))).get() == 6
 
 
 def test_flatmap_passes_descriptor_through(node):

@@ -52,6 +52,25 @@ def test_registry_is_write_once():
         registry.register("f", 1, lambda s, a, c: PlainValue(s))
 
 
+@pytest.mark.parametrize(
+    "fn_id, arity",
+    [(5, 0), ("", 0), (None, 0), (b"f", 0), ("half", 1.5), ("flag", True), ("neg", -1), ("one", "1")],
+)
+def test_register_refuses_what_no_stage_can_call(fn_id, arity):
+    registry = FnRegistry()
+    with pytest.raises(ValueError):
+        registry.register(fn_id, arity, lambda s, a, c: PlainValue(s))
+    assert fn_id not in registry
+
+
+@pytest.mark.parametrize("fn_id", [5, "", None, b"f"])
+def test_lift_refuses_a_fn_id_no_stage_can_name(fn_id):
+    registry = FnRegistry()
+    with pytest.raises(ValueError):
+        registry.lift(fn_id, lambda x: x)
+    assert fn_id not in registry
+
+
 def test_registry_unknown_lookup():
     registry = FnRegistry()
     with pytest.raises(UnknownFunctionError):
@@ -145,14 +164,14 @@ def test_lift_is_write_once_like_register():
     registry.lift("f", lambda x: x)
     with pytest.raises(ValueError):
         registry.lift("f", lambda x: x + 1)
-    assert evaluate(registry, _pipeline(Stage("f")), 5, _StubCtx()) == PlainValue(5)
+    assert evaluate(registry, _pipeline(Stage("f")), 5, _StubCtx(), PlainValue) == PlainValue(5)
 
 
 def test_lifted_function_gets_subject_then_captures():
     registry = FnRegistry()
     registry.lift("sub", operator.sub)
     pipeline = _pipeline(Stage("sub", (InlineValue(3),)))
-    assert evaluate(registry, pipeline, 10, _StubCtx()) == PlainValue(7)
+    assert evaluate(registry, pipeline, 10, _StubCtx(), PlainValue) == PlainValue(7)
 
 
 def test_stage_requires_fn_id():
@@ -180,24 +199,24 @@ def test_resolve_captures_mixes_inline_and_refs():
 
 
 def test_evaluate_single_stage():
-    result = evaluate(default_registry(), _pipeline(Stage("inc")), 5, _StubCtx())
+    result = evaluate(default_registry(), _pipeline(Stage("inc")), 5, _StubCtx(), PlainValue)
     assert result == PlainValue(6)
 
 
 def test_evaluate_chains_left_to_right():
     pipeline = _pipeline(Stage("inc"), Stage("mul", (InlineValue(3),)))
-    assert evaluate(default_registry(), pipeline, 5, _StubCtx()) == PlainValue(18)
+    assert evaluate(default_registry(), pipeline, 5, _StubCtx(), PlainValue) == PlainValue(18)
 
 
 def test_evaluate_unknown_fn_names_it():
     with pytest.raises(UnknownFunctionError, match="nope"):
-        evaluate(default_registry(), _pipeline(Stage("nope")), 5, _StubCtx())
+        evaluate(default_registry(), _pipeline(Stage("nope")), 5, _StubCtx(), PlainValue)
 
 
 def test_evaluate_checks_capture_arity():
     pipeline = _pipeline(Stage("inc", (InlineValue(1),)))  # inc takes no captures
     with pytest.raises(ContractViolationError):
-        evaluate(default_registry(), pipeline, 5, _StubCtx())
+        evaluate(default_registry(), pipeline, 5, _StubCtx(), PlainValue)
 
 
 def test_intermediate_stage_must_stay_plain():
@@ -206,14 +225,14 @@ def test_intermediate_stage_must_stay_plain():
     registry.register("jump", 0, lambda s, a, c: RemoteValue(descriptor))
     registry.register("inc", 0, lambda s, a, c: PlainValue(s + 1))
     with pytest.raises(ContractViolationError):
-        evaluate(registry, _pipeline(Stage("jump"), Stage("inc")), 5, _StubCtx())
+        evaluate(registry, _pipeline(Stage("jump"), Stage("inc")), 5, _StubCtx(), PlainValue)
 
 
 def test_final_stage_may_yield_remote():
     registry = FnRegistry()
     descriptor = RemoteRefDescriptor(EndpointAddr("h", 1), ObjectId(1, 1))
     registry.register("jump", 0, lambda s, a, c: RemoteValue(descriptor))
-    result = evaluate(registry, _pipeline(Stage("jump")), 5, _StubCtx())
+    result = evaluate(registry, _pipeline(Stage("jump")), 5, _StubCtx(), RemoteValue)
     assert result == RemoteValue(descriptor)
 
 
@@ -221,7 +240,7 @@ def test_body_exception_becomes_execution_error():
     registry = FnRegistry()
     registry.register("boom", 0, lambda s, a, c: 1 // 0)
     with pytest.raises(ExecutionError, match="boom"):
-        evaluate(registry, _pipeline(Stage("boom")), 5, _StubCtx())
+        evaluate(registry, _pipeline(Stage("boom")), 5, _StubCtx(), PlainValue)
 
 
 def test_a_lost_peer_in_a_body_is_named_with_a_fixed_prefix():
@@ -233,7 +252,7 @@ def test_a_lost_peer_in_a_body_is_named_with_a_fixed_prefix():
 
     registry.register("nested", 0, nested)
     with pytest.raises(ExecutionError) as caught:
-        evaluate(registry, _pipeline(Stage("nested")), 5, _StubCtx())
+        evaluate(registry, _pipeline(Stage("nested")), 5, _StubCtx(), PlainValue)
     assert str(caught.value) == (
         "nested: lost peer 10.0.0.2:7099: call to 10.0.0.2:7099 failed: connection closed mid-frame"
     )
@@ -244,7 +263,7 @@ def test_body_returning_bare_value_is_a_contract_violation():
     registry = FnRegistry()
     registry.register("bare", 0, lambda s, a, c: s + 1)  # forgot the wrapper
     with pytest.raises(ContractViolationError):
-        evaluate(registry, _pipeline(Stage("bare")), 5, _StubCtx())
+        evaluate(registry, _pipeline(Stage("bare")), 5, _StubCtx(), PlainValue)
 
 
 # Randomized pipelines against the eager oracle.
@@ -259,7 +278,7 @@ ops_lists = st.lists(
 @given(ops_lists, st.integers(min_value=-1000, max_value=1000))
 def test_pipeline_matches_eager_oracle(ops, x):
     pipeline = ShippedFn(tuple(stages_for_ops(ops)))
-    result = evaluate(default_registry(), pipeline, x, _StubCtx())
+    result = evaluate(default_registry(), pipeline, x, _StubCtx(), PlainValue)
     assert result == PlainValue(run_int_pipeline(ops, x))
 
 
@@ -267,7 +286,8 @@ def test_pipeline_matches_eager_oracle(ops, x):
 def test_concatenated_pipeline_equals_sequential_evaluation(ops1, ops2, x):
     registry = default_registry()
     joined = ShippedFn(tuple(stages_for_ops(ops1) + stages_for_ops(ops2)))
-    first = evaluate(registry, ShippedFn(tuple(stages_for_ops(ops1))), x, _StubCtx())
+    first = evaluate(registry, ShippedFn(tuple(stages_for_ops(ops1))), x, _StubCtx(), PlainValue)
     assert isinstance(first, PlainValue)
-    second = evaluate(registry, ShippedFn(tuple(stages_for_ops(ops2))), first.value, _StubCtx())
-    assert evaluate(registry, joined, x, _StubCtx()) == second
+    rest = ShippedFn(tuple(stages_for_ops(ops2)))
+    second = evaluate(registry, rest, first.value, _StubCtx(), PlainValue)
+    assert evaluate(registry, joined, x, _StubCtx(), PlainValue) == second

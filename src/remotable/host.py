@@ -75,10 +75,8 @@ class Host:
                 # the one place forcing requires a codec, unless the entry
                 # still holds the payload its Export brought; a failed encode
                 # counts nothing
-                entry = self.table.require(message.target)
-                payload = entry.encoded
-                if payload is None:
-                    payload = encode_value(entry.value)
+                hosted = self.table.hosted(message.target)
+                payload = hosted.payload if type(hosted) is Encoded else encode_value(hosted)
                 self.table.count(message.target, 1, 1)
                 return RespValue(payload)
             if isinstance(message, Rebind):
@@ -111,7 +109,7 @@ class Host:
         through as-is, possibly naming a third host. ``evaluate`` checks which
         of the two the last stage yielded.
         """
-        subject = self.table.require(request.target).value
+        subject = self.table.value(request.target)
         ctx = HostContext(self.node, request.target, subject)
         if isinstance(request, Map):
             result = evaluate(self.registry, request.fn, subject, ctx, PlainValue)

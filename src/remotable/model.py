@@ -2,7 +2,8 @@
 
 A process that hosts values owns one :class:`HostTable`, the only store of
 its host-side state: the hosted values, their serialization/get counters and
-the names bound to them. Exporting a value stores it under a fresh
+the names bound to them, each a slot in a dict keyed by serial rather than
+an object per entry. Exporting a value stores it under a fresh
 :class:`ObjectId` and hands back a portable :class:`RemoteRefDescriptor` that
 any process can use to address it. The descriptor is the only thing that ever
 crosses the wire; the value itself stays home until somebody forces it.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from .errors import NotFoundError, UnknownObjectError
 
@@ -101,60 +102,28 @@ class Encoded:
         self.payload = payload
 
 
-_DECODE_LOCK = threading.Lock()
-
-
-class HostedValue:
-    """A table entry: the value, or its encoded payload, plus wire-traffic counters.
-
-    An entry holds one form at a time. One exported from an ``Encoded``
-    payload holds only that payload, and ``encoded`` hands it to a Get as it
-    is. The first read of ``value`` decodes it once, under a lock all entries
-    share, keeps the object and drops the bytes: every reader gets that same
-    object, and a body that mutates it cannot leave stale bytes for a later
-    Get. Decoding holds the interpreter lock throughout, so sharing the lock
-    serializes no work that could otherwise overlap.
-
-    ``serialization_count`` increments exactly when the value's bytes are
-    sent for the wire, whether encoded then or kept from the Export; local
-    handoffs never touch it. ``get_count`` increments once per remote force.
-    Both change only through ``HostTable.count``, under the table's lock.
-    """
-
-    __slots__ = ("_value", "encoded", "serialization_count", "get_count")
-
-    def __init__(self, value: Any) -> None:
-        self._value = value
-        self.encoded: Optional[ValuePayload] = None
-        if type(value) is Encoded:
-            self._value = None
-            self.encoded = value.payload
-        self.serialization_count = 0
-        self.get_count = 0
-
-    @property
-    def value(self) -> Any:
-        if self.encoded is not None:
-            self._decode()
-        return self._value
-
-    def _decode(self) -> None:
-        from .protocol import decode_value  # protocol imports model
-
-        with _DECODE_LOCK:
-            if self.encoded is not None:
-                self._value = decode_value(self.encoded)
-                self.encoded = None
-
-
 class HostTable:
     """Per-process host-side state: hosted values, their counters and the names bound to them.
 
+    Each entry is a slot in plain dicts keyed by its serial, not an object of
+    its own, so a table of any size adds no object for the cyclic garbage
+    collector to walk beyond what its values bring. ``_values`` holds the
+    value, or, for an Export, the ``Encoded`` that keeps its payload until
+    the first ``value`` read decodes it. ``_counts`` holds the
+    (serializations, gets) pair of each entry counted at least once; an
+    entry it lacks has counted nothing. ``serializations`` grows exactly
+    when the value's bytes are sent for the wire, whether encoded then or
+    kept from the Export; local handoffs never touch it. ``gets`` grows once
+    per remote force. Only this class names its storage (a tier-1 ``ast``
+    check).
+
     Also serves as the locality-replacement cache: a descriptor whose endpoint
-    and incarnation match this table resolves straight to its entry, with zero
-    serialization. ``rebind`` and ``lookup`` answer the requests they are
-    named after. Every operation takes the one lock once, so each is safe
-    under concurrent request handlers.
+    and incarnation match this table is home (``is_home``), and its value is
+    read in process, with zero serialization. ``rebind`` and ``lookup``
+    answer the requests they are named after. Every operation takes the one
+    lock once, so each is safe under concurrent request handlers; only the
+    first ``value`` read of kept bytes takes it again, to store what it
+    decoded.
 
     Entries and bindings are keyed by serial alone: every lookup first checks
     that the id's incarnation is this table's, so an id of another
@@ -165,10 +134,12 @@ class HostTable:
         ObjectId(incarnation, 1)  # refuses an incarnation out of range, once for every id
         self.self_endpoint = self_endpoint
         self.incarnation = incarnation
-        self._entries: dict[int, HostedValue] = {}
+        self._values: dict[int, Any] = {}
+        self._counts: dict[int, tuple[int, int]] = {}
         self._names: dict[str, int] = {}
         self._next_serial = 1
         self._lock = threading.Lock()
+        self._decode_lock = threading.Lock()
 
     def export(self, value: Any) -> RemoteRefDescriptor:
         """Store a value under a fresh id. The value need not be serializable.
@@ -178,45 +149,72 @@ class HostTable:
         skip their constructors: the incarnation was checked once, and the
         serial is in range here.
         """
-        entry = HostedValue(value)
         with self._lock:
             serial = self._next_serial
             if serial > _MAX_SERIAL:
                 raise OverflowError("object id serial space exhausted")
             self._next_serial = serial + 1
-            self._entries[serial] = entry
+            self._values[serial] = value
         return self._descriptor(serial)
 
-    def resolve_local(self, descriptor: RemoteRefDescriptor) -> Optional[HostedValue]:
-        """Return the entry itself when the descriptor is home, else None.
+    def is_home(self, descriptor: RemoteRefDescriptor) -> bool:
+        """Whether the descriptor names a value hosted in this very table.
 
         Resolution never serializes anything; a miss is a normal result and the
         caller falls back to remote invocation.
         """
         if descriptor.endpoint != self.self_endpoint:
-            return None
-        return self.entry(descriptor.id)
-
-    def entry(self, object_id: ObjectId) -> Optional[HostedValue]:
+            return False
         with self._lock:
-            return self._get(object_id)
+            return self._holds(descriptor.id)
 
-    def require(self, object_id: ObjectId) -> HostedValue:
+    def hosted(self, object_id: ObjectId) -> Any:
+        """The entry as stored: its value, or the ``Encoded`` that keeps an Export's payload.
+
+        A Get sends a kept payload as it is; anything else goes through
+        ``value``, which decodes kept bytes once for every reader.
+        """
         with self._lock:
             return self._find(object_id)
+
+    def value(self, object_id: ObjectId) -> Any:
+        """The entry's value; kept bytes are decoded on the first read, and only then.
+
+        The decode runs under a lock of its own, not the table's, and the
+        object it yields replaces the bytes: every reader gets that same
+        object, and a body that mutates it cannot leave stale bytes for a
+        later Get. Decoding holds the interpreter lock throughout, so the
+        lock serializes no work that could otherwise overlap.
+        """
+        hosted = self.hosted(object_id)
+        if type(hosted) is not Encoded:
+            return hosted
+        from . import protocol  # protocol imports model
+
+        with self._decode_lock:
+            with self._lock:
+                current = self._values[object_id.serial]
+            if current is hosted:
+                current = protocol.decode_value(hosted.payload)
+                with self._lock:
+                    self._values[object_id.serial] = current
+        return current
 
     def count(self, object_id: ObjectId, serializations: int = 0, gets: int = 0) -> tuple[int, int]:
         """Add to the entry's counters; returns them as (serializations, gets)."""
         with self._lock:
-            found = self._find(object_id)
-            found.serialization_count += serializations
-            found.get_count += gets
-            return found.serialization_count, found.get_count
+            self._find(object_id)
+            serial = object_id.serial
+            counted = self._counts.get(serial, (0, 0))
+            if serializations or gets:
+                counted = (counted[0] + serializations, counted[1] + gets)
+                self._counts[serial] = counted
+            return counted
 
     def rebind(self, name: str, descriptor: RemoteRefDescriptor) -> None:
         """Bind ``name`` to a value hosted here; a foreign or unknown one is refused."""
         with self._lock:
-            if descriptor.endpoint != self.self_endpoint or self._get(descriptor.id) is None:
+            if descriptor.endpoint != self.self_endpoint or not self._holds(descriptor.id):
                 raise UnknownObjectError(
                     f"no hosted value under id {descriptor.id} at {descriptor.endpoint}"
                 )
@@ -233,19 +231,16 @@ class HostTable:
         object_id = _built(ObjectId, {"incarnation": self.incarnation, "serial": serial})
         return _built(RemoteRefDescriptor, {"endpoint": self.self_endpoint, "id": object_id})
 
-    def _get(self, object_id: ObjectId) -> Optional[HostedValue]:
-        """The entry under ``object_id``, or None; the caller holds the lock."""
-        if object_id.incarnation != self.incarnation:
-            return None
-        return self._entries.get(object_id.serial)
+    def _holds(self, object_id: ObjectId) -> bool:
+        """Whether an entry is stored under ``object_id``; the caller holds the lock."""
+        return object_id.incarnation == self.incarnation and object_id.serial in self._values
 
-    def _find(self, object_id: ObjectId) -> HostedValue:
-        """The entry under ``object_id``; the caller holds the lock."""
-        found = self._get(object_id)
-        if found is None:
+    def _find(self, object_id: ObjectId) -> Any:
+        """What is stored under ``object_id``; the caller holds the lock."""
+        if not self._holds(object_id):
             raise UnknownObjectError(f"no hosted value under id {object_id}")
-        return found
+        return self._values[object_id.serial]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._values)

@@ -25,7 +25,7 @@ from typing import Any, Optional, Type, Union
 from .errors import ProtocolError, error_for_code
 from .funcs import Token, default_registry
 from .host import Host, TcpHostServer
-from .model import EndpointAddr, HostedValue, HostTable, RemoteRefDescriptor
+from .model import EndpointAddr, HostTable, RemoteRefDescriptor
 from .protocol import (
     Export,
     FlatMap,
@@ -59,27 +59,22 @@ _ASYNC_WORKERS = 8  # threads behind Node.executor, which runs AsyncHandle steps
 class RemoteHandle:
     """Client-side reference to a value hosted somewhere.
 
-    ``_entry`` is the local table entry when the value was hosted here by
-    ``apply`` or its descriptor resolved to this node (locality replacement);
+    ``_local`` is set when the value was hosted here by ``apply`` or its
+    descriptor resolved to this node's table (locality replacement);
     ``map``/``flat_map`` on such a handle are answered in process and ``get``
-    hands over the entry's value itself.
+    hands over the table's value itself.
     """
 
-    __slots__ = ("descriptor", "_node", "_entry")
+    __slots__ = ("descriptor", "_node", "_local")
 
-    def __init__(
-        self,
-        descriptor: RemoteRefDescriptor,
-        node: "Node",
-        entry: Optional[HostedValue] = None,
-    ) -> None:
+    def __init__(self, descriptor: RemoteRefDescriptor, node: "Node", local: bool) -> None:
         self.descriptor = descriptor
         self._node = node
-        self._entry = entry
+        self._local = local
 
     @property
     def is_local(self) -> bool:
-        return self._entry is not None
+        return self._local
 
     def map(self, fn: Union[Stage, ShippedFn]) -> "RemoteHandle":
         return self._node.map(self, fn)
@@ -176,7 +171,10 @@ class Node:
 
         The transport closes first, so a call of this node's that waits on a
         peer fails with its own TransportError naming that peer, whatever the
-        peer answers meanwhile. A second close does nothing more.
+        peer answers meanwhile. A request this node would answer itself is
+        refused the same way, naming this node's endpoint. ``get`` on a local
+        handle sends no request, so it still hands over the value. A second
+        close does nothing more.
         """
         self.transport.close()
         if self._server is not None:
@@ -196,10 +194,8 @@ class Node:
     # -- internals ----------------------------------------------------------
 
     def _materialize(self, descriptor: RemoteRefDescriptor) -> RemoteHandle:
-        entry = None
-        if self.locality_replacement:
-            entry = self.table.resolve_local(descriptor)
-        return RemoteHandle(descriptor, self, entry)
+        local = self.locality_replacement and self.table.is_home(descriptor)
+        return RemoteHandle(descriptor, self, local)
 
     def _call(
         self, endpoint: EndpointAddr, request: Message, reply_type: type, local: bool = False
@@ -207,12 +203,14 @@ class Node:
         """Answer ``request`` at ``endpoint`` with a ``reply_type``, in process if here.
 
         ``local`` marks a request about a value bound to a local table entry,
-        answered here even with locality replacement off. A sent Map/FlatMap
-        charges one serialization to each capture marked as a copy of a value
-        hosted here once answered, whatever the answer; a request that could
-        not be encoded charges nothing.
+        answered here even with locality replacement off. Once the node is
+        closed, a request is refused with TransportError on either path. A
+        sent Map/FlatMap charges one serialization to each capture marked as
+        a copy of a value hosted here once answered, whatever the answer; a
+        request that could not be encoded charges nothing.
         """
         if local or (endpoint == self.endpoint and self.locality_replacement):
+            self.transport.check_open(endpoint)  # closed, it refuses in process too
             return _expect(request, self.host.dispatch(request), reply_type)
         reply = self.transport.call(endpoint, request)
         if isinstance(request, (Map, FlatMap)):
@@ -264,8 +262,7 @@ class Node:
 
     def apply(self, value: Any) -> RemoteHandle:
         """Host a value here and hand back its (always-local) handle."""
-        descriptor = self.table.export(value)
-        return RemoteHandle(descriptor, self, self.table.entry(descriptor.id))
+        return RemoteHandle(self.table.export(value), self, True)
 
     def export_to(self, endpoint: EndpointAddr, value: Any) -> RemoteHandle:
         """Serialize a value and host it at another endpoint."""
@@ -305,15 +302,13 @@ class Node:
         """Run ``fn`` at the handle's home as a ``variant`` request."""
         pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
         request = variant(handle.descriptor.id, pipeline)
-        reply = self._call(
-            handle.descriptor.endpoint, request, RespDescriptor, handle._entry is not None
-        )
+        reply = self._call(handle.descriptor.endpoint, request, RespDescriptor, handle._local)
         return self._materialize(reply.descriptor)
 
     def get(self, handle: RemoteHandle) -> Any:
-        if handle._entry is not None:
+        if handle._local:
             # co-located force: hand the value over, nothing crosses a codec
-            return handle._entry.value
+            return self.table.value(handle.descriptor.id)
         reply = self._call(handle.descriptor.endpoint, Get(handle.descriptor.id), RespValue)
         return decode_value(reply.payload)
 

@@ -46,7 +46,8 @@ and raises the same errors at the same offsets. Checking makes no int or float
 list and copies no blob; a text list is still decoded, as one joined text.
 
 Decoders return (value, next offset), reading at offsets into the body. An
-endpoint text is parsed once, then looked up (see _ENDPOINTS).
+endpoint text is parsed once, then looked up (see _ENDPOINTS), and an
+endpoint is rendered to rv1 text once, then looked up (_ENDPOINT_TEXTS).
 
 A Map or FlatMap pipeline is read and written in one flat pass per stage, with
 direct struct calls at offsets. An inline capture's value is read by the rv1
@@ -85,7 +86,8 @@ MAX_LIST_DEPTH = 100
 # Shorter int/float lists go element by element: the strided copies of the
 # bulk path cost more than they save below this length.
 BULK_MIN_FIXED = 8
-# Distinct endpoint texts the decoder remembers before it starts over.
+# Distinct endpoints the decoder, and apart from it the encoder, remember
+# before starting over.
 ENDPOINT_CACHE_MAX = 256
 # Bytes of decoded pipelines the decoder remembers before it starts over. A
 # budget in bytes, not in entries, so that pipelines with large captures
@@ -491,13 +493,24 @@ def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
     return _built(ObjectId, {"incarnation": incarnation, "serial": serial}), pos + 16
 
 
-# Endpoints already parsed, keyed by their raw rv1 text and emptied when full.
-# Only successes are stored, so a bad text fails the same way every time.
+# Endpoints already parsed, keyed by their raw rv1 text, and the rv1 text of
+# endpoints already written, keyed by endpoint; each emptied when full. Only
+# successes are stored, so a bad endpoint fails the same way every time.
 _ENDPOINTS: dict[bytes, EndpointAddr] = {}
+_ENDPOINT_TEXTS: dict[EndpointAddr, bytes] = {}
 
 
 def _put_descriptor(descriptor: RemoteRefDescriptor, out: bytearray) -> None:
-    _encode_raw(str(descriptor.endpoint), out)
+    endpoint = descriptor.endpoint
+    text = _ENDPOINT_TEXTS.get(endpoint)
+    if text is None:
+        rendered = bytearray()
+        _encode_raw(str(endpoint), rendered)
+        text = bytes(rendered)
+        if len(_ENDPOINT_TEXTS) >= ENDPOINT_CACHE_MAX:
+            _ENDPOINT_TEXTS.clear()
+        _ENDPOINT_TEXTS[endpoint] = text
+    out += text
     _put_object_id(descriptor.id, out)
 
 

@@ -53,6 +53,11 @@ class Transport:
     def close(self) -> None:
         self._closed = True
 
+    def check_open(self, endpoint: EndpointAddr) -> None:
+        """Raise the TransportError of a refused call to ``endpoint`` once closed."""
+        if self._closed:
+            raise _refused(endpoint)
+
 
 def _refused(endpoint: EndpointAddr) -> TransportError:
     return TransportError(f"transport closed: no call to {endpoint}", endpoint)
@@ -98,8 +103,7 @@ class LoopbackTransport(Transport):
         self.network = network
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
-        if self._closed:
-            raise _refused(endpoint)
+        self.check_open(endpoint)
         frame = encode_message(message)
         self._count(message)
         return decode_frame(self.network.deliver(endpoint, frame))
@@ -188,8 +192,7 @@ class TcpTransport(Transport):
         return channel
 
     def call(self, endpoint: EndpointAddr, message: Message) -> Message:
-        if self._closed:
-            raise _refused(endpoint)
+        self.check_open(endpoint)
         frame = encode_message(message)
         channel = self._channel(endpoint)
         with channel.lock:

@@ -49,6 +49,7 @@ from remotable.protocol import (
     Stats,
     ValuePayload,
 )
+from remotable.model import Encoded
 from remotable.transport import LoopbackTransport, TcpTransport, read_frame
 from test_protocol import values
 
@@ -88,7 +89,7 @@ def test_map_runs_pipeline_and_rehosts_here(node):
     response = node.host.dispatch(Map(descriptor.id, _pipeline(Stage("inc"), Stage("inc"))))
     assert isinstance(response, RespDescriptor)
     assert response.descriptor.endpoint == node.endpoint
-    assert node.table.entry(response.descriptor.id).value == 7
+    assert node.table.value(response.descriptor.id) == 7
 
 
 def test_map_with_unknown_target(node):
@@ -186,7 +187,7 @@ def test_get_of_opaque_value(node):
 
 def test_export_hosts_decoded_value(node):
     response = node.host.dispatch(Export(encode_value([1, 2])))
-    assert node.table.entry(response.descriptor.id).value == [1, 2]
+    assert node.table.value(response.descriptor.id) == [1, 2]
 
 
 DEEP_PAYLOAD = ValuePayload(CODEC_RV1, b"\x06\x00\x00\x00\x01" * 5000 + encode_value(1).data)
@@ -299,7 +300,7 @@ def test_tcp_large_frame_in_many_reads_then_pipelined_request(tcp_node):
         missing = decode_message(read_frame(sock))[0]
         sock.sendall(encode_message(Get(exported.descriptor.id)))
         fetched = decode_message(read_frame(sock))[0]
-    assert tcp_node.table.entry(exported.descriptor.id).value == value
+    assert tcp_node.table.value(exported.descriptor.id) == value
     assert missing.code == ErrorCode.NOT_FOUND
     assert fetched == RespValue(encode_value(value))
 
@@ -489,6 +490,12 @@ def pair(request):
     server.close()
 
 
+def _kept(table, object_id):
+    """The Export payload the table still keeps for ``object_id``, or None once decoded."""
+    hosted = table.hosted(object_id)
+    return hosted.payload if type(hosted) is Encoded else None
+
+
 @pytest.fixture(scope="module", params=["loopback", "tcp"])
 def shared_pair(request):
     server, client = _pair(request.param)
@@ -505,7 +512,7 @@ def test_export_then_get_answers_the_exported_bytes(shared_pair, value):
     exported = client.transport.call(server.endpoint, Export(payload))
     reply = client.transport.call(server.endpoint, Get(exported.descriptor.id))
     assert reply == RespValue(payload)
-    assert server.table.entry(exported.descriptor.id).encoded == payload  # not decoded
+    assert _kept(server.table, exported.descriptor.id) == payload  # not decoded
 
 
 def test_get_of_kept_bytes_counts_one_serialization_and_one_get(pair):
@@ -516,12 +523,33 @@ def test_get_of_kept_bytes_counts_one_serialization_and_one_get(pair):
     assert handle.stats() == (1, 1)
 
 
+def test_concurrent_gets_count_exactly_and_keep_the_exported_bytes(tcp_pair):
+    server, client = tcp_pair
+    payload = encode_value(list(range(100)))
+    target = client.transport.call(server.endpoint, Export(payload)).descriptor.id
+    threads, gets = 6, 50
+    barrier = threading.Barrier(threads)
+
+    def get_many(_):
+        transport = _own_transport(client)  # a connection, and a host thread, each
+        try:
+            barrier.wait(timeout=5)
+            return [transport.call(server.endpoint, Get(target)) for _ in range(gets)]
+        finally:
+            transport.close()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        replies = [reply for replies in pool.map(get_many, range(threads)) for reply in replies]
+    assert replies == [RespValue(payload)] * (threads * gets)
+    assert client.transport.call(server.endpoint, Stats(target)) == RespStats(300, 300)
+    assert _kept(server.table, target) == payload  # not a decoded copy
+
+
 def test_get_after_a_map_encodes_the_decoded_object(pair):
     server, client = pair
     handle = client.export_to(server.endpoint, [1, 2])
     assert handle.map(client.stage("append_seven")).get() == 3
-    entry = server.table.entry(handle.descriptor.id)
-    assert entry.encoded is None  # the bytes went when the map decoded them
+    assert _kept(server.table, handle.descriptor.id) is None  # the bytes went when the map decoded them
     assert handle.get() == [1, 2, 7]  # the body's mutation, not the exported bytes
     assert handle.stats() == (1, 1)
 
@@ -531,8 +559,8 @@ def test_a_body_that_returns_a_payload_is_hosted_as_that_object(pair):
     forged = ValuePayload(CODEC_RV1, b"\xff")  # not rv1: it must never reach a Get as bytes
     server.registry.register("forge", 0, lambda subject, args, ctx: PlainValue(forged))
     handle = client.export_to(server.endpoint, 1).map(Stage("forge"))
-    entry = server.table.entry(handle.descriptor.id)
-    assert entry.encoded is None and entry.value is forged
+    assert _kept(server.table, handle.descriptor.id) is None
+    assert server.table.value(handle.descriptor.id) is forged
     with pytest.raises(NotSerializableError):
         handle.get()
 
@@ -655,7 +683,7 @@ def _assert_export_checks_like_decode_value(node, payload):
     before = len(node.table)
     reply = node.host.dispatch(Export(payload))
     if expected is None:
-        assert node.table.entry(reply.descriptor.id).encoded == payload
+        assert _kept(node.table, reply.descriptor.id) == payload
     else:
         assert reply == expected, payload.data
         assert len(node.table) == before

@@ -74,9 +74,8 @@ def test_serials_start_at_one_and_increase():
 def test_export_stores_value_with_zero_counters():
     table = _table()
     descriptor = table.export("hello")
-    entry = table.entry(descriptor.id)
-    assert entry.value == "hello"
-    assert (entry.serialization_count, entry.get_count) == (0, 0)
+    assert table.value(descriptor.id) == "hello"
+    assert table.count(descriptor.id) == (0, 0)
     assert descriptor.endpoint == table.self_endpoint
 
 
@@ -91,23 +90,22 @@ def test_resolve_local_hits_home_references_identically():
     table = _table()
     value = object()  # deliberately opaque
     descriptor = table.export(value)
-    entry = table.resolve_local(descriptor)
-    assert entry is not None
-    assert entry.value is value  # the stored object itself, not a copy
+    assert table.is_home(descriptor)
+    assert table.value(descriptor.id) is value  # the stored object itself, not a copy
 
 
 def test_resolve_local_misses_foreign_endpoint():
     table = _table()
     descriptor = table.export(1)
     elsewhere = RemoteRefDescriptor(EndpointAddr("10.0.0.9", 7099), descriptor.id)
-    assert table.resolve_local(elsewhere) is None
+    assert not table.is_home(elsewhere)
 
 
 def test_resolve_local_misses_other_incarnation():
     table = _table()
     table.export(1)
     stale = RemoteRefDescriptor(table.self_endpoint, ObjectId(43, 1))
-    assert table.resolve_local(stale) is None
+    assert not table.is_home(stale)
 
 
 def test_an_id_of_another_incarnation_misses_though_its_serial_is_live():
@@ -115,9 +113,8 @@ def test_an_id_of_another_incarnation_misses_though_its_serial_is_live():
     live = table.export(7)
     foreign_id = ObjectId(43, live.id.serial)
     foreign = RemoteRefDescriptor(table.self_endpoint, foreign_id)
-    assert table.resolve_local(foreign) is None
-    assert table.entry(foreign_id) is None
-    for operation in (table.count, table.require):
+    assert not table.is_home(foreign)
+    for operation in (table.count, table.hosted, table.value):
         with pytest.raises(UnknownObjectError, match=f"^no hosted value under id {foreign_id}$"):
             operation(foreign_id)
     with pytest.raises(UnknownObjectError, match=f"^no hosted value under id {foreign_id} at "):
@@ -150,7 +147,7 @@ def test_counters_accumulate():
 
 def test_counter_of_unknown_id_is_an_error():
     table = _table()
-    for operation in (table.count, table.require):
+    for operation in (table.count, table.hosted, table.value):
         with pytest.raises(UnknownObjectError, match="no hosted value under id 000000000000002a:999"):
             operation(ObjectId(42, 999))
 

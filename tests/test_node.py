@@ -307,7 +307,7 @@ def test_an_id_of_another_incarnation_misses_on_every_request(request, pair):
     live = client.export_to(server.endpoint, 5)
     foreign_id = ObjectId((live.descriptor.id.incarnation + 1) % 2**64, live.descriptor.id.serial)
     foreign = RemoteRefDescriptor(server.endpoint, foreign_id)
-    assert server.table.resolve_local(foreign) is None
+    assert not server.table.is_home(foreign)
     handle = client._materialize(foreign)
     missing = re.escape(f"no hosted value under id {foreign_id}")
     for request_of in [
@@ -374,6 +374,34 @@ def test_a_closed_node_refuses_every_call_and_opens_no_connection(kind):
         client.close()
         server.close()
 
+
+
+@pytest.mark.parametrize("locality_replacement", [True, False])
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_closed_node_answers_no_request_in_process(kind, locality_replacement):
+    make = partial(Node.loopback, LoopbackNetwork()) if kind == "loopback" else Node.tcp
+    node = make(locality_replacement=locality_replacement)
+    try:
+        handle = node.apply(5)
+        node.close()
+        entries = len(node.table)
+        calls = [
+            lambda: handle.map(node.stage("inc")),
+            lambda: handle.flat_map(node.stage("pure")),
+            lambda: node.rebind("n", handle),
+            handle.stats,
+            lambda: node.lookup(node.endpoint, "x"),
+        ]
+        refused = f"^transport closed: no call to {re.escape(str(node.endpoint))}$"
+        for call in calls:
+            with pytest.raises(TransportError, match=refused) as caught:
+                call()
+            assert caught.value.endpoint == node.endpoint
+        assert len(node.table) == entries  # the map hosted nothing
+        assert handle.get() == 5  # a local get sends no request
+        assert node.transport.frame_counts == Counter()
+    finally:
+        node.close()
 
 # -- the serialization counter ------------------------------------------------------
 

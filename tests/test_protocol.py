@@ -596,6 +596,26 @@ def test_bad_endpoint_is_rejected_on_every_repeat(text):
     assert decode_frame(_descriptor_frame("h:1")) == good
 
 
+def test_endpoint_text_memo_writes_the_same_bytes_and_stays_bounded():
+    for port in range(1, 3 * protocol.ENDPOINT_CACHE_MAX):
+        descriptor = RemoteRefDescriptor(EndpointAddr("h", port), ObjectId(1, port))
+        for _ in range(2):  # once rendered, once through the memo
+            assert encode_message(RespDescriptor(descriptor)) == _descriptor_frame(f"h:{port}", 1, port)
+        assert len(protocol._ENDPOINT_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+
+
+def test_endpoint_without_utf8_is_refused_on_every_encode_and_never_remembered():
+    endpoint = EndpointAddr("\ud800", 1)
+    message = RespDescriptor(RemoteRefDescriptor(endpoint, ObjectId(1, 1)))
+    texts = set()
+    for _ in range(3):
+        with pytest.raises(NotSerializableError) as caught:
+            encode_message(message)
+        texts.add(str(caught.value))
+        assert endpoint not in protocol._ENDPOINT_TEXTS
+    assert len(texts) == 1
+
+
 @pytest.mark.parametrize("text", ["h:7", "h:10", "h.example:65535", "127.0.0.1:7099"])
 def test_decoded_endpoint_re_encodes_to_the_same_bytes(text):
     # only the canonical port text decodes ("h:07" is rejected above), so

@@ -32,12 +32,24 @@ Encodings are canonical: equal values produce byte-equal frames, and
 re-encoding a decoded message reproduces the original bytes.
 
 A flat list of texts, or of at least BULK_MIN_FIXED ints or floats (one
-exact type throughout), is encoded and decoded in bulk, with C-level strided
-copies instead of one Python call per element; the bytes are the same as
-element by element. Any irregularity on decode (a wrong tag, truncation, bad
-UTF-8) falls back to the element-by-element reader, so errors and their
-offsets do not depend on the fast path. Lists may nest at most
-MAX_LIST_DEPTH deep in either direction.
+exact type throughout, checked with one countOf over the element types), is
+encoded and decoded in bulk, with C-level strided copies instead of one
+Python call per element; the bytes are the same as element by element. An
+int or float list is packed in place: one struct call packs every element
+big-endian, the list's 9-byte rows are laid out in the output with their tag
+bytes already in them, and each of the 8 byte columns is copied into its
+rows with one strided copy, so no intermediate block is built. Any
+irregularity on decode (a wrong tag, truncation, bad UTF-8) falls back to
+the element-by-element reader, so errors and their offsets do not depend on
+the fast path. Lists may nest at most MAX_LIST_DEPTH deep in either
+direction.
+
+A value payload (an Export or a RespValue) is copied once on each side of
+the frame. encode_message writes the frame's head (length prefix, tag, codec
+id, payload length) and joins the payload's bytes on to it, so they are
+copied only into the frame. decode_message slices an rv1 payload that fills
+its body straight out of the frame; any other body, well-formed or not, is
+read field by field, so every error and offset stays the same.
 
 There is one rv1 reader, and it either builds the value or only checks it.
 decode_value builds; check_value, which a host runs on an Export whose bytes
@@ -70,6 +82,7 @@ import threading
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import countOf
 from typing import Any, NoReturn, Union
 
 from .errors import NotSerializableError, ProtocolError
@@ -249,9 +262,10 @@ def _encode_raw(value: Any, out: bytearray, depth: int = 0) -> None:
         if depth >= MAX_LIST_DEPTH:
             raise NotSerializableError(f"lists nested deeper than {MAX_LIST_DEPTH}")
         out += _U32.pack(len(value))
-        kinds = set(map(type, value))
-        bulk = _BULK_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
-        if bulk is not None and (bulk is _put_texts or len(value) >= BULK_MIN_FIXED):
+        kind = type(value[0]) if value else None
+        bulk = _BULK_ENCODERS.get(kind)
+        if (bulk is not None and (bulk is _put_texts or len(value) >= BULK_MIN_FIXED)
+                and countOf(map(type, value), kind) == len(value)):
             bulk(value, out)
             return
         element_tag = None
@@ -269,30 +283,31 @@ def _not_utf8(exc: UnicodeEncodeError) -> NotSerializableError:
     return NotSerializableError(f"text has no UTF-8 encoding: {exc}")
 
 
-def _put_fixed(tag: int, raw: array, out: bytearray) -> None:
-    """Interleave one tag byte before each 8-byte big-endian element of ``raw``."""
-    if _SWAP:
-        raw.byteswap()
-    data = raw.tobytes()
-    count = len(raw)
-    block = bytearray(9 * count)
-    block[0::9] = bytes((tag,)) * count
+def _put_fixed(tag: int, fmt: str, value: list, out: bytearray) -> None:
+    """Write each element of ``value`` as ``tag`` then its 8 big-endian bytes.
+
+    struct packs the whole list big-endian in one call; the 9-byte rows are
+    laid out in ``out`` with their tags, and each byte column of the packed
+    elements is copied into its place with one strided copy.
+    """
+    count = len(value)
+    data = struct.pack(f">{count}{fmt}", *value)
+    start = len(out)
+    out += (bytes((tag,)) + bytes(8)) * count
     for k in range(8):
-        block[1 + k::9] = data[k::8]
-    out += block
+        out[start + 1 + k::9] = data[k::8]
 
 
 def _put_ints(value: list, out: bytearray) -> None:
     try:
-        raw = array("q", value)
-    except OverflowError:
+        _put_fixed(TAG_INT, "q", value, out)
+    except struct.error:
         bad = next(v for v in value if not _INT64_MIN <= v <= _INT64_MAX)
         raise NotSerializableError(f"integer out of 64-bit range: {bad}") from None
-    _put_fixed(TAG_INT, raw, out)
 
 
 def _put_floats(value: list, out: bytearray) -> None:
-    _put_fixed(TAG_FLOAT, array("d", value), out)
+    _put_fixed(TAG_FLOAT, "d", value, out)
 
 
 def _put_texts(value: list, out: bytearray) -> None:
@@ -534,10 +549,10 @@ def _take_descriptor(buf: bytes, pos: int) -> tuple[RemoteRefDescriptor, int]:
     return _built(RemoteRefDescriptor, {"endpoint": endpoint, "id": object_id}), pos
 
 
-def _put_payload(payload: ValuePayload, out: bytearray) -> None:
+def _put_payload_head(payload: ValuePayload, out: bytearray) -> None:
+    """The codec id and the length of ``payload``; encode_message joins its bytes on."""
     _put_name(payload.codec_id, out)
     out += _U32.pack(len(payload.data))
-    out += payload.data
 
 
 def _take_payload(buf: bytes, pos: int) -> tuple[ValuePayload, int]:
@@ -678,7 +693,7 @@ _NAME = (_put_name, _take_name)
 _OBJECT_ID = (_put_object_id, _take_object_id)
 _DESCRIPTOR = (_put_descriptor, _take_descriptor)
 _PIPELINE = (_put_pipeline, _take_pipeline)
-_PAYLOAD = (_put_payload, _take_payload)
+_PAYLOAD = (_put_payload_head, _take_payload)
 _UINT8 = (lambda value, out: out.extend(_U8.pack(value)), partial(_unpack, _U8))
 _UINT64 = (lambda value, out: out.extend(_U64.pack(value)), partial(_unpack, _U64))
 
@@ -708,6 +723,15 @@ _DECODERS = {
     tag: (cls, tuple((f.name, take) for f, (_, take) in zip(fields(cls), codecs, strict=True)))
     for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
 }
+# Export and RespValue, whose one field is a payload: its bytes end the body.
+_PAYLOAD_TAGS = frozenset(
+    tag for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1) if codecs == [_PAYLOAD]
+)
+# In a frame of one of them with an rv1 payload: the codec id at offset 5,
+# the payload's u32 length after it, then its bytes.
+_RV1_CODEC_NAME = _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
+_RV1_LENGTH_AT = 5 + len(_RV1_CODEC_NAME)
+_RV1_DATA_AT = _RV1_LENGTH_AT + _U32.size
 
 
 # --------------------------------------------------------------------------
@@ -722,16 +746,19 @@ def encode_message(message: Message) -> bytes:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
     tag, layout = row
     # The 4-byte length prefix is reserved up front and filled in at the end,
-    # so the frame is copied only once, into the returned bytes.
+    # so the frame is copied only once, into the returned bytes. A payload's
+    # bytes, which end their body, are not written into the head first: they
+    # are joined on with it.
     body = bytearray(4)
     body.append(tag)
     for attribute, put in layout:
         put(getattr(message, attribute), body)
-    body_len = len(body) - 4
+    data = message.payload.data if tag in _PAYLOAD_TAGS else b""
+    body_len = len(body) - 4 + len(data)
     if body_len > MAX_BODY_LEN:
         raise ProtocolError(f"message body too large: {body_len} bytes")
     _U32.pack_into(body, 0, body_len)
-    return bytes(body)
+    return b"".join((body, data)) if data else bytes(body)
 
 
 def decode_message(buf: bytes) -> tuple[Message, int] | None:
@@ -749,6 +776,13 @@ def decode_message(buf: bytes) -> tuple[Message, int] | None:
         return None
     if body_len == 0:
         raise ProtocolError("empty frame body")
+    if (buf[4] in _PAYLOAD_TAGS and end >= _RV1_DATA_AT
+            and buf.startswith(_RV1_CODEC_NAME, 5)
+            and _U32.unpack_from(buf, _RV1_LENGTH_AT)[0] == end - _RV1_DATA_AT):
+        # an rv1 payload that fills its body exactly is sliced straight out of
+        # the frame; anything else is read below, which names its fault
+        payload = ValuePayload(CODEC_RV1, buf[_RV1_DATA_AT:end])
+        return _built(_DECODERS[buf[4]][0], {"payload": payload}), end
     body = buf[4:end]
     row = _DECODERS.get(body[0])
     if row is None:

@@ -130,8 +130,20 @@ def _recv_chunks(sock: socket.socket, count: int) -> list[bytes]:
 def read_frame(sock: socket.socket) -> bytes:
     """Read one whole frame: the 4-byte length prefix, then the body it declares.
 
-    Raises TransportError when the peer closes before the frame is whole.
+    The prefix is peeked first. A frame of at most _RECV_CHUNK bytes is then
+    received whole, into the one bytes object returned, in as many calls as
+    reading the prefix and then the body would take. A longer one, or one
+    whose prefix has not all arrived, is read a chunk at a time and joined
+    once. Raises TransportError when the peer closes before the frame is
+    whole.
     """
+    peeked = sock.recv(4, socket.MSG_PEEK | socket.MSG_WAITALL)
+    size = 4 + int.from_bytes(peeked, "big")
+    if len(peeked) == 4 and size <= _RECV_CHUNK:
+        frame = sock.recv(size, socket.MSG_WAITALL)
+        if len(frame) == size:
+            return frame
+        return b"".join([frame] + _recv_chunks(sock, size - len(frame)))
     header = _recv_chunks(sock, 4)
     body_len = int.from_bytes(b"".join(header), "big")
     # one copy joins the header and the body's chunks
@@ -139,11 +151,16 @@ def read_frame(sock: socket.socket) -> bytes:
 
 
 class Channel:
-    """One connected socket and the lock that its callers take for a call."""
+    """One connected socket and the lock that its callers take for a call.
+
+    Nagle's algorithm is off at both ends, so the last segment of a frame,
+    a large reply's tail included, goes out without waiting for an ACK.
+    """
 
     __slots__ = ("sock", "lock")
 
     def __init__(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.lock = threading.Lock()
 
@@ -181,7 +198,6 @@ class TcpTransport(Transport):
         except OSError as exc:
             raise TransportError(f"cannot connect to {endpoint}: {exc}", endpoint) from exc
         sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         fresh = Channel(sock)
         with self._lock:
             channel = None if self._closed else self._channels.setdefault(endpoint, fresh)

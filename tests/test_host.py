@@ -48,6 +48,7 @@ from remotable.protocol import (
     RespValue,
     Stats,
     ValuePayload,
+    decode_frame,
 )
 from remotable.model import Encoded
 from remotable.transport import LoopbackTransport, TcpTransport, read_frame
@@ -414,6 +415,105 @@ def test_client_reserves_no_memory_for_a_reply_header_it_never_gets_the_body_of(
             transport.close()
             thread.join(timeout=5)
     assert peak < 8 * 2**20
+
+
+def test_reading_a_frame_copies_it_once():
+    frame = encode_message(RespValue(ValuePayload(CODEC_RV1, bytes(700_000))))
+    left, right = socket.socketpair()
+    with left, right:
+        sender = threading.Thread(target=left.sendall, args=(frame,))
+        tracemalloc.start()
+        try:
+            sender.start()
+            read = read_frame(right)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            sender.join(timeout=5)
+    assert read == frame
+    assert peak < 1.2 * len(frame)
+
+
+def _dribble(sock, data, step=3):
+    """Send ``data`` a few bytes at a time, each piece in its own segment."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for start in range(0, len(data), step):
+        sock.sendall(data[start:start + step])
+        time.sleep(0.001)
+
+
+def _one_reply_peer(listener, answer):
+    """Accept one connection, read its request, and ``answer(conn)``."""
+    def peer():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn)
+            answer(conn)
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    return thread
+
+
+def test_client_reads_a_reply_that_arrives_a_few_bytes_at_a_time():
+    reply = RespValue(encode_value(list(range(20))))
+    transport = TcpTransport()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        thread = _one_reply_peer(listener, lambda conn: _dribble(conn, encode_message(reply)))
+        try:
+            assert transport.call(EndpointAddr(*listener.getsockname()), Get(ObjectId(1, 1))) == reply
+        finally:
+            transport.close()
+            thread.join(timeout=5)
+
+
+def test_client_fails_typed_when_the_peer_closes_inside_a_reply_header():
+    transport = TcpTransport()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        endpoint = EndpointAddr(*listener.getsockname())
+        thread = _one_reply_peer(listener, lambda conn: conn.sendall(b"\x00\x00"))
+        try:
+            with pytest.raises(TransportError) as caught:
+                transport.call(endpoint, Get(ObjectId(1, 1)))
+        finally:
+            transport.close()
+            thread.join(timeout=5)
+    assert str(caught.value) == f"call to {endpoint} failed: connection closed mid-frame"
+
+
+def test_host_reads_a_request_that_arrives_a_few_bytes_at_a_time(tcp_node):
+    value = list(range(20))
+    with socket.create_connection((tcp_node.endpoint.host, tcp_node.endpoint.port), timeout=5) as sock:
+        _dribble(sock, encode_message(Export(encode_value(value))))
+        exported = decode_frame(read_frame(sock))
+        _dribble(sock, encode_message(Get(exported.descriptor.id)))
+        assert decode_frame(read_frame(sock)) == RespValue(encode_value(value))
+
+
+def test_host_ends_a_connection_that_closes_inside_a_request_header(tcp_node, monkeypatch):
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    channels = tcp_node._server._channels
+    with socket.create_connection((tcp_node.endpoint.host, tcp_node.endpoint.port), timeout=5) as sock:
+        sock.sendall(b"\x00\x00")
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1) == b""  # the host hung up without a reply
+    deadline = time.monotonic() + 2
+    while channels and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not channels and not crashes
+    descriptor = tcp_node.table.export(9)  # and serves the next connection
+    frame = _raw_call(tcp_node.endpoint, encode_message(Get(descriptor.id)))
+    assert decode_frame(frame) == RespValue(encode_value(9))
+
+
+def test_both_ends_of_a_served_connection_send_without_delay(tcp_pair):
+    server, client = tcp_pair
+    assert client.export_to(server.endpoint, 5).get() == 5
+    (client_end,) = client.transport._channels.values()
+    (host_end,) = server._server._channels
+    for channel in (client_end, host_end):
+        assert channel.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
 
 
 def test_every_tcp_transport_error_names_its_endpoint():

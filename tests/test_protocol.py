@@ -742,6 +742,37 @@ def test_decoding_a_long_int_list_keeps_no_spare_copy():
     assert peak < 5_000_000
 
 
+# A value frame's payload is copied once on each side: into the frame by
+# encode_message, and out of it by decode_frame. Each holds at most one frame's
+# worth of bytes at a time.
+MIB_PAYLOAD = ValuePayload(CODEC_RV1, bytes(range(256)) * 4096)
+
+
+def _traced_peak(work):
+    tracemalloc.start()
+    try:
+        result = work()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("variant", [Export, RespValue])
+def test_encoding_a_value_frame_copies_its_payload_once(variant):
+    frame, peak = _traced_peak(lambda: encode_message(variant(MIB_PAYLOAD)))
+    assert frame.endswith(MIB_PAYLOAD.data)
+    assert peak < 1.2 * len(frame)
+
+
+@pytest.mark.parametrize("variant", [Export, RespValue])
+def test_decoding_a_value_frame_copies_its_payload_once(variant):
+    frame = encode_message(variant(MIB_PAYLOAD))
+    message, peak = _traced_peak(lambda: decode_frame(frame))
+    assert message == variant(MIB_PAYLOAD)
+    assert peak < 1.2 * len(frame)
+
+
 # -- pipeline frames: the flat stage codec and the objects it builds ----------
 
 endpoints = st.builds(

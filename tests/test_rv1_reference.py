@@ -17,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import rv1_reference as ref
-from remotable import NotSerializableError, ProtocolError, decode_value, encode_message, encode_value
+from remotable import (
+    NotSerializableError, ProtocolError, decode_value, encode_message, encode_value,
+)
 from remotable.protocol import (
     BULK_MIN_FIXED, CODEC_RV1, Export, RespValue, ValuePayload, check_value, decode_frame,
 )

@@ -430,6 +430,7 @@ def test_reading_a_frame_copies_it_once():
         finally:
             tracemalloc.stop()
             sender.join(timeout=5)
+    assert not sender.is_alive()
     assert read == frame
     assert peak < 1.2 * len(frame)
 
@@ -465,6 +466,7 @@ def test_client_reads_a_reply_that_arrives_a_few_bytes_at_a_time():
         finally:
             transport.close()
             thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_client_fails_typed_when_the_peer_closes_inside_a_reply_header():
@@ -478,6 +480,7 @@ def test_client_fails_typed_when_the_peer_closes_inside_a_reply_header():
         finally:
             transport.close()
             thread.join(timeout=5)
+    assert not thread.is_alive()
     assert str(caught.value) == f"call to {endpoint} failed: connection closed mid-frame"
 
 

@@ -125,8 +125,10 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _TEXT_HEAD = struct.Struct(">BI")
 _OBJECT_ID_PAIR = struct.Struct(">QQ")
-# An inline rv1 capture up to its payload length: kind byte, then codec id as a name
-_INLINE_RV1 = _U8.pack(_CAPTURE_INLINE) + _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
+# The rv1 codec id as a name field, and an inline rv1 capture up to its
+# payload length: kind byte, then that name
+_RV1_CODEC_NAME = _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
+_INLINE_RV1 = _U8.pack(_CAPTURE_INLINE) + _RV1_CODEC_NAME
 
 # rv1 numbers are big-endian; array() holds them in native order.
 _SWAP = sys.byteorder == "little"
@@ -729,7 +731,6 @@ _PAYLOAD_TAGS = frozenset(
 )
 # In a frame of one of them with an rv1 payload: the codec id at offset 5,
 # the payload's u32 length after it, then its bytes.
-_RV1_CODEC_NAME = _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
 _RV1_LENGTH_AT = 5 + len(_RV1_CODEC_NAME)
 _RV1_DATA_AT = _RV1_LENGTH_AT + _U32.size
 

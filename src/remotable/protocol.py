@@ -36,9 +36,11 @@ exact type throughout, checked with one countOf over the element types), is
 encoded and decoded in bulk, with C-level strided copies instead of one
 Python call per element; the bytes are the same as element by element. An
 int or float list is packed in place: one struct call packs every element
-big-endian, the list's 9-byte rows are laid out in the output with their tag
-bytes already in them, and each of the 8 byte columns is copied into its
-rows with one strided copy, so no intermediate block is built. Any
+big-endian, the output grows by the list's size with those bytes and the
+tag column appended, and the tag column and each of the 8 byte columns are
+then copied into the list's 9-byte rows with one strided copy each. No
+tagged row template is built; the temporaries besides the packed bytes are
+a ninth of the list's size each. Any
 irregularity on decode (a wrong tag, truncation, bad UTF-8) falls back to
 the element-by-element reader, so errors and their offsets do not depend on
 the fast path. Lists may nest at most MAX_LIST_DEPTH deep in either
@@ -288,14 +290,20 @@ def _not_utf8(exc: UnicodeEncodeError) -> NotSerializableError:
 def _put_fixed(tag: int, fmt: str, value: list, out: bytearray) -> None:
     """Write each element of ``value`` as ``tag`` then its 8 big-endian bytes.
 
-    struct packs the whole list big-endian in one call; the 9-byte rows are
-    laid out in ``out`` with their tags, and each byte column of the packed
-    elements is copied into its place with one strided copy.
+    struct packs the whole list big-endian in one call. ``out`` is grown by
+    the list's encoded size by appending the packed bytes and the tag column,
+    and then the tag column and each of the 8 byte columns are copied into
+    their places in the 9-byte rows with one strided copy each. No tagged row
+    template is built; besides the packed bytes, each temporary (the tag
+    column, one byte column at a time) is a ninth of the list's size.
     """
     count = len(value)
     data = struct.pack(f">{count}{fmt}", *value)
+    tags = bytes((tag,)) * count
     start = len(out)
-    out += (bytes((tag,)) + bytes(8)) * count
+    out += data
+    out += tags
+    out[start::9] = tags
     for k in range(8):
         out[start + 1 + k::9] = data[k::8]
 

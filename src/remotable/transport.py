@@ -130,20 +130,15 @@ def _recv_chunks(sock: socket.socket, count: int) -> list[bytes]:
 def read_frame(sock: socket.socket) -> bytes:
     """Read one whole frame: the 4-byte length prefix, then the body it declares.
 
-    The prefix is peeked first. A frame of at most _RECV_CHUNK bytes is then
-    received whole, into the one bytes object returned, in as many calls as
-    reading the prefix and then the body would take. A longer one, or one
-    whose prefix has not all arrived, is read a chunk at a time and joined
-    once. Raises TransportError when the peer closes before the frame is
-    whole.
+    The prefix is peeked first, so the whole frame is received in chunks of
+    at most _RECV_CHUNK and joined once; a frame that fits one chunk is one
+    recv, whose bytes the join returns as they are. A prefix that has not all
+    arrived (a closed peer, a socket with a timeout) is read before its body.
+    Raises TransportError when the peer closes before the frame is whole.
     """
     peeked = sock.recv(4, socket.MSG_PEEK | socket.MSG_WAITALL)
-    size = 4 + int.from_bytes(peeked, "big")
-    if len(peeked) == 4 and size <= _RECV_CHUNK:
-        frame = sock.recv(size, socket.MSG_WAITALL)
-        if len(frame) == size:
-            return frame
-        return b"".join([frame] + _recv_chunks(sock, size - len(frame)))
+    if len(peeked) == 4:
+        return b"".join(_recv_chunks(sock, 4 + int.from_bytes(peeked, "big")))
     header = _recv_chunks(sock, 4)
     body_len = int.from_bytes(b"".join(header), "big")
     # one copy joins the header and the body's chunks

@@ -1,9 +1,9 @@
 """Identity, addressing, and hosting of remote values.
 
 A process that hosts values owns one :class:`HostTable`, the only store of
-its host-side state: the hosted values, their serialization/get counters and
-the names bound to them, each a slot in a dict keyed by serial rather than
-an object per entry. Exporting a value stores it under a fresh
+its host-side state: the hosted values and their serialization/get counters,
+each entry a slot in flat columns indexed by serial rather than an object of
+its own, and the names bound to them. Exporting a value stores it under a fresh
 :class:`ObjectId` and hands back a portable :class:`RemoteRefDescriptor` that
 any process can use to address it. The descriptor is the only thing that ever
 crosses the wire; the value itself stays home until somebody forces it.
@@ -14,6 +14,7 @@ restarted host miss the table instead of silently hitting a different value.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -105,17 +106,19 @@ class Encoded:
 class HostTable:
     """Per-process host-side state: hosted values, their counters and the names bound to them.
 
-    Each entry is a slot in plain dicts keyed by its serial, not an object of
-    its own, so a table of any size adds no object for the cyclic garbage
-    collector to walk beyond what its values bring. ``_values`` holds the
-    value, or, for an Export, the ``Encoded`` that keeps its payload until
-    the first ``value`` read decodes it. ``_counts`` holds the
-    (serializations, gets) pair of each entry counted at least once; an
-    entry it lacks has counted nothing. ``serializations`` grows exactly
-    when the value's bytes are sent for the wire, whether encoded then or
-    kept from the Export; local handoffs never touch it. ``gets`` grows once
-    per remote force. Only this class names its storage (a tier-1 ``ast``
-    check).
+    Each entry is a slot in flat columns indexed by ``serial - first``, not
+    an object of its own: ``_values`` is a list holding the value, or, for
+    an Export, the ``Encoded`` that keeps its payload until the first
+    ``value`` read decodes it, and ``_serializations`` and ``_gets`` are
+    ``array("Q")`` columns of its counters. An entry thus costs a list slot
+    and 16 bytes of counters, with no key, hash slot or tuple, and a table
+    of any size adds no object for the cyclic garbage collector to walk
+    beyond what its values bring. ``first`` is the serial of ``_values[0]``
+    (1 unless set otherwise); the next serial is ``first + len(_values)``.
+    ``serializations`` grows exactly when the value's bytes are sent for the
+    wire, whether encoded then or kept from the Export; local handoffs never
+    touch it. ``gets`` grows once per remote force. Only this class names
+    its storage (a tier-1 ``ast`` check).
 
     Also serves as the locality-replacement cache: a descriptor whose endpoint
     and incarnation match this table is home (``is_home``), and its value is
@@ -125,19 +128,21 @@ class HostTable:
     first ``value`` read of kept bytes takes it again, to store what it
     decoded.
 
-    Entries and bindings are keyed by serial alone: every lookup first checks
-    that the id's incarnation is this table's, so an id of another
-    incarnation misses as if its serial were unknown.
+    Entries and bindings are addressed by serial alone: every lookup first
+    checks that the id's incarnation is this table's, so an id of another
+    incarnation misses as if its serial were unknown, and a serial below
+    ``first`` or past the last entry misses too, never wrapping round.
     """
 
     def __init__(self, self_endpoint: EndpointAddr, incarnation: int) -> None:
         ObjectId(incarnation, 1)  # refuses an incarnation out of range, once for every id
         self.self_endpoint = self_endpoint
         self.incarnation = incarnation
-        self._values: dict[int, Any] = {}
-        self._counts: dict[int, tuple[int, int]] = {}
+        self.first = 1
+        self._values: list[Any] = []
+        self._serializations: array[int] = array("Q")
+        self._gets: array[int] = array("Q")
         self._names: dict[str, int] = {}
-        self._next_serial = 1
         self._lock = threading.Lock()
         self._decode_lock = threading.Lock()
 
@@ -150,11 +155,12 @@ class HostTable:
         serial is in range here.
         """
         with self._lock:
-            serial = self._next_serial
+            serial = self.first + len(self._values)
             if serial > _MAX_SERIAL:
                 raise OverflowError("object id serial space exhausted")
-            self._next_serial = serial + 1
-            self._values[serial] = value
+            self._values.append(value)
+            self._serializations.append(0)
+            self._gets.append(0)
         return self._descriptor(serial)
 
     def is_home(self, descriptor: RemoteRefDescriptor) -> bool:
@@ -175,7 +181,7 @@ class HostTable:
         ``value``, which decodes kept bytes once for every reader.
         """
         with self._lock:
-            return self._find(object_id)
+            return self._values[self._index(object_id)]
 
     def value(self, object_id: ObjectId) -> Any:
         """The entry's value; kept bytes are decoded on the first read, and only then.
@@ -193,22 +199,21 @@ class HostTable:
 
         with self._decode_lock:
             with self._lock:
-                current = self._values[object_id.serial]
+                current = self._values[object_id.serial - self.first]
             if current is hosted:
                 current = protocol.decode_value(hosted.payload)
                 with self._lock:
-                    self._values[object_id.serial] = current
+                    self._values[object_id.serial - self.first] = current
         return current
 
     def count(self, object_id: ObjectId, serializations: int = 0, gets: int = 0) -> tuple[int, int]:
         """Add to the entry's counters; returns them as (serializations, gets)."""
         with self._lock:
-            self._find(object_id)
-            serial = object_id.serial
-            counted = self._counts.get(serial, (0, 0))
-            if serializations or gets:
-                counted = (counted[0] + serializations, counted[1] + gets)
-                self._counts[serial] = counted
+            index = self._index(object_id)
+            if not (serializations or gets):
+                return self._serializations[index], self._gets[index]
+            counted = self._serializations[index] + serializations, self._gets[index] + gets
+            self._serializations[index], self._gets[index] = counted
             return counted
 
     def rebind(self, name: str, descriptor: RemoteRefDescriptor) -> None:
@@ -233,13 +238,25 @@ class HostTable:
 
     def _holds(self, object_id: ObjectId) -> bool:
         """Whether an entry is stored under ``object_id``; the caller holds the lock."""
-        return object_id.incarnation == self.incarnation and object_id.serial in self._values
+        index = object_id.serial - self.first
+        if index >= 0 and object_id.incarnation == self.incarnation:
+            try:
+                self._values[index]
+                return True
+            except IndexError:  # past the last entry: cheaper to catch than to compare to len()
+                pass
+        return False
 
-    def _find(self, object_id: ObjectId) -> Any:
-        """What is stored under ``object_id``; the caller holds the lock."""
-        if not self._holds(object_id):
-            raise UnknownObjectError(f"no hosted value under id {object_id}")
-        return self._values[object_id.serial]
+    def _index(self, object_id: ObjectId) -> int:
+        """The column index of the entry under ``object_id``; the caller holds the lock."""
+        index = object_id.serial - self.first
+        if index >= 0 and object_id.incarnation == self.incarnation:
+            try:
+                self._values[index]
+                return index
+            except IndexError:  # past the last entry: cheaper to catch than to compare to len()
+                pass
+        raise UnknownObjectError(f"no hosted value under id {object_id}")
 
     def __len__(self) -> int:
         with self._lock:

@@ -685,7 +685,7 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
                 pos = end
                 if type(value) is list:
                     shareable = False
-                captures.append(_built(InlineValue, {"value": value, "origin": None}))
+                captures.append(_built(InlineValue, {"value": value, "origin": None, "decoded": True}))
             elif pos < len(buf) and buf[pos] == _CAPTURE_REF:
                 descriptor, pos = _take_descriptor(buf, pos + 1)
                 captures.append(_built(RemoteRef, {"descriptor": descriptor}))

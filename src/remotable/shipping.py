@@ -40,12 +40,14 @@ class InlineValue:
 
     ``origin`` names the hosted value this capture copies, when it was built
     by ``HostContext.subject_capture``; the shipping node then charges one
-    serialization to that value. It stays in process: it is never encoded and
-    takes no part in equality.
+    serialization to that value. ``decoded`` marks a capture that the
+    protocol decoder built for one request, whose value no one else holds.
+    Neither is encoded, and neither takes part in equality.
     """
 
     value: Any
     origin: Optional[ObjectId] = field(default=None, compare=False)
+    decoded: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -228,13 +230,35 @@ def _lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
 def resolve_captures(captures: tuple[Capture, ...], ctx: HostContext) -> list:
     """Materialize capture arguments for a body about to run.
 
-    Inline captures yield their value directly; reference captures go through
-    the context, which substitutes the local entry for home references (unless
-    locality replacement is disabled) and a wire-backed handle otherwise. Home
-    resolution performs zero serialization.
+    An inline capture yields its value as a decoded frame would: a decoded
+    one as it is, and any other (a request answered in process) through
+    ``_own``, so a body never changes the caller's ``Stage`` or what a later
+    application of it receives. Copying is not serializing: no counter
+    moves. Reference captures go through the context, which substitutes the
+    local entry for home references (unless locality replacement is
+    disabled) and a wire-backed handle otherwise. Home resolution performs
+    zero serialization.
     """
-    return [capture.value if isinstance(capture, InlineValue) else ctx.resolve_ref(capture.descriptor)
+    return [(capture.value if capture.decoded or type(capture.value) in _IMMUTABLE
+             else _own(capture.value))
+            if isinstance(capture, InlineValue) else ctx.resolve_ref(capture.descriptor)
             for capture in captures]
+
+
+# exact types whose values a body cannot change, passed to it as they are
+_IMMUTABLE = frozenset((int, float, bool, str, bytes))
+
+
+def _own(value: Any) -> Any:
+    """``value`` as rv1 decodes it: a list copied all the way down, a bytearray as ``bytes``.
+
+    Anything else is passed as it is.
+    """
+    if isinstance(value, list):
+        return [_own(item) if isinstance(item, (list, bytearray)) else item for item in value]
+    if isinstance(value, bytearray):
+        return bytes(value)
+    return value
 
 
 def evaluate(

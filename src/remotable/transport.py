@@ -28,6 +28,10 @@ _CONNECT_TIMEOUT_S = 10.0
 # A body longer than this is read a chunk at a time, so that what the client
 # allocates follows the bytes that arrive, not the size a header claims.
 _RECV_CHUNK = 1 << 20
+# recv flags as plain ints: OR-ing the IntFlag members on each call runs
+# enum's Python __or__.
+_WAITALL = int(socket.MSG_WAITALL)
+_PEEK_WAITALL = int(socket.MSG_PEEK | socket.MSG_WAITALL)
 
 
 class Transport:
@@ -119,7 +123,7 @@ def _recv_chunks(sock: socket.socket, count: int) -> list[bytes]:
     """
     chunks = []
     while count:
-        chunk = sock.recv(min(count, _RECV_CHUNK), socket.MSG_WAITALL)
+        chunk = sock.recv(min(count, _RECV_CHUNK), _WAITALL)
         if not chunk:
             raise TransportError("connection closed mid-frame")
         chunks.append(chunk)
@@ -136,7 +140,7 @@ def read_frame(sock: socket.socket) -> bytes:
     arrived (a closed peer, a socket with a timeout) is read before its body.
     Raises TransportError when the peer closes before the frame is whole.
     """
-    peeked = sock.recv(4, socket.MSG_PEEK | socket.MSG_WAITALL)
+    peeked = sock.recv(4, _PEEK_WAITALL)
     if len(peeked) == 4:
         return b"".join(_recv_chunks(sock, 4 + int.from_bytes(peeked, "big")))
     header = _recv_chunks(sock, 4)

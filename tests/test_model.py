@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,6 +153,43 @@ def test_counter_of_unknown_id_is_an_error():
             operation(ObjectId(42, 999))
 
 
+def test_a_serial_outside_the_table_misses_and_never_wraps():
+    table = _table()
+    table.first = 10
+    hosted = [table.export(value) for value in ("a", "b", "c")]
+    assert [d.id.serial for d in hosted] == [10, 11, 12]
+    for serial in (1, 9, 13, 2**64 - 1):  # 9 would index -1, the last entry
+        missing = ObjectId(42, serial)
+        assert not table.is_home(RemoteRefDescriptor(table.self_endpoint, missing))
+        for operation in (table.count, table.hosted, table.value):
+            with pytest.raises(UnknownObjectError, match=f"^no hosted value under id {missing}$"):
+                operation(missing)
+        with pytest.raises(UnknownObjectError):
+            table.rebind("n", RemoteRefDescriptor(table.self_endpoint, missing))
+    assert [table.value(d.id) for d in hosted] == ["a", "b", "c"]
+    assert [table.count(d.id) for d in hosted] == [(0, 0)] * 3
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["uncounted", "counted"])
+def test_a_table_entry_costs_at_most_32_bytes(counted):
+    # an entry is a list slot and two 8-byte counters, with no key, hash slot or tuple
+    entries = 50_000
+    table = _table()
+    values = list(range(10**9, 10**9 + entries))  # built before tracing starts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for value in values:
+            descriptor = table.export(value)
+            if counted:
+                table.count(descriptor.id, 1, 1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / entries <= 32
+    assert table.count(descriptor.id) == ((1, 1) if counted else (0, 0))
+
+
 def test_concurrent_exports_issue_unique_ids():
     table = _table()
     seen = []
@@ -171,7 +209,7 @@ def test_concurrent_exports_issue_unique_ids():
 
 def test_export_refuses_once_the_serial_space_is_spent():
     table = _table()
-    table._next_serial = 2**64 - 1
+    table.first = 2**64 - 1
     assert table.export("last").id.serial == 2**64 - 1
     with pytest.raises(OverflowError, match="serial space exhausted"):
         table.export("one too many")

@@ -325,25 +325,36 @@ def test_an_id_of_another_incarnation_misses_on_every_request(request, pair):
 
 
 def _append_one(subject, args, ctx):
-    args[0].append(1)
-    return PlainValue(len(args[0]))
+    args[0].append([1])
+    args[0][0].append(1)
+    return PlainValue(f"{len(args[0])} {len(args[0][0])} {type(args[1]).__name__}")
 
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 def test_a_body_that_mutates_its_list_capture_gets_a_fresh_list_each_time(kind):
     registry = default_registry()
-    registry.register("append_one", 1, _append_one)
-    make = partial(Node.loopback, LoopbackNetwork()) if kind == "loopback" else Node.tcp
-    server, client = make(registry=registry), make(registry=registry)
+    registry.register("append_one", 2, _append_one)
+    network = LoopbackNetwork()
+    make = partial(Node.loopback, network) if kind == "loopback" else Node.tcp
+    server = make(registry=registry)
+    nodes = [server] + [make(registry=registry, locality_replacement=on) for on in (True, False)]
     try:
-        subject = client.export_to(server.endpoint, 0)
-        stage = client.stage("append_one", [7, 8])
-        # the same pipeline bytes, shipped twice
-        assert [subject.map(stage).get() for _ in range(2)] == [3, 3]
-        assert stage.captures[0].value == [7, 8]
+        for client in nodes[1:]:
+            held = client.apply(0)
+            subjects = {
+                "remote": client.export_to(server.endpoint, 0),
+                "local": held,  # answered in process, locality replacement on or off
+                "own endpoint": client._materialize(held.descriptor),  # over the wire when off
+            }
+            for where, subject in subjects.items():
+                stage = client.stage("append_one", [[7], [8]], bytearray(b"ab"))
+                # the same stage applied twice; a bytearray capture arrives as bytes
+                assert [subject.map(stage).get() for _ in range(2)] == ["3 2 bytes"] * 2, where
+                assert stage.captures[0].value == [[7], [8]], where
+            assert held.stats() == (0, 0)  # a copy is not a serialization
     finally:
-        client.close()
-        server.close()
+        for node in reversed(nodes):
+            node.close()
 
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])

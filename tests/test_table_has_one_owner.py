@@ -1,7 +1,8 @@
 """Only ``model.HostTable`` names the table's storage, checked with ``ast``.
 
-A host table's entries, counters and name bindings are slots in dicts that
-``HostTable.__init__`` declares (the attributes it annotates as ``dict``).
+A host table's entries, counters and name bindings are slots in the list,
+``array`` columns and dict that ``HostTable.__init__`` declares (the
+attributes it annotates as a ``list``, ``array`` or ``dict``).
 Every other module, and every other class of ``model.py``, reaches them only
 through the table's methods, so how an entry is stored is decided in one
 place.
@@ -23,18 +24,21 @@ def _host_table(tree):
     return table
 
 
+STORAGE_TYPES = ("dict[", "list[", "array[")
+
+
 def _storage():
-    """The attributes ``HostTable.__init__`` declares as dicts."""
+    """The attributes ``HostTable.__init__`` declares as dicts, lists or arrays."""
     (init,) = [node for node in _host_table(_tree(PACKAGE / "model.py")).body
                if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
     return {node.target.attr for node in ast.walk(init)
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Attribute)
-            and ast.unparse(node.annotation).startswith("dict[")}
+            and ast.unparse(node.annotation).startswith(STORAGE_TYPES)}
 
 
 def test_host_table_declares_its_storage():
     # the check below passes vacuously if the storage is renamed away
-    assert {"_values", "_counts", "_names"} <= _storage()
+    assert {"_values", "_serializations", "_gets", "_names"} <= _storage()
 
 
 def test_only_host_table_names_its_storage():

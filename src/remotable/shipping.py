@@ -41,13 +41,14 @@ class InlineValue:
     ``origin`` names the hosted value this capture copies, when it was built
     by ``HostContext.subject_capture``; the shipping node then charges one
     serialization to that value. ``decoded`` marks a capture that the
-    protocol decoder built for one request, whose value no one else holds.
-    Neither is encoded, and neither takes part in equality.
+    protocol decoder built for one request, whose value no one else holds;
+    the constructor always leaves it False. Neither is encoded, and neither
+    takes part in equality.
     """
 
     value: Any
     origin: Optional[ObjectId] = field(default=None, compare=False)
-    decoded: bool = field(default=False, compare=False)
+    decoded: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -239,26 +240,21 @@ def resolve_captures(captures: tuple[Capture, ...], ctx: HostContext) -> list:
     disabled) and a wire-backed handle otherwise. Home resolution performs
     zero serialization.
     """
-    return [(capture.value if capture.decoded or type(capture.value) in _IMMUTABLE
-             else _own(capture.value))
+    return [(_own(capture.value) if not capture.decoded and isinstance(capture.value, _MUTABLE)
+             else capture.value)
             if isinstance(capture, InlineValue) else ctx.resolve_ref(capture.descriptor)
             for capture in captures]
 
 
-# exact types whose values a body cannot change, passed to it as they are
-_IMMUTABLE = frozenset((int, float, bool, str, bytes))
+# what a body could change in a capture; anything else reaches it as it is
+_MUTABLE = (list, bytearray)
 
 
 def _own(value: Any) -> Any:
-    """``value`` as rv1 decodes it: a list copied all the way down, a bytearray as ``bytes``.
-
-    Anything else is passed as it is.
-    """
+    """A list or bytearray as rv1 decodes it: a list copied all the way down, a bytearray as ``bytes``."""
     if isinstance(value, list):
-        return [_own(item) if isinstance(item, (list, bytearray)) else item for item in value]
-    if isinstance(value, bytearray):
-        return bytes(value)
-    return value
+        return [_own(item) if isinstance(item, _MUTABLE) else item for item in value]
+    return bytes(value)
 
 
 def evaluate(

@@ -155,7 +155,7 @@ def test_counter_of_unknown_id_is_an_error():
 
 def test_a_serial_outside_the_table_misses_and_never_wraps():
     table = _table()
-    table.first = 10
+    table._first = 10
     hosted = [table.export(value) for value in ("a", "b", "c")]
     assert [d.id.serial for d in hosted] == [10, 11, 12]
     for serial in (1, 9, 13, 2**64 - 1):  # 9 would index -1, the last entry
@@ -209,7 +209,7 @@ def test_concurrent_exports_issue_unique_ids():
 
 def test_export_refuses_once_the_serial_space_is_spent():
     table = _table()
-    table.first = 2**64 - 1
+    table._first = 2**64 - 1
     assert table.export("last").id.serial == 2**64 - 1
     with pytest.raises(OverflowError, match="serial space exhausted"):
         table.export("one too many")

@@ -13,9 +13,11 @@ restarted host miss the table instead of silently hitting a different value.
 """
 from __future__ import annotations
 
+import operator
 import threading
+import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import TYPE_CHECKING, Any
 
 from .errors import NotFoundError, UnknownObjectError
@@ -39,18 +41,42 @@ def _built(cls: type, attributes: dict) -> Any:
     return instance
 
 
-@dataclass(frozen=True)
 class EndpointAddr:
-    """A host:port pair; ``parse`` takes only the canonical text that ``str`` renders."""
+    """A host:port pair; ``parse`` takes only the canonical text that ``str`` renders.
 
+    Endpoints are interned: there is one object per host:port pair while any
+    is alive, and building one again (by the constructor, ``parse``, a decoded
+    descriptor, ``copy``, ``deepcopy`` or a pickle round trip) gives that very
+    object. So ``==`` and ``hash`` are the identity ones inherited from
+    ``object``, and run no Python code where endpoints are compared or used as
+    keys: ``Node._call``, ``HostTable.is_home``, the loopback fabric's
+    dispatcher dict, a TCP client's channels and the codec's endpoint memos.
+    The intern table holds its endpoints weakly, so it keeps only those that
+    something else still holds. A port is an int; a bool or another int
+    subclass is kept as the plain int it equals, so ``("loop", True)`` is
+    ``("loop", 1)`` as it compared equal to it before. Instances are frozen.
+    """
+
+    __slots__ = ("host", "port", "__weakref__")
     host: str
     port: int
 
-    def __post_init__(self) -> None:
-        if self.host.split() != [self.host] or ":" in self.host:  # empty or has whitespace
-            raise ValueError(f"bad endpoint host: {self.host!r}")
-        if not 1 <= self.port <= MAX_PORT:
-            raise ValueError(f"bad endpoint port: {self.port}")
+    def __new__(cls, host: str, port: int) -> "EndpointAddr":
+        if type(host) is not str or type(port) is not int:
+            host, port = _plain(host, port)
+        key = (host, port)
+        with _INTERN_LOCK:
+            endpoint = _INTERNED.get(key)
+            if endpoint is None:
+                if host.split() != [host] or ":" in host:  # empty or has whitespace
+                    raise ValueError(f"bad endpoint host: {host!r}")
+                if not 1 <= port <= MAX_PORT:
+                    raise ValueError(f"bad endpoint port: {port}")
+                endpoint = _new(cls)
+                _set(endpoint, "host", host)
+                _set(endpoint, "port", port)
+                _INTERNED[key] = endpoint
+        return endpoint
 
     @classmethod
     def parse(cls, text: str) -> "EndpointAddr":
@@ -59,8 +85,37 @@ class EndpointAddr:
             raise ValueError(f"expected host:port, got {text!r}")
         return cls(host, int(port))
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through the constructor, which interns
+        return EndpointAddr, (self.host, self.port)
+
+    def __repr__(self) -> str:
+        return f"EndpointAddr(host={self.host!r}, port={self.port!r})"
+
     def __str__(self) -> str:
         return f"{self.host}:{self.port}"
+
+
+# host:port -> its one live EndpointAddr
+_INTERNED: "weakref.WeakValueDictionary[tuple[str, int], EndpointAddr]" = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+def _plain(host: Any, port: Any) -> tuple[str, int]:
+    """``host`` and ``port`` as an exact str and int, the intern table's key."""
+    if not isinstance(host, str):
+        raise ValueError(f"bad endpoint host: {host!r}")
+    try:
+        port = operator.index(port)
+    except TypeError:
+        raise ValueError(f"bad endpoint port: {port!r}") from None
+    return str.__str__(host), port
 
 
 @dataclass(frozen=True)

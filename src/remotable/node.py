@@ -25,7 +25,7 @@ from typing import Any, Optional, Type, Union
 from .errors import ProtocolError, error_for_code
 from .funcs import Token, default_registry
 from .host import Host, TcpHostServer
-from .model import EndpointAddr, HostTable, RemoteRefDescriptor
+from .model import EndpointAddr, HostTable, RemoteRefDescriptor, _built
 from .protocol import (
     Export,
     FlatMap,
@@ -299,9 +299,14 @@ class Node:
         handle: RemoteHandle,
         fn: Union[Stage, ShippedFn],
     ) -> RemoteHandle:
-        """Run ``fn`` at the handle's home as a ``variant`` request."""
-        pipeline = ShippedFn.single(fn) if isinstance(fn, Stage) else fn
-        request = variant(handle.descriptor.id, pipeline)
+        """Run ``fn`` at the handle's home as a ``variant`` request.
+
+        The pipeline and the request skip their constructors (``_built``): a
+        one-stage pipeline is never empty, and a request checks nothing.
+        """
+        if isinstance(fn, Stage):
+            fn = _built(ShippedFn, {"stages": (fn,)})
+        request = _built(variant, {"target": handle.descriptor.id, "fn": fn})
         reply = self._call(handle.descriptor.endpoint, request, RespDescriptor, handle._local)
         return self._materialize(reply.descriptor)
 

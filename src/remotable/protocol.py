@@ -61,7 +61,13 @@ list and copies no blob; a text list is still decoded, as one joined text.
 
 Decoders return (value, next offset), reading at offsets into the body. An
 endpoint text is parsed once, then looked up (see _ENDPOINTS), and an
-endpoint is rendered to rv1 text once, then looked up (_ENDPOINT_TEXTS).
+endpoint or a stage's fn id is rendered to rv1 text once, then looked up
+(_ENDPOINT_TEXTS, _FN_ID_TEXTS). Endpoints are interned (one EndpointAddr per
+host:port), so these memos and every other endpoint compare hash by identity.
+A RespDescriptor whose endpoint text is already in _ENDPOINTS and whose
+object id ends the body is read by decode_message in one step; any other
+RespDescriptor, well-formed or not, goes to the field reader, so every error
+and offset stays the same.
 
 A Map or FlatMap pipeline is read and written in one flat pass per stage, with
 direct struct calls at offsets. An inline capture's value is read by the rv1
@@ -102,7 +108,7 @@ MAX_LIST_DEPTH = 100
 # bulk path cost more than they save below this length.
 BULK_MIN_FIXED = 8
 # Distinct endpoints the decoder, and apart from it the encoder, remember
-# before starting over.
+# before starting over; the encoder remembers as many fn ids.
 ENDPOINT_CACHE_MAX = 256
 # Bytes of decoded pipelines the decoder remembers before it starts over. A
 # budget in bytes, not in entries, so that pipelines with large captures
@@ -519,23 +525,27 @@ def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
 
 
 # Endpoints already parsed, keyed by their raw rv1 text, and the rv1 text of
-# endpoints already written, keyed by endpoint; each emptied when full. Only
-# successes are stored, so a bad endpoint fails the same way every time.
+# endpoints and fn ids already written, keyed by endpoint or fn id; each
+# emptied when full. Only successes are stored, so a bad endpoint or fn id
+# fails the same way every time.
 _ENDPOINTS: dict[bytes, EndpointAddr] = {}
 _ENDPOINT_TEXTS: dict[EndpointAddr, bytes] = {}
+_FN_ID_TEXTS: dict[str, bytes] = {}
+
+
+def _rendered(key: Any, text: str, memo: dict) -> bytes:
+    """The rv1 text of ``text``, kept in ``memo`` under ``key`` once it encodes."""
+    rendered = bytearray()
+    _encode_raw(text, rendered)
+    if len(memo) >= ENDPOINT_CACHE_MAX:
+        memo.clear()
+    memo[key] = rendered = bytes(rendered)
+    return rendered
 
 
 def _put_descriptor(descriptor: RemoteRefDescriptor, out: bytearray) -> None:
     endpoint = descriptor.endpoint
-    text = _ENDPOINT_TEXTS.get(endpoint)
-    if text is None:
-        rendered = bytearray()
-        _encode_raw(str(endpoint), rendered)
-        text = bytes(rendered)
-        if len(_ENDPOINT_TEXTS) >= ENDPOINT_CACHE_MAX:
-            _ENDPOINT_TEXTS.clear()
-        _ENDPOINT_TEXTS[endpoint] = text
-    out += text
+    out += _ENDPOINT_TEXTS.get(endpoint) or _rendered(endpoint, str(endpoint), _ENDPOINT_TEXTS)
     _put_object_id(descriptor.id, out)
 
 
@@ -577,7 +587,8 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
         raise ProtocolError("too many stages in one pipeline")
     out += _U16.pack(len(stages))
     for index, stage in enumerate(stages):
-        _encode_raw(stage.fn_id, out)
+        fn_id = stage.fn_id
+        out += _FN_ID_TEXTS.get(fn_id) or _rendered(fn_id, fn_id, _FN_ID_TEXTS)
         captures = stage.captures
         if len(captures) > 0xFFFF:
             raise ProtocolError("too many captures in one stage")
@@ -741,6 +752,7 @@ _PAYLOAD_TAGS = frozenset(
 # the payload's u32 length after it, then its bytes.
 _RV1_LENGTH_AT = 5 + len(_RV1_CODEC_NAME)
 _RV1_DATA_AT = _RV1_LENGTH_AT + _U32.size
+_RESP_DESCRIPTOR_TAG = 1 + _VARIANTS.index((RespDescriptor, _DESCRIPTOR))
 
 
 # --------------------------------------------------------------------------
@@ -785,6 +797,17 @@ def decode_message(buf: bytes) -> tuple[Message, int] | None:
         return None
     if body_len == 0:
         raise ProtocolError("empty frame body")
+    if buf[4] == _RESP_DESCRIPTOR_TAG:
+        # a reply naming an endpoint already parsed, then an object id that
+        # ends the body, is read here in one step; anything else is read below
+        text_end = 10 + int.from_bytes(buf[6:10], "big")
+        endpoint = _ENDPOINTS.get(buf[5:text_end]) if text_end + 16 == end else None
+        if endpoint is not None:
+            incarnation, serial = _OBJECT_ID_PAIR.unpack_from(buf, text_end)
+            if serial:
+                object_id = _built(ObjectId, {"incarnation": incarnation, "serial": serial})
+                descriptor = _built(RemoteRefDescriptor, {"endpoint": endpoint, "id": object_id})
+                return _built(RespDescriptor, {"descriptor": descriptor}), end
     if (buf[4] in _PAYLOAD_TAGS and end >= _RV1_DATA_AT
             and buf.startswith(_RV1_CODEC_NAME, 5)
             and _U32.unpack_from(buf, _RV1_LENGTH_AT)[0] == end - _RV1_DATA_AT):

@@ -92,8 +92,9 @@ class LoopbackNetwork:
             self._dispatchers.pop(endpoint, None)
 
     def deliver(self, endpoint: EndpointAddr, frame: bytes) -> bytes:
-        with self._lock:
-            dispatcher = self._dispatchers.get(endpoint)
+        # one dict read needs no lock: endpoints hash and compare by identity,
+        # so the read runs no Python code and sees attach/detach whole
+        dispatcher = self._dispatchers.get(endpoint)
         if dispatcher is None:
             raise TransportError(f"no host attached at {endpoint}", endpoint)
         return dispatcher(frame)

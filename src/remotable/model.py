@@ -53,8 +53,9 @@ class EndpointAddr:
     dispatcher dict, a TCP client's channels and the codec's endpoint memos.
     The intern table holds its endpoints weakly, so it keeps only those that
     something else still holds. A port is an int; a bool or another int
-    subclass is kept as the plain int it equals, so ``("loop", True)`` is
-    ``("loop", 1)`` as it compared equal to it before. Instances are frozen.
+    subclass is kept as the plain int it equals, so ``EndpointAddr("loop",
+    True)`` is ``EndpointAddr("loop", 1)`` and renders ``loop:1``. Instances
+    are frozen.
     """
 
     __slots__ = ("host", "port", "__weakref__")

@@ -63,7 +63,7 @@ Decoders return (value, next offset), reading at offsets into the body. An
 endpoint text is parsed once, then looked up (see _ENDPOINTS), and an
 endpoint or a stage's fn id is rendered to rv1 text once, then looked up
 (_ENDPOINT_TEXTS, _FN_ID_TEXTS). Endpoints are interned (one EndpointAddr per
-host:port), so these memos and every other endpoint compare hash by identity.
+host:port), so a memo keyed by endpoint hashes and compares it by identity.
 A RespDescriptor whose endpoint text is already in _ENDPOINTS and whose
 object id ends the body is read by decode_message in one step; any other
 RespDescriptor, well-formed or not, goes to the field reader, so every error

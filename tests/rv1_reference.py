@@ -1,4 +1,4 @@
-"""A plain rv1 codec and value-frame reader, written from the wire description.
+"""A plain rv1 codec and frame reader and writer, written from the wire description.
 
 This is the reference that the library's codec is checked against
 (``test_rv1_reference.py``). It follows README's "Wire format" section field
@@ -23,11 +23,23 @@ or RespValue (0x09), then the payload, which is a u16 length and that many
 bytes of UTF-8 naming the codec, then a u32 length and that many bytes of
 value. The frame reader does not read the value: a payload's bytes are opaque
 to the message layer.
+
+A Map (0x03) or FlatMap (0x04) body is the tag, an object id (u64 incarnation,
+u64 serial, the serial not 0), then a pipeline: a u16 stage count (not 0) and
+the stages. A stage is its fn id as a non-empty rv1 text, a u16 capture count
+and the captures. A capture is 0x01 and a payload whose codec id is "rv1" and
+whose bytes are one rv1 value exactly, or 0x02 and a descriptor. A descriptor
+is the rv1 text "host:port" (host non-empty, with no whitespace and no colon;
+port 1-65535 in ASCII decimal with no leading zero), then an object id. A
+RespDescriptor (0x08) body is the tag and one descriptor. In every body the
+fields end exactly at the body's end.
 """
 import struct
 
 MAX_LIST_DEPTH = 100
 VALUE_FRAME_TAGS = {0x06: "Export", 0x09: "RespValue"}
+PIPELINE_FRAME_TAGS = {0x03: "Map", 0x04: "FlatMap"}
+DESCRIPTOR_FRAME_TAG = 0x08
 
 
 class Unencodable(Exception):
@@ -184,3 +196,152 @@ def decode_value_frame(frame):
     if pos + 4 + data_len != len(frame):
         raise Rejected("bytes after the payload")
     return VALUE_FRAME_TAGS[tag], codec_id, data
+
+
+# -- Map, FlatMap and RespDescriptor frames -----------------------------------
+#
+# Read as plain tuples:
+#   ("Map" or "FlatMap", (incarnation, serial), [(fn id, [capture, ...]), ...])
+#   ("RespDescriptor", descriptor)
+# with a capture ("inline", value) or ("ref", descriptor), and a descriptor
+# (host, port, incarnation, serial).
+
+
+def _frame(tag, body):
+    body = bytes([tag]) + body
+    return struct.pack(">I", len(body)) + body
+
+
+def _encode_descriptor(descriptor):
+    host, port, incarnation, serial = descriptor
+    return encode(f"{host}:{port}") + struct.pack(">QQ", incarnation, serial)
+
+
+def encode_pipeline_frame(variant, target, stages):
+    """The whole frame of a Map or FlatMap, or Unencodable."""
+    (tag,) = [tag for tag, name in PIPELINE_FRAME_TAGS.items() if name == variant]
+    body = struct.pack(">QQ", *target) + struct.pack(">H", len(stages))
+    for fn_id, captures in stages:
+        body += encode(fn_id) + struct.pack(">H", len(captures))
+        for kind, held in captures:
+            if kind == "inline":
+                value = encode(held)
+                body += b"\x01" + struct.pack(">H", 3) + b"rv1" + struct.pack(">I", len(value)) + value
+            else:
+                body += b"\x02" + _encode_descriptor(held)
+    return _frame(tag, body)
+
+
+def encode_descriptor_frame(descriptor):
+    """The whole frame of a RespDescriptor, or Unencodable."""
+    return _frame(DESCRIPTOR_FRAME_TAG, _encode_descriptor(descriptor))
+
+
+def encode_frame(read):
+    """The frame that ``decode_frame`` read as ``read``."""
+    if read[0] in VALUE_FRAME_TAGS.values():
+        return encode_value_frame(*read)
+    if read[0] == "RespDescriptor":
+        return encode_descriptor_frame(read[1])
+    return encode_pipeline_frame(*read)
+
+
+def _object_id(frame, pos, marks):
+    incarnation, serial = struct.unpack(">QQ", _need(frame, pos, 16))
+    marks.append(("serial", pos + 8))
+    if serial == 0:
+        raise Rejected(f"object id with serial 0 at offset {pos}")
+    return (incarnation, serial), pos + 16
+
+
+def _text(frame, pos, marks):
+    """(text, offset after it) for an rv1 text at ``pos``."""
+    if _need(frame, pos, 1)[0] != 0x04:
+        raise Rejected(f"not a text at offset {pos}")
+    marks.append(("tag", pos))
+    (length,) = struct.unpack(">I", _need(frame, pos + 1, 4))
+    marks.append(("length", pos + 1))
+    if length:
+        marks.append(("text", pos + 5))
+    try:
+        return _need(frame, pos + 5, length).decode("utf-8"), pos + 5 + length
+    except UnicodeDecodeError as exc:
+        raise Rejected(str(exc)) from None
+
+
+def _descriptor(frame, pos, marks):
+    text, pos = _text(frame, pos, marks)
+    host, sep, port = text.rpartition(":")
+    if (not sep or not host or ":" in host or any(ch.isspace() for ch in host)
+            or not port or any(ch not in "0123456789" for ch in port) or port[0] == "0"
+            or int(port) > 65535):
+        raise Rejected(f"bad endpoint {text!r}")
+    object_id, pos = _object_id(frame, pos, marks)
+    return (host, int(port)) + object_id, pos
+
+
+def _capture(frame, pos, marks):
+    kind = _need(frame, pos, 1)[0]
+    marks.append(("tag", pos))
+    if kind == 0x02:
+        descriptor, pos = _descriptor(frame, pos + 1, marks)
+        return ("ref", descriptor), pos
+    if kind != 0x01:
+        raise Rejected(f"unknown capture kind {kind}")
+    (codec_len,) = struct.unpack(">H", _need(frame, pos + 1, 2))
+    if _need(frame, pos + 3, codec_len) != b"rv1":
+        raise Rejected("inline capture codec is not rv1")
+    pos += 3 + codec_len
+    (length,) = struct.unpack(">I", _need(frame, pos, 4))
+    marks.append(("length", pos))
+    inner = []
+    value = decode(_need(frame, pos + 4, length), inner)
+    marks.extend((kind, at + pos + 4) for kind, at in inner)
+    return ("inline", value), pos + 4 + length
+
+
+def decode_frame(frame, marks=None):
+    """The plain reading of one whole Map, FlatMap, RespDescriptor, Export or RespValue frame.
+
+    Rejected when the bytes are not exactly one well-formed frame; NotCovered
+    when they are one whole frame of another variant. A ``marks`` list is given
+    (kind, frame offset) of the fields read, as ``decode`` gives them, with a
+    capture kind counted as a tag, and "serial" for an object id's serial.
+    """
+    marks = [] if marks is None else marks
+    (body_len,) = struct.unpack(">I", _need(frame, 0, 4))
+    if 4 + body_len != len(frame):
+        raise Rejected("frame length does not match its declared body")
+    if body_len == 0:
+        raise Rejected("empty body")
+    tag = frame[4]
+    marks.append(("length", 0))
+    if tag in VALUE_FRAME_TAGS:
+        return decode_value_frame(frame)
+    if tag == DESCRIPTOR_FRAME_TAG:
+        read, pos = _descriptor(frame, 5, marks)
+        read = ("RespDescriptor", read)
+    elif tag in PIPELINE_FRAME_TAGS:
+        target, pos = _object_id(frame, 5, marks)
+        (count,) = struct.unpack(">H", _need(frame, pos, 2))
+        if count == 0:
+            raise Rejected("empty pipeline")
+        pos += 2
+        stages = []
+        for _ in range(count):
+            fn_id, pos = _text(frame, pos, marks)
+            if not fn_id:
+                raise Rejected("empty fn id")
+            (ncaptures,) = struct.unpack(">H", _need(frame, pos, 2))
+            pos += 2
+            captures = []
+            for _ in range(ncaptures):
+                capture, pos = _capture(frame, pos, marks)
+                captures.append(capture)
+            stages.append((fn_id, captures))
+        read = (PIPELINE_FRAME_TAGS[tag], target, stages)
+    else:
+        raise NotCovered(tag)
+    if pos != len(frame):
+        raise Rejected(f"{len(frame) - pos} bytes after the last field")
+    return read

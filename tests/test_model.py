@@ -1,6 +1,12 @@
+import copy
+import gc
+import pickle
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +19,8 @@ from remotable import (
     RemoteRefDescriptor,
     UnknownObjectError,
 )
+from remotable import model, protocol
+from remotable.protocol import RespDescriptor, decode_frame, encode_message
 
 
 def test_endpoint_renders_host_colon_port():
@@ -37,6 +45,114 @@ def test_endpoint_equality_is_textual():
     assert EndpointAddr("a", 1) == EndpointAddr("a", 1)
     assert EndpointAddr("a", 1) != EndpointAddr("a", 2)
     assert EndpointAddr("a", 1) != EndpointAddr("b", 1)
+
+
+def test_endpoint_compares_and_hashes_by_identity_in_c():
+    # every comparison and hash of an endpoint runs object's own slots
+    for cls in EndpointAddr.__mro__[:-1]:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+    assert EndpointAddr.__eq__ is object.__eq__
+    assert EndpointAddr.__ne__ is object.__ne__
+    assert EndpointAddr.__hash__ is object.__hash__
+
+
+def test_one_endpoint_object_per_host_and_port():
+    endpoint = EndpointAddr("identity.example", 4242)
+    frame = encode_message(RespDescriptor(RemoteRefDescriptor(endpoint, ObjectId(1, 1))))
+    protocol._ENDPOINTS.clear()  # the decoder parses the text afresh
+    same = [
+        EndpointAddr("identity.example", 4242),
+        EndpointAddr.parse(str(endpoint)),
+        decode_frame(frame).descriptor.endpoint,
+        decode_frame(frame).descriptor.endpoint,  # through the decoder's memo
+        copy.copy(endpoint),
+        copy.deepcopy(endpoint),
+        copy.deepcopy(RemoteRefDescriptor(endpoint, ObjectId(1, 1))).endpoint,
+        pickle.loads(pickle.dumps(endpoint)),
+        pickle.loads(pickle.dumps(RemoteRefDescriptor(endpoint, ObjectId(1, 1)))).endpoint,
+    ]
+    assert all(other is endpoint for other in same)
+
+
+@pytest.mark.parametrize("pair", [
+    (("loop", 1), ("loop", True)),
+    (("a", 7099), ("a", 7099)),
+    (("hôte", 65535), ("hôte", 65535)),
+])
+def test_pairs_that_compared_equal_still_do(pair):
+    first, second = EndpointAddr(*pair[0]), EndpointAddr(*pair[1])
+    assert first == second and first is second and hash(first) == hash(second)
+    assert type(first.port) is int and str(second) == f"{pair[0][0]}:{int(pair[0][1])}"
+
+
+def test_pairs_that_differed_still_do():
+    assert EndpointAddr("loop", 1) != EndpointAddr("loop", 2)
+    assert EndpointAddr("loop", 1) != EndpointAddr("Loop", 1)
+    assert EndpointAddr("loop", 1) != ("loop", 1)
+    assert len({EndpointAddr("loop", port) for port in range(1, 50)}) == 49
+
+
+def test_endpoint_is_frozen():
+    endpoint = EndpointAddr("a", 1)
+    with pytest.raises(FrozenInstanceError):
+        endpoint.port = 2
+    with pytest.raises(FrozenInstanceError):
+        del endpoint.host
+    assert (endpoint.host, endpoint.port) == ("a", 1)
+    assert repr(endpoint) == "EndpointAddr(host='a', port=1)"
+
+
+@pytest.mark.parametrize("host, port", [("h", 1.5), ("h", "7"), ("h", None), (5, 1), (None, 1)])
+def test_endpoint_refuses_a_non_text_host_or_non_integer_port(host, port):
+    with pytest.raises(ValueError):
+        EndpointAddr(host, port)
+
+
+class _SlowInternTable(weakref.WeakValueDictionary):
+    """An intern table whose reads pause, so that another thread runs between a miss and its store."""
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        time.sleep(0.002)
+        return found
+
+
+def test_threads_building_one_endpoint_get_one_object(monkeypatch):
+    # more threads than cores, switching often, all building each endpoint at once
+    monkeypatch.setattr(model, "_INTERNED", _SlowInternTable())
+    rounds, workers = 20, 4
+    barrier = threading.Barrier(workers)
+    built: list[list] = [[] for _ in range(workers)]
+
+    def build(slot):
+        for port in range(1, rounds + 1):
+            barrier.wait(timeout=10)
+            built[slot].append(EndpointAddr("race.example", 20000 + port))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(objects) == rounds for objects in built)
+    assert all(len(set(map(id, same))) == 1 for same in zip(*built))
+
+
+def test_intern_table_keeps_no_dropped_endpoint():
+    texts = [f"drop{port % 13}.example:{port}" for port in range(1, 10_001)]
+    endpoints = [EndpointAddr.parse(text) for text in texts]
+    keys = {(endpoint.host, endpoint.port) for endpoint in endpoints}
+    assert len(keys) == 10_000
+    assert keys <= set(model._INTERNED.keys())
+    del endpoints
+    gc.collect()
+    assert keys.isdisjoint(model._INTERNED.keys())
 
 
 def test_object_id_rendering_pads_incarnation():

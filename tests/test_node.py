@@ -2,7 +2,9 @@ import math
 import operator
 import random
 import re
+import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -11,6 +13,7 @@ import pytest
 
 from remotable import (
     ContractViolationError,
+    ErrorCode,
     DeferredHandle,
     ExecutionError,
     FnRegistry,
@@ -33,7 +36,7 @@ from remotable import (
     default_registry,
     encode_message,
 )
-from remotable.protocol import RespAck, RespStats
+from remotable.protocol import Lookup, RespAck, RespError, RespStats, decode_frame
 
 from helpers import random_ops, run_int_pipeline, stages_for_ops
 
@@ -130,6 +133,58 @@ def test_flat_map_may_land_on_a_third_host():
         client.close()
         b.close()
         a.close()
+
+
+def test_detach_racing_many_delivers_gives_only_replies_or_no_host():
+    # deliver reads the fabric's dispatcher dict without its lock; a read that
+    # meets a detach, or a re-attach, must see the dict before or after it
+    network = LoopbackNetwork()
+    server = Node.loopback(network)
+    endpoint, dispatcher = server.endpoint, server.host.handle_frame
+    frame = encode_message(Lookup("ghost"))
+    seen: list[Counter] = []
+    unexpected = []
+    running = threading.Event()
+
+    def deliver():
+        counts = Counter()
+        seen.append(counts)
+        for _ in range(3000):
+            try:
+                reply = decode_frame(network.deliver(endpoint, frame))
+            except TransportError as exc:
+                if str(exc) != f"no host attached at {endpoint}" or exc.endpoint is not endpoint:
+                    unexpected.append(exc)
+                counts["no host"] += 1
+            except Exception as exc:  # reported below, so any other class fails the test
+                unexpected.append(exc)
+            else:
+                if not (isinstance(reply, RespError) and reply.code == ErrorCode.NOT_FOUND):
+                    unexpected.append(reply)
+                counts["reply"] += 1
+            running.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=deliver) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        running.wait(timeout=10)
+        while any(thread.is_alive() for thread in threads):
+            network.detach(endpoint)
+            time.sleep(0.001)
+            network.attach(endpoint, dispatcher)
+            time.sleep(0.001)
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+    assert unexpected == []
+    total = sum(seen, Counter())
+    assert total["reply"] and total["no host"]
+    assert total["reply"] + total["no host"] == 4 * 3000
 
 
 def test_lookup_then_map_then_get(loop_pair):

@@ -625,9 +625,18 @@ def test_decoded_endpoint_re_encodes_to_the_same_bytes(text):
         assert encode_message(decode_frame(frame)) == frame
 
 
+def _one_stage_frame(fn_id):
+    """A one-stage Map frame with no captures, built by hand."""
+    text = fn_id.encode()
+    body = b"\x03" + (0xAB).to_bytes(8, "big") + (7).to_bytes(8, "big") + b"\x00\x01"
+    body += b"\x04" + len(text).to_bytes(4, "big") + text + b"\x00\x00"
+    return len(body).to_bytes(4, "big") + body
+
+
 def test_endpoint_memo_under_concurrent_threads():
     # more threads than cores, switching often, each cycling through more
-    # endpoints than the memo holds so that clears race with reads and stores
+    # endpoints and fn ids than the memos hold so that clears race with reads
+    # and stores
     errors = []
 
     def worker(offset):
@@ -636,6 +645,9 @@ def test_endpoint_memo_under_concurrent_threads():
                 descriptor = RemoteRefDescriptor(EndpointAddr("t", port), ObjectId(2, port))
                 if decode_frame(encode_message(RespDescriptor(descriptor))).descriptor != descriptor:
                     errors.append(port)
+                stage_map = Map(ObjectId(0xAB, 7), ShippedFn((Stage(f"f{port}"),)))
+                if encode_message(stage_map) != _one_stage_frame(f"f{port}"):
+                    errors.append(f"f{port}")
         except Exception as exc:  # reported below, so a crash fails the test
             errors.append(exc)
 
@@ -652,6 +664,31 @@ def test_endpoint_memo_under_concurrent_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
+    assert len(protocol._FN_ID_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+
+
+# -- the fn-id text memo --------------------------------------------------------
+
+
+def test_fn_id_memo_writes_the_same_bytes_and_stays_bounded():
+    for n in range(3 * protocol.ENDPOINT_CACHE_MAX):
+        message = Map(ObjectId(0xAB, 7), ShippedFn((Stage(f"fn{n}"),)))
+        for _ in range(2):  # once rendered, once through the memo
+            assert encode_message(message) == _one_stage_frame(f"fn{n}")
+        assert len(protocol._FN_ID_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+
+
+@pytest.mark.parametrize("fn_id", ["\ud800", "ok\udfff"])
+def test_fn_id_without_utf8_is_refused_on_every_encode_and_never_remembered(fn_id):
+    message = Map(ObjectId(0xAB, 7), ShippedFn((Stage("inc"), Stage(fn_id))))
+    texts = set()
+    for _ in range(2):
+        with pytest.raises(NotSerializableError) as caught:
+            encode_message(message)
+        texts.add(str(caught.value))
+        assert fn_id not in protocol._FN_ID_TEXTS
+    assert len(texts) == 1
+    assert "inc" in protocol._FN_ID_TEXTS  # the stage before it still encoded
 
 
 # -- the pipeline memo --------------------------------------------------------

@@ -1,13 +1,17 @@
-"""The rv1 codec and the value frames, checked against a plain reference.
+"""The rv1 codec and the value, pipeline and descriptor frames, checked against a plain reference.
 
 ``rv1_reference`` is written from the wire description alone, one element at
-a time, with none of the library's bulk paths. Here both are given the same
-generated values and the same byte-level mutations of their encodings (a
-flipped byte, a truncation, an extension, a splice of two encodings, a
-rewritten length), and must agree: the same bytes out of every encoder, and
-the same bytes accepted, as equal values, by every decoder. Only which bytes
-are rejected is compared, not the error texts; ``hostile_frames.json`` pins
-those. Hostile bytes may raise nothing but ProtocolError.
+a time, with none of the library's bulk paths or memos. Here both are given
+the same generated values and frames and the same byte-level mutations of
+their encodings (a flipped byte, a truncation, an extension, a splice of two
+encodings, a rewritten length), and must agree: the same bytes out of every
+encoder, and the same bytes accepted, as equal values, by every decoder. A
+Map, FlatMap or RespDescriptor frame must also decode the same whether the
+codec's memos (pipelines, endpoints, endpoint texts, fn-id texts) are cold,
+warm, or just emptied at their bounds. Only which bytes are rejected is
+compared, not the error texts; ``hostile_frames.json`` and
+``hostile_pipelines.json`` pin those, and every case of both tables is also
+read through the reference. Hostile bytes may raise nothing but ProtocolError.
 """
 import math
 import struct
@@ -20,9 +24,15 @@ import rv1_reference as ref
 from remotable import (
     NotSerializableError, ProtocolError, decode_value, encode_message, encode_value,
 )
+from remotable import protocol
+from remotable.model import EndpointAddr, ObjectId, RemoteRefDescriptor
 from remotable.protocol import (
-    BULK_MIN_FIXED, CODEC_RV1, Export, RespValue, ValuePayload, check_value, decode_frame,
+    BULK_MIN_FIXED, CODEC_RV1, Export, FlatMap, Map, RespDescriptor, RespValue, ValuePayload,
+    check_value, decode_frame,
 )
+from remotable.shipping import InlineValue, RemoteRef, ShippedFn, Stage
+import test_hostile_frames
+import test_hostile_pipelines
 from test_hostile_frames import _all_cases, _golden
 
 
@@ -119,12 +129,12 @@ BAD_UTF8 = [b"\xed\xa0\x80", b"\xc0\x80", b"\xf4\x90\x80\x80", b"\x80", b"\xff"]
 
 
 @st.composite
-def mutated(draw, data, other):
+def mutated(draw, data, other, read=ref.decode):
     """``data`` changed the way a broken or hostile peer might change it.
 
-    Besides blind flips, truncations, extensions and splices, the fields the
-    reference reads are aimed at: a tag byte replaced, a length moved by a
-    few, bad UTF-8 written over a text.
+    Besides blind flips, truncations, extensions and splices, the fields that
+    ``read`` (the reference's value or frame reader) marks are aimed at: a tag
+    byte replaced, a length moved by a few, bad UTF-8 written over a text.
     """
     how = draw(st.sampled_from(["none", "flip", "truncate", "extend", "splice", "length",
                                 "retag", "relength", "utf8"]))
@@ -132,8 +142,8 @@ def mutated(draw, data, other):
         return data
     marks = []
     try:
-        ref.decode(data, marks)
-    except ref.Rejected:  # a frame, not a value: only the blind mutations apply
+        read(data, marks)
+    except (ref.Rejected, ref.NotCovered):  # not what ``read`` reads: only blind mutations
         marks = []
     aimed = {kind: [at for k, at in marks if k == kind]
              for kind in ("tag", "length", "text")}
@@ -269,3 +279,210 @@ def test_golden_value_frames_read_the_same_through_the_reference():
             assert [kind, outcome] == ["ok", ref.encode_value_frame(*read).hex()], case
         checked += 1
     assert checked > 50
+
+
+# -- Map, FlatMap and RespDescriptor frames -----------------------------------
+
+# Hosts and fn ids with and without UTF-8 encodings; an endpoint or fn id
+# that has none must be refused with NotSerializableError, as by the reference.
+hosts = st.sampled_from(["loop", "h.example", "10.0.0.1", "hôte", "\ud800"])
+fn_ids = st.sampled_from(["inc", "add", "größe", "x\udfff"]) | st.text(min_size=1, max_size=4)
+descriptors = st.tuples(hosts, st.integers(min_value=1, max_value=65535),
+                        st.integers(min_value=0, max_value=2**64 - 1),
+                        st.integers(min_value=1, max_value=2**64 - 1))
+captures = (st.tuples(st.just("inline"), values)
+            | st.tuples(st.just("ref"), descriptors))
+stages = st.tuples(fn_ids, st.lists(captures, max_size=3))
+object_ids = st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                       st.integers(min_value=1, max_value=2**64 - 1))
+frame_reads = (st.tuples(st.sampled_from(["Map", "FlatMap"]), object_ids,
+                         st.lists(stages, min_size=1, max_size=3))
+               | st.tuples(st.just("RespDescriptor"), descriptors))
+PIPELINE_VARIANTS = {"Map": Map, "FlatMap": FlatMap}
+
+
+def _library_descriptor(descriptor):
+    host, port, incarnation, serial = descriptor
+    return RemoteRefDescriptor(EndpointAddr(host, port), ObjectId(incarnation, serial))
+
+
+def _library_message(read):
+    """The library's message for the reference's reading ``read``."""
+    if read[0] == "RespDescriptor":
+        return RespDescriptor(_library_descriptor(read[1]))
+    variant, target, stage_reads = read
+    return PIPELINE_VARIANTS[variant](ObjectId(*target), ShippedFn(tuple(
+        Stage(fn_id, tuple(InlineValue(held) if kind == "inline" else RemoteRef(_library_descriptor(held))
+                           for kind, held in capture_reads))
+        for fn_id, capture_reads in stage_reads)))
+
+
+def _plain_descriptor(descriptor):
+    return [descriptor.endpoint.host, descriptor.endpoint.port,
+            descriptor.id.incarnation, descriptor.id.serial]
+
+
+def _library_read(message):
+    """``message`` as the reference reads a frame, every inline value shaped."""
+    name = type(message).__name__
+    if name in ref.VALUE_FRAME_TAGS.values():
+        return [name, message.payload.codec_id, message.payload.data]
+    if name == "RespDescriptor":
+        return [name, _plain_descriptor(message.descriptor)]
+    return [name, [message.target.incarnation, message.target.serial], [
+        [stage.fn_id, [["inline", _shape(capture.value)] if isinstance(capture, InlineValue)
+                       else ["ref", _plain_descriptor(capture.descriptor)]
+                       for capture in stage.captures]]
+        for stage in message.fn.stages]]
+
+
+def _reference_read(read):
+    if read[0] in ref.VALUE_FRAME_TAGS.values():
+        return list(read)
+    if read[0] == "RespDescriptor":
+        return [read[0], list(read[1])]
+    return [read[0], list(read[1]), [
+        [fn_id, [["inline", _shape(held)] if kind == "inline" else ["ref", list(held)]
+                 for kind, held in capture_reads]]
+        for fn_id, capture_reads in read[2]]]
+
+
+def _reference_outcome(frame):
+    """(reading, re-encoded frame) by the reference, or REJECT; NotCovered propagates."""
+    try:
+        read = ref.decode_frame(frame)
+    except ref.Rejected:
+        return REJECT
+    return _reference_read(read), ref.encode_frame(read)
+
+
+_MEMO_STATES = ("cold", "warm", "just emptied")
+
+
+def _set_memos(state):
+    """Put the codec's four memos into ``state`` before a decode."""
+    if state == "cold":
+        protocol._PIPELINES.clear()
+        protocol._pipelines_size = 0
+        for memo in (protocol._ENDPOINTS, protocol._ENDPOINT_TEXTS, protocol._FN_ID_TEXTS):
+            memo.clear()
+    elif state == "just emptied":  # full, so that the next store empties them
+        protocol._PIPELINES.clear()
+        protocol._PIPELINES[b"filler"] = None
+        protocol._pipelines_size = protocol.PIPELINE_CACHE_BYTES
+        for memo in (protocol._ENDPOINTS, protocol._ENDPOINT_TEXTS, protocol._FN_ID_TEXTS):
+            memo.clear()
+            memo.update((("filler", i), b"") for i in range(protocol.ENDPOINT_CACHE_MAX))
+
+
+def _library_outcomes(frame):
+    """(reading, re-encoded frame) by the library, or REJECT, with the memos in each state."""
+    outcomes = []
+    for state in _MEMO_STATES:  # "warm" follows the cold decode and re-encode
+        _set_memos(state)
+        try:
+            message = decode_frame(frame)
+        except ProtocolError:
+            outcomes.append(REJECT)
+            continue
+        outcomes.append((_library_read(message), encode_message(message)))
+        assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert len(protocol._ENDPOINT_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert len(protocol._FN_ID_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
+    _set_memos("cold")  # no filler is left for later tests
+    return outcomes
+
+
+def _agree(frame):
+    """The library reads ``frame`` as the reference does, in every memo state."""
+    try:
+        expected = _reference_outcome(frame)
+    except ref.NotCovered:  # a whole frame of a variant the reference does not read
+        _library_outcomes(frame)  # which may raise nothing but ProtocolError
+        return
+    assert _library_outcomes(frame) == [expected] * len(_MEMO_STATES), frame.hex()
+
+
+def _encodable_frame(read):
+    try:
+        return ref.encode_frame(read)
+    except ref.Unencodable:
+        return None
+
+
+@seed(2301)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(frame_reads)
+def test_pipeline_and_descriptor_frames_encode_to_the_reference_bytes(read):
+    expected = _encodable_frame(read)
+    message = _library_message(read)
+    for state in ("cold", "warm"):  # once rendered, once through the text memos
+        _set_memos(state)
+        if expected is None:
+            with pytest.raises(NotSerializableError):
+                encode_message(message)
+        else:
+            assert encode_message(message) == expected
+
+
+SAMPLE_FRAMES = [encode_message(message) for message in
+                 test_hostile_pipelines.PIPELINE_SAMPLES.values()]
+
+
+@st.composite
+def mutated_frames(draw, frame, other):
+    """``frame`` mutated as ``mutated`` does, or changed inside its body with
+    the length prefix rewritten to match: bytes added after the last field,
+    the body cut short, or an object id's serial set to 0."""
+    how = draw(st.sampled_from(["mutated", "pad", "cut", "zero serial"]))
+    body = frame[4:]
+    if how == "pad":
+        body += draw(st.binary(min_size=1, max_size=20))
+    elif how == "cut" and body:
+        body = body[:draw(st.integers(min_value=0, max_value=len(body) - 1))]
+    elif how == "zero serial" and frame:
+        marks = []
+        ref.decode_frame(frame, marks)
+        at = draw(st.sampled_from([at for kind, at in marks if kind == "serial"])) - 4
+        body = body[:at] + bytes(8) + body[at + 8:]
+    else:
+        return draw(mutated(frame, other, ref.decode_frame))
+    return len(body).to_bytes(4, "big") + body
+
+
+@seed(2302)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_pipeline_and_descriptor_frames_decode_as_the_reference_does(data):
+    frame = _encodable_frame(data.draw(frame_reads)) or b""
+    other = data.draw(st.sampled_from(SAMPLE_FRAMES))
+    _agree(data.draw(mutated_frames(frame, other)))
+
+
+HOSTILE_TABLES = {
+    "hostile_frames": (test_hostile_frames._all_cases, test_hostile_frames._golden),
+    "hostile_pipelines": (
+        lambda: (case for name in test_hostile_pipelines.PIPELINE_SAMPLES
+                 for case in test_hostile_pipelines._cases(name)),
+        test_hostile_pipelines._golden),
+}
+
+
+@pytest.mark.parametrize("table", HOSTILE_TABLES)
+def test_every_hostile_case_reads_the_same_through_the_reference(table):
+    cases, golden = HOSTILE_TABLES[table]
+    covered = 0
+    for case, frame in cases():
+        try:
+            expected = _reference_outcome(frame)
+        except ref.NotCovered:
+            continue
+        kind, outcome = golden()[case]
+        if expected == REJECT:
+            assert kind == ProtocolError.__name__, case
+        else:
+            assert [kind, outcome] == ["ok", expected[1].hex()], case
+        _agree(frame)
+        covered += 1
+    assert covered > 100

@@ -29,8 +29,9 @@ u64 serial, the serial not 0), then a pipeline: a u16 stage count (not 0) and
 the stages. A stage is its fn id as a non-empty rv1 text, a u16 capture count
 and the captures. A capture is 0x01 and a payload whose codec id is "rv1" and
 whose bytes are one rv1 value exactly, or 0x02 and a descriptor. A descriptor
-is the rv1 text "host:port" (host non-empty, with no whitespace and no colon;
-port 1-65535 in ASCII decimal with no leading zero), then an object id. A
+is the rv1 text "host:port" (host non-empty, with no colon and no character
+that str.isspace calls whitespace; port 1-65535 in ASCII decimal with no
+leading zero), then an object id. A
 RespDescriptor (0x08) body is the tag and one descriptor. In every body the
 fields end exactly at the body's end.
 """

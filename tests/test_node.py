@@ -13,8 +13,8 @@ import pytest
 
 from remotable import (
     ContractViolationError,
-    ErrorCode,
     DeferredHandle,
+    ErrorCode,
     ExecutionError,
     FnRegistry,
     InlineValue,

@@ -33,12 +33,13 @@ from .protocol import (
     Map,
     Message,
     Rebind,
-    RespAck,
-    RespDescriptor,
     RespError,
-    RespStats,
-    RespValue,
     Stats,
+    _new_resp_ack,
+    _new_resp_descriptor,
+    _new_resp_error,
+    _new_resp_stats,
+    _new_resp_value,
     check_value,
     decode_frame,
     encode_message,
@@ -70,7 +71,7 @@ class Host:
         """
         try:
             if isinstance(message, (Map, FlatMap)):
-                return RespDescriptor(self._pipeline(message))
+                return _new_resp_descriptor(self._pipeline(message))
             if isinstance(message, Get):
                 # the one place forcing requires a codec, unless the entry
                 # still holds the payload its Export brought; a failed encode
@@ -78,19 +79,19 @@ class Host:
                 hosted = self.table.hosted(message.target)
                 payload = hosted.payload if type(hosted) is Encoded else encode_value(hosted)
                 self.table.count(message.target, 1, 1)
-                return RespValue(payload)
+                return _new_resp_value(payload)
             if isinstance(message, Rebind):
                 self.table.rebind(message.name, message.descriptor)
-                return RespAck()
+                return _new_resp_ack()
             if isinstance(message, Lookup):
-                return RespDescriptor(self.table.lookup(message.name))
+                return _new_resp_descriptor(self.table.lookup(message.name))
             if isinstance(message, Export):
                 # checked, not built: the table keeps the payload as sent
                 check_value(message.payload)
-                return RespDescriptor(self.table.export(Encoded(message.payload)))
+                return _new_resp_descriptor(self.table.export(Encoded(message.payload)))
             if isinstance(message, Stats):
-                return RespStats(*self.table.count(message.target))
-            return RespError(
+                return _new_resp_stats(*self.table.count(message.target))
+            return _new_resp_error(
                 int(ErrorCode.PROTOCOL_ERROR),
                 f"{type(message).__name__} is not a request",
             )
@@ -132,7 +133,7 @@ def _error_reply(code: ErrorCode, text: str) -> RespError:
     the 65535 bytes a name field holds is cut, so the reply itself cannot fail.
     """
     data = text.encode("utf-8", "backslashreplace")[:0xFFFF]
-    return RespError(int(code), data.decode("utf-8", "ignore"))
+    return _new_resp_error(int(code), data.decode("utf-8", "ignore"))
 
 
 # A reply frame whose body starts with these two bytes (the RespError tag and

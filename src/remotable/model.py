@@ -10,6 +10,13 @@ crosses the wire; the value itself stays home until somebody forces it.
 
 Object ids embed a random per-process incarnation so that references into a
 restarted host miss the table instead of silently hitting a different value.
+
+The package's records (ids, descriptors, pipeline parts, messages) are frozen
+dataclasses with ``__slots__``: no instance has a ``__dict__``, and assigning
+or deleting any attribute raises ``FrozenInstanceError`` (``_frozen``).
+Code that has already checked a record's fields builds it with the class's
+builder (``_builder``), which sets each slot directly; this module alone sets
+slots or creates instances around their constructors.
 """
 from __future__ import annotations
 
@@ -17,8 +24,8 @@ import operator
 import threading
 import weakref
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import FrozenInstanceError, dataclass, fields
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import NotFoundError, UnknownObjectError
 
@@ -32,13 +39,66 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _built(cls: type, attributes: dict) -> Any:
-    """An instance of frozen dataclass ``cls`` holding ``attributes``, made
-    without running its __init__ or __post_init__: for fields the caller has
-    already checked."""
-    instance = _new(cls)
-    _set(instance, "__dict__", attributes)
-    return instance
+def _builder(cls: type) -> Callable[..., Any]:
+    """A function taking the values of slotted record ``cls``'s fields in order
+    and returning an instance that holds them.
+
+    It runs neither ``__init__`` nor ``__post_init__``, so it is for values the
+    caller has already checked: each slot is set through its member
+    descriptor. This is the one way in the package to build a record around
+    its constructor.
+    """
+    setters = [cls.__dict__[field.name].__set__ for field in fields(cls)]
+    if not setters:
+        return lambda: _new(cls)
+    if len(setters) == 1:
+        (set_a,) = setters
+
+        def build(a: Any) -> Any:
+            instance = _new(cls)
+            set_a(instance, a)
+            return instance
+    elif len(setters) == 2:
+        set_a, set_b = setters
+
+        def build(a: Any, b: Any) -> Any:
+            instance = _new(cls)
+            set_a(instance, a)
+            set_b(instance, b)
+            return instance
+    elif len(setters) == 3:
+        set_a, set_b, set_c = setters
+
+        def build(a: Any, b: Any, c: Any) -> Any:
+            instance = _new(cls)
+            set_a(instance, a)
+            set_b(instance, b)
+            set_c(instance, c)
+            return instance
+    else:
+        raise TypeError(f"no builder for {len(setters)} fields")
+    return build
+
+
+def _refuse_set(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls: type) -> type:
+    """Refuse every assignment and deletion on a ``dataclass(frozen=True,
+    slots=True)`` class with FrozenInstanceError.
+
+    Before CPython 3.12 the methods such a class is given raise TypeError for
+    a name that is not a field: they call ``super()`` on the class that
+    ``slots=True`` replaced.
+    """
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
 
 
 class EndpointAddr:
@@ -86,11 +146,8 @@ class EndpointAddr:
             raise ValueError(f"expected host:port, got {text!r}")
         return cls(host, int(port))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_set
+    __delattr__ = _refuse_delete
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and pickle rebuild through the constructor, which interns
@@ -119,7 +176,8 @@ def _plain(host: Any, port: Any) -> tuple[str, int]:
     return str.__str__(host), port
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class ObjectId:
     """Per-process unique value identity: random incarnation + monotone serial."""
 
@@ -136,12 +194,18 @@ class ObjectId:
         return f"{self.incarnation:016x}:{self.serial}"
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RemoteRefDescriptor:
     """Portable address of a hosted value: where it lives and which entry it is."""
 
     endpoint: EndpointAddr
     id: ObjectId
+
+
+# Builders of the two records from checked fields (see _builder)
+_new_id = _builder(ObjectId)
+_new_descriptor = _builder(RemoteRefDescriptor)
 
 
 class Encoded:
@@ -211,8 +275,8 @@ class HostTable:
 
         Serials strictly increase and are never reused. An ``Encoded`` value
         is stored as its bytes, decoded on first read. The id and descriptor
-        skip their constructors: the incarnation was checked once, and the
-        serial is in range here.
+        are built by their builders: the incarnation was checked once, and
+        the serial is in range here.
         """
         with self._lock:
             serial = self._first + len(self._values)
@@ -298,8 +362,7 @@ class HostTable:
         return self._descriptor(serial)
 
     def _descriptor(self, serial: int) -> RemoteRefDescriptor:
-        object_id = _built(ObjectId, {"incarnation": self.incarnation, "serial": serial})
-        return _built(RemoteRefDescriptor, {"endpoint": self.self_endpoint, "id": object_id})
+        return _new_descriptor(self.self_endpoint, _new_id(self.incarnation, serial))
 
     def _slot(self, object_id: ObjectId) -> int:
         """The column index of the entry under ``object_id``, or -1 on a miss; the caller holds the lock.

@@ -20,12 +20,12 @@ from __future__ import annotations
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Optional, Type, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import ProtocolError, error_for_code
 from .funcs import Token, default_registry
 from .host import Host, TcpHostServer
-from .model import EndpointAddr, HostTable, RemoteRefDescriptor, _built
+from .model import EndpointAddr, HostTable, ObjectId, RemoteRefDescriptor
 from .protocol import (
     Export,
     FlatMap,
@@ -40,16 +40,22 @@ from .protocol import (
     RespStats,
     RespValue,
     Stats,
+    _new_flat_map,
+    _new_map,
     decode_value,
     encode_value,
 )
 from .shipping import (
-    Capture,
     FnRegistry,
     InlineValue,
     RemoteRef,
     ShippedFn,
     Stage,
+    _check_fn_id,
+    _new_inline,
+    _new_pipeline,
+    _new_ref,
+    _new_stage,
 )
 from .transport import LoopbackNetwork, LoopbackTransport, TcpTransport, Transport
 
@@ -235,28 +241,25 @@ class Node:
     def stage(self, fn_id: str, *captures: Any) -> Stage:
         """Build one pipeline stage; handles become references, the rest inlines.
 
-        ``Stage`` checks the fn id first. Arity is then pre-checked when the
-        function is registered here too, which catches typos before anything
-        goes on the wire.
+        The fn id is checked first, as ``Stage`` checks it. Arity is then
+        pre-checked when the function is registered here too, which catches
+        typos before anything goes on the wire. The captures and the stage
+        are built from these checked fields, not through their constructors.
         """
-        converted: list[Capture] = []
-        for capture in captures:
-            if isinstance(capture, RemoteHandle):
-                converted.append(RemoteRef(capture.descriptor))
-            elif isinstance(capture, RemoteRefDescriptor):
-                converted.append(RemoteRef(capture))
-            elif isinstance(capture, (InlineValue, RemoteRef)):
-                converted.append(capture)
-            else:
-                converted.append(InlineValue(capture))
-        stage = Stage(fn_id, tuple(converted))
-        if fn_id in self.registry:
-            expected = self.registry.arity(fn_id)
-            if expected != len(captures):
-                raise ValueError(
-                    f"{fn_id} takes {expected} capture(s), got {len(captures)}"
-                )
-        return stage
+        _check_fn_id(fn_id)
+        converted = tuple([
+            _new_ref(capture.descriptor) if isinstance(capture, RemoteHandle)
+            else _new_ref(capture) if isinstance(capture, RemoteRefDescriptor)
+            else capture if isinstance(capture, (InlineValue, RemoteRef))
+            else _new_inline(capture, None, False)
+            for capture in captures
+        ])
+        registration = self.registry.get(fn_id)
+        if registration is not None and registration.capture_arity != len(captures):
+            raise ValueError(
+                f"{fn_id} takes {registration.capture_arity} capture(s), got {len(captures)}"
+            )
+        return _new_stage(fn_id, converted)
 
     # -- value placement ----------------------------------------------------
 
@@ -288,25 +291,26 @@ class Node:
     # -- the remote operations ------------------------------------------------
 
     def map(self, handle: RemoteHandle, fn: Union[Stage, ShippedFn]) -> RemoteHandle:
-        return self._ship(Map, handle, fn)
+        return self._ship(_new_map, handle, fn)
 
     def flat_map(self, handle: RemoteHandle, fn: Union[Stage, ShippedFn]) -> RemoteHandle:
-        return self._ship(FlatMap, handle, fn)
+        return self._ship(_new_flat_map, handle, fn)
 
     def _ship(
         self,
-        variant: Type[Union[Map, FlatMap]],
+        new_request: Callable[[ObjectId, ShippedFn], Union[Map, FlatMap]],
         handle: RemoteHandle,
         fn: Union[Stage, ShippedFn],
     ) -> RemoteHandle:
-        """Run ``fn`` at the handle's home as a ``variant`` request.
+        """Run ``fn`` at the handle's home as the request ``new_request`` builds.
 
-        The pipeline and the request skip their constructors (``_built``): a
-        one-stage pipeline is never empty, and a request checks nothing.
+        The pipeline and the request are built around their constructors
+        (see ``model._builder``): a one-stage pipeline is never empty, and a
+        request checks nothing.
         """
         if isinstance(fn, Stage):
-            fn = _built(ShippedFn, {"stages": (fn,)})
-        request = _built(variant, {"target": handle.descriptor.id, "fn": fn})
+            fn = _new_pipeline((fn,))
+        request = new_request(handle.descriptor.id, fn)
         reply = self._call(handle.descriptor.endpoint, request, RespDescriptor, handle._local)
         return self._materialize(reply.descriptor)
 

@@ -64,10 +64,14 @@ endpoint text is parsed once, then looked up (see _ENDPOINTS), and an
 endpoint or a stage's fn id is rendered to rv1 text once, then looked up
 (_ENDPOINT_TEXTS, _FN_ID_TEXTS). Endpoints are interned (one EndpointAddr per
 host:port), so a memo keyed by endpoint hashes and compares it by identity.
-A RespDescriptor whose endpoint text is already in _ENDPOINTS and whose
-object id ends the body is read by decode_message in one step; any other
-RespDescriptor, well-formed or not, goes to the field reader, so every error
-and offset stays the same.
+
+Three frames of a Map round trip are read or written in one step. decode_message
+reads a Map or FlatMap whose pipeline bytes are remembered (see _PIPELINES)
+after an object id with a nonzero serial, and a RespDescriptor whose endpoint
+text is already in _ENDPOINTS and whose object id ends the body; encode_message
+writes a RespDescriptor whose endpoint text is already in _ENDPOINT_TEXTS. Any
+other frame or message, well-formed or not, goes to the field reader or writer,
+so every byte, error and offset stays the same.
 
 A Map or FlatMap pipeline is read and written in one flat pass per stage, with
 direct struct calls at offsets. An inline capture's value is read by the rv1
@@ -76,11 +80,16 @@ into the frame, its length filled in after; no ValuePayload is made for it.
 Each field is read once, and a fault is named where it is found. An inline
 capture that is not an rv1 value ending exactly at its payload's end is named
 by reading its payload alone, so offsets inside a capture's value count from
-its payload's start. Decoded objects are built without running their
-dataclass constructors (_built), since the readers have already checked what
-those constructors would. A pipeline that decodes is remembered by its bytes
+its payload's start. A pipeline that decodes is remembered by its bytes
 (see _PIPELINES), so a host that is sent the same pipeline again looks it up
 instead of reading it.
+
+Messages and the records in them are frozen dataclasses with __slots__ and no
+__dict__. Decoded ones are built by one builder per class (model._builder)
+without running their constructors, since the readers have already checked
+what those constructors would; each variant's builder is in its row of
+_DECODERS, and a host's replies and a node's requests are built by the same
+builders.
 """
 from __future__ import annotations
 
@@ -94,8 +103,12 @@ from operator import countOf
 from typing import Any, NoReturn, Union
 
 from .errors import NotSerializableError, ProtocolError
-from .model import EndpointAddr, ObjectId, RemoteRefDescriptor, _built
-from .shipping import InlineValue, RemoteRef, ShippedFn, Stage
+from .model import (
+    EndpointAddr, ObjectId, RemoteRefDescriptor, _builder, _frozen, _new_descriptor, _new_id,
+)
+from .shipping import (
+    InlineValue, ShippedFn, _new_inline, _new_pipeline, _new_ref, _new_stage,
+)
 
 CODEC_RV1 = "rv1"
 DEFAULT_PORT = 7099
@@ -142,7 +155,8 @@ _INLINE_RV1 = _U8.pack(_CAPTURE_INLINE) + _RV1_CODEC_NAME
 _SWAP = sys.byteorder == "little"
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class ValuePayload:
     """Encoded bytes of one value plus the codec that produced them."""
 
@@ -150,72 +164,86 @@ class ValuePayload:
     data: bytes
 
 
+_new_payload = _builder(ValuePayload)
+
 # --------------------------------------------------------------------------
 # Message variants. Each one's tag and wire layout is its row of _VARIANTS
 # below; requests and responses are disjoint sets.
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Rebind:
     name: str
     descriptor: RemoteRefDescriptor
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Lookup:
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Map:
     target: ObjectId
     fn: ShippedFn
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class FlatMap:
     target: ObjectId
     fn: ShippedFn
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Get:
     target: ObjectId
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Export:
     payload: ValuePayload
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Stats:
     target: ObjectId
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RespDescriptor:
     descriptor: RemoteRefDescriptor
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RespValue:
     payload: ValuePayload
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RespStats:
     serialization_count: int
     get_count: int
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RespAck:
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RespError:
     code: int
     text: str
@@ -346,7 +374,7 @@ def encode_value(value: Any) -> ValuePayload:
     """Encode a codec-supported value; equal values give byte-equal payloads."""
     out = bytearray()
     _encode_raw(value, out)
-    return ValuePayload(CODEC_RV1, bytes(out))
+    return _new_payload(CODEC_RV1, bytes(out))
 
 
 def _short(buf: bytes, pos: int, size: int) -> ProtocolError:
@@ -521,7 +549,7 @@ def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
             ObjectId(incarnation, serial)
         except ValueError as exc:
             raise ProtocolError(f"bad object id at offset {pos}: {exc}") from exc
-    return _built(ObjectId, {"incarnation": incarnation, "serial": serial}), pos + 16
+    return _new_id(incarnation, serial), pos + 16
 
 
 # Endpoints already parsed, keyed by their raw rv1 text, and the rv1 text of
@@ -566,7 +594,7 @@ def _take_descriptor(buf: bytes, pos: int) -> tuple[RemoteRefDescriptor, int]:
             _ENDPOINTS.clear()
         _ENDPOINTS[buf[pos:end]] = endpoint
     object_id, pos = _take_object_id(buf, end)
-    return _built(RemoteRefDescriptor, {"endpoint": endpoint, "id": object_id}), pos
+    return _new_descriptor(endpoint, object_id), pos
 
 
 def _put_payload_head(payload: ValuePayload, out: bytearray) -> None:
@@ -578,7 +606,7 @@ def _put_payload_head(payload: ValuePayload, out: bytearray) -> None:
 def _take_payload(buf: bytes, pos: int) -> tuple[ValuePayload, int]:
     codec_id, pos = _take_name(buf, pos)
     data, pos = _take_bytes(buf, *_unpack(_U32, buf, pos))
-    return ValuePayload(codec_id, data), pos
+    return _new_payload(codec_id, data), pos
 
 
 def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
@@ -696,14 +724,14 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
                 pos = end
                 if type(value) is list:
                     shareable = False
-                captures.append(_built(InlineValue, {"value": value, "origin": None, "decoded": True}))
+                captures.append(_new_inline(value, None, True))
             elif pos < len(buf) and buf[pos] == _CAPTURE_REF:
                 descriptor, pos = _take_descriptor(buf, pos + 1)
-                captures.append(_built(RemoteRef, {"descriptor": descriptor}))
+                captures.append(_new_ref(descriptor))
             else:
                 _bad_capture(buf, pos, index, ci)
-        stages.append(_built(Stage, {"fn_id": fn_id, "captures": tuple(captures)}))
-    pipeline = _built(ShippedFn, {"stages": tuple(stages)})
+        stages.append(_new_stage(fn_id, tuple(captures)))
+    pipeline = _new_pipeline(tuple(stages))
     if shareable and pos == len(buf) and len(key) <= PIPELINE_CACHE_BYTES:
         _remember_pipeline(key, pipeline)
     return pipeline, pos
@@ -735,13 +763,23 @@ _VARIANTS = (
     (RespAck,),
     (RespError, _UINT8, _NAME),
 )
-# class -> (tag, ((attribute, put), ...)) and tag -> (class, ((attribute, take), ...))
+# One builder per variant (see model._builder): the decoder, a host's replies
+# and a node's requests build messages through them
+_BUILDERS = {cls: _builder(cls) for cls, *_ in _VARIANTS}
+_new_map = _BUILDERS[Map]
+_new_flat_map = _BUILDERS[FlatMap]
+_new_resp_descriptor = _BUILDERS[RespDescriptor]
+_new_resp_value = _BUILDERS[RespValue]
+_new_resp_stats = _BUILDERS[RespStats]
+_new_resp_ack = _BUILDERS[RespAck]
+_new_resp_error = _BUILDERS[RespError]
+# class -> (tag, ((attribute, put), ...)) and tag -> (builder, (take, ...))
 _ENCODERS = {
     cls: (tag, tuple((f.name, put) for f, (put, _) in zip(fields(cls), codecs, strict=True)))
     for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
 }
 _DECODERS = {
-    tag: (cls, tuple((f.name, take) for f, (_, take) in zip(fields(cls), codecs, strict=True)))
+    tag: (_BUILDERS[cls], tuple(take for _, take in codecs))
     for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
 }
 # Export and RespValue, whose one field is a payload: its bytes end the body.
@@ -753,6 +791,15 @@ _PAYLOAD_TAGS = frozenset(
 _RV1_LENGTH_AT = 5 + len(_RV1_CODEC_NAME)
 _RV1_DATA_AT = _RV1_LENGTH_AT + _U32.size
 _RESP_DESCRIPTOR_TAG = 1 + _VARIANTS.index((RespDescriptor, _DESCRIPTOR))
+# A Map or FlatMap frame: the tag, the target's object id, then the pipeline,
+# whose bytes start at offset 21 and run to the end of the body
+_PIPELINE_BUILDERS = {
+    tag: _BUILDERS[cls] for tag, (cls, *codecs) in enumerate(_VARIANTS, start=1)
+    if codecs == [_OBJECT_ID, _PIPELINE]
+}
+_PIPELINE_AT = 5 + _OBJECT_ID_PAIR.size
+# The frame head of a RespDescriptor: the length prefix, then the tag
+_FRAME_HEAD = struct.Struct(">IB")
 
 
 # --------------------------------------------------------------------------
@@ -762,6 +809,15 @@ _RESP_DESCRIPTOR_TAG = 1 + _VARIANTS.index((RespDescriptor, _DESCRIPTOR))
 
 def encode_message(message: Message) -> bytes:
     """Encode one message as a complete frame (length prefix included)."""
+    if type(message) is RespDescriptor:
+        # a reply naming an endpoint already rendered is written here in one
+        # step; anything else is written below
+        descriptor = message.descriptor
+        text = _ENDPOINT_TEXTS.get(descriptor.endpoint)
+        if text is not None:
+            object_id = descriptor.id
+            return b"".join((_FRAME_HEAD.pack(len(text) + 17, _RESP_DESCRIPTOR_TAG), text,
+                             _OBJECT_ID_PAIR.pack(object_id.incarnation, object_id.serial)))
     row = _ENCODERS.get(type(message))
     if row is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
@@ -797,7 +853,16 @@ def decode_message(buf: bytes) -> tuple[Message, int] | None:
         return None
     if body_len == 0:
         raise ProtocolError("empty frame body")
-    if buf[4] == _RESP_DESCRIPTOR_TAG:
+    tag = buf[4]
+    if tag in _PIPELINE_BUILDERS:
+        # a request whose pipeline bytes are remembered, after an object id
+        # with a nonzero serial, is read here in one step; anything else below
+        pipeline = _PIPELINES.get(buf[_PIPELINE_AT:end])
+        if pipeline is not None:
+            incarnation, serial = _OBJECT_ID_PAIR.unpack_from(buf, 5)
+            if serial:
+                return _PIPELINE_BUILDERS[tag](_new_id(incarnation, serial), pipeline), end
+    elif tag == _RESP_DESCRIPTOR_TAG:
         # a reply naming an endpoint already parsed, then an object id that
         # ends the body, is read here in one step; anything else is read below
         text_end = 10 + int.from_bytes(buf[6:10], "big")
@@ -805,27 +870,27 @@ def decode_message(buf: bytes) -> tuple[Message, int] | None:
         if endpoint is not None:
             incarnation, serial = _OBJECT_ID_PAIR.unpack_from(buf, text_end)
             if serial:
-                object_id = _built(ObjectId, {"incarnation": incarnation, "serial": serial})
-                descriptor = _built(RemoteRefDescriptor, {"endpoint": endpoint, "id": object_id})
-                return _built(RespDescriptor, {"descriptor": descriptor}), end
-    if (buf[4] in _PAYLOAD_TAGS and end >= _RV1_DATA_AT
+                descriptor = _new_descriptor(endpoint, _new_id(incarnation, serial))
+                return _new_resp_descriptor(descriptor), end
+    elif (tag in _PAYLOAD_TAGS and end >= _RV1_DATA_AT
             and buf.startswith(_RV1_CODEC_NAME, 5)
             and _U32.unpack_from(buf, _RV1_LENGTH_AT)[0] == end - _RV1_DATA_AT):
         # an rv1 payload that fills its body exactly is sliced straight out of
         # the frame; anything else is read below, which names its fault
-        payload = ValuePayload(CODEC_RV1, buf[_RV1_DATA_AT:end])
-        return _built(_DECODERS[buf[4]][0], {"payload": payload}), end
+        payload = _new_payload(CODEC_RV1, buf[_RV1_DATA_AT:end])
+        return _DECODERS[tag][0](payload), end
     body = buf[4:end]
-    row = _DECODERS.get(body[0])
+    row = _DECODERS.get(tag)
     if row is None:
-        raise ProtocolError(f"unknown message tag 0x{body[0]:02x} at offset 4")
-    cls, layout = row
-    pos, attributes = 1, {}
-    for attribute, take in layout:
-        attributes[attribute], pos = take(body, pos)
+        raise ProtocolError(f"unknown message tag 0x{tag:02x} at offset 4")
+    build, takes = row
+    pos, values = 1, []
+    for take in takes:
+        value, pos = take(body, pos)
+        values.append(value)
     if pos != len(body):
         raise ProtocolError(f"{len(body) - pos} unconsumed bytes inside frame body")
-    return _built(cls, attributes), end
+    return build(*values), end
 
 
 def decode_frame(frame: bytes) -> Message:

@@ -31,10 +31,11 @@ from .errors import (
     TransportError,
     UnknownFunctionError,
 )
-from .model import ObjectId, RemoteRefDescriptor
+from .model import ObjectId, RemoteRefDescriptor, _builder, _frozen, _set
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class InlineValue:
     """A capture carried by value.
 
@@ -51,7 +52,8 @@ class InlineValue:
     decoded: bool = field(default=False, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RemoteRef:
     """A capture carried by reference to a hosted value."""
 
@@ -61,33 +63,48 @@ class RemoteRef:
 Capture = Union[InlineValue, RemoteRef]
 
 
-@dataclass(frozen=True)
+def _check_fn_id(fn_id: Any) -> None:
+    """Refuse a stage fn id that is not non-empty text, as ``Stage`` does."""
+    if not isinstance(fn_id, str) or not fn_id:
+        raise ValueError(f"stage fn_id must be non-empty text, got {fn_id!r}")
+
+
+@_frozen
+@dataclass(frozen=True, slots=True)
 class Stage:
-    """One shipped function application: registry key plus ordered captures."""
+    """One shipped function application: registry key plus ordered captures.
+
+    ``captures`` is kept as a tuple whatever iterable it is given, so a
+    caller's list cannot change the stage after it is built.
+    """
 
     fn_id: str
     captures: tuple[Capture, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.fn_id, str) or not self.fn_id:
-            raise ValueError(f"stage fn_id must be non-empty text, got {self.fn_id!r}")
+        _check_fn_id(self.fn_id)
+        if type(self.captures) is not tuple:
+            _set(self, "captures", tuple(self.captures))
         for capture in self.captures:
             if not isinstance(capture, (InlineValue, RemoteRef)):
                 raise ValueError(f"stage capture must be an InlineValue or a RemoteRef, got {capture!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class ShippedFn:
     """A non-empty pipeline of stages, applied left to right.
 
     A single stage is a plain shipped function; longer pipelines arise from
     deferred accumulation, where many composition steps are applied in one
-    remote call.
+    remote call. ``stages`` is kept as a tuple whatever iterable it is given.
     """
 
     stages: tuple[Stage, ...]
 
     def __post_init__(self) -> None:
+        if type(self.stages) is not tuple:
+            _set(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ValueError("pipeline must contain at least one stage")
 
@@ -96,14 +113,23 @@ class ShippedFn:
         return cls((stage,))
 
 
-@dataclass(frozen=True)
+# Builders of the pipeline records from checked fields (see model._builder)
+_new_inline = _builder(InlineValue)
+_new_ref = _builder(RemoteRef)
+_new_stage = _builder(Stage)
+_new_pipeline = _builder(ShippedFn)
+
+
+@_frozen
+@dataclass(frozen=True, slots=True)
 class PlainValue:
     """Result of a map-position function: an ordinary value to re-host."""
 
     value: Any
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class RemoteValue:
     """Result of a flatMap-position function: an already-hosted value."""
 
@@ -156,7 +182,8 @@ class HostContext:
 FnBody = Callable[[Any, list, HostContext], FnResult]
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class _Registration:
     capture_arity: int
     body: FnBody
@@ -196,6 +223,10 @@ class FnRegistry:
         except (TypeError, ValueError) as exc:  # not callable, or no signature
             raise ValueError(f"cannot lift {fn_id!r}: {exc}") from None
         self.register(fn_id, arity, body)
+
+    def get(self, fn_id: str) -> Optional[_Registration]:
+        """The registration under ``fn_id``, or None."""
+        return self._entries.get(fn_id)
 
     def lookup(self, fn_id: str) -> _Registration:
         found = self._entries.get(fn_id)

@@ -32,8 +32,15 @@ whose bytes are one rv1 value exactly, or 0x02 and a descriptor. A descriptor
 is the rv1 text "host:port" (host non-empty, with no colon and no character
 that str.isspace calls whitespace; port 1-65535 in ASCII decimal with no
 leading zero), then an object id. A
-RespDescriptor (0x08) body is the tag and one descriptor. In every body the
-fields end exactly at the body's end.
+RespDescriptor (0x08) body is the tag and one descriptor.
+
+A name is a u16 length and that many bytes of UTF-8. A Rebind (0x01) body is
+the tag, a name and a descriptor; a Lookup (0x02) body the tag and a name; a
+Get (0x05) or Stats (0x07) body the tag and an object id; a RespStats (0x0A)
+body the tag and two u64 counts (serializations, gets); a RespAck (0x0B) body
+the tag alone; a RespError (0x0C) body the tag, a u8 code and a name. In every
+body the fields end exactly at the body's end; a body with any other tag is
+refused.
 """
 import struct
 
@@ -41,10 +48,17 @@ MAX_LIST_DEPTH = 100
 VALUE_FRAME_TAGS = {0x06: "Export", 0x09: "RespValue"}
 PIPELINE_FRAME_TAGS = {0x03: "Map", 0x04: "FlatMap"}
 DESCRIPTOR_FRAME_TAG = 0x08
+# The variants whose fields are names, object ids and plain numbers
+OTHER_FRAME_TAGS = {0x01: "Rebind", 0x02: "Lookup", 0x05: "Get", 0x07: "Stats",
+                    0x0A: "RespStats", 0x0B: "RespAck", 0x0C: "RespError"}
 
 
 class Unencodable(Exception):
     """The value has no rv1 encoding."""
+
+
+class BadName(Unencodable):
+    """The name has no UTF-8 encoding, or one longer than a u16 length can say."""
 
 
 class Rejected(Exception):
@@ -52,7 +66,7 @@ class Rejected(Exception):
 
 
 class NotCovered(Exception):
-    """The frame is whole, but of a variant this reference does not read."""
+    """The frame is whole, but not a value frame (``decode_value_frame`` only)."""
 
 
 def _tag(value):
@@ -199,11 +213,15 @@ def decode_value_frame(frame):
     return VALUE_FRAME_TAGS[tag], codec_id, data
 
 
-# -- Map, FlatMap and RespDescriptor frames -----------------------------------
+# -- every other frame -----------------------------------------------------------
 #
 # Read as plain tuples:
 #   ("Map" or "FlatMap", (incarnation, serial), [(fn id, [capture, ...]), ...])
 #   ("RespDescriptor", descriptor)
+#   ("Rebind", name, descriptor)          ("Lookup", name)
+#   ("Get" or "Stats", (incarnation, serial))
+#   ("RespStats", serializations, gets)   ("RespAck",)
+#   ("RespError", code, text)
 # with a capture ("inline", value) or ("ref", descriptor), and a descriptor
 # (host, port, incarnation, serial).
 
@@ -238,12 +256,44 @@ def encode_descriptor_frame(descriptor):
     return _frame(DESCRIPTOR_FRAME_TAG, _encode_descriptor(descriptor))
 
 
+def _encode_name(text):
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BadName(str(exc)) from None
+    if len(raw) > 0xFFFF:
+        raise BadName(f"{len(raw)} bytes")
+    return struct.pack(">H", len(raw)) + raw
+
+
+def encode_other_frame(read):
+    """The whole frame of a Rebind, Lookup, Get, Stats, RespStats, RespAck or
+    RespError, or Unencodable."""
+    variant, *fields = read
+    (tag,) = [tag for tag, name in OTHER_FRAME_TAGS.items() if name == variant]
+    if variant == "Rebind":
+        body = _encode_name(fields[0]) + _encode_descriptor(fields[1])
+    elif variant == "Lookup":
+        body = _encode_name(fields[0])
+    elif variant in ("Get", "Stats"):
+        body = struct.pack(">QQ", *fields[0])
+    elif variant == "RespStats":
+        body = struct.pack(">QQ", *fields)
+    elif variant == "RespAck":
+        body = b""
+    else:
+        body = bytes([fields[0]]) + _encode_name(fields[1])
+    return _frame(tag, body)
+
+
 def encode_frame(read):
     """The frame that ``decode_frame`` read as ``read``."""
     if read[0] in VALUE_FRAME_TAGS.values():
         return encode_value_frame(*read)
     if read[0] == "RespDescriptor":
         return encode_descriptor_frame(read[1])
+    if read[0] in OTHER_FRAME_TAGS.values():
+        return encode_other_frame(read)
     return encode_pipeline_frame(*read)
 
 
@@ -266,6 +316,17 @@ def _text(frame, pos, marks):
         marks.append(("text", pos + 5))
     try:
         return _need(frame, pos + 5, length).decode("utf-8"), pos + 5 + length
+    except UnicodeDecodeError as exc:
+        raise Rejected(str(exc)) from None
+
+
+def _name(frame, pos, marks):
+    """(text, offset after it) for a name at ``pos``."""
+    (length,) = struct.unpack(">H", _need(frame, pos, 2))
+    if length:
+        marks.append(("text", pos + 2))
+    try:
+        return _need(frame, pos + 2, length).decode("utf-8"), pos + 2 + length
     except UnicodeDecodeError as exc:
         raise Rejected(str(exc)) from None
 
@@ -302,12 +363,12 @@ def _capture(frame, pos, marks):
 
 
 def decode_frame(frame, marks=None):
-    """The plain reading of one whole Map, FlatMap, RespDescriptor, Export or RespValue frame.
+    """The plain reading of one whole frame, of any of the twelve variants.
 
-    Rejected when the bytes are not exactly one well-formed frame; NotCovered
-    when they are one whole frame of another variant. A ``marks`` list is given
-    (kind, frame offset) of the fields read, as ``decode`` gives them, with a
-    capture kind counted as a tag, and "serial" for an object id's serial.
+    Rejected when the bytes are not exactly one well-formed frame. A ``marks``
+    list is given (kind, frame offset) of the fields read, as ``decode`` gives
+    them, with a capture kind counted as a tag, "text" for the first byte of a
+    non-empty name, and "serial" for an object id's serial.
     """
     marks = [] if marks is None else marks
     (body_len,) = struct.unpack(">I", _need(frame, 0, 4))
@@ -341,8 +402,31 @@ def decode_frame(frame, marks=None):
                 captures.append(capture)
             stages.append((fn_id, captures))
         read = (PIPELINE_FRAME_TAGS[tag], target, stages)
+    elif tag in OTHER_FRAME_TAGS:
+        read, pos = _other(OTHER_FRAME_TAGS[tag], frame, marks)
     else:
-        raise NotCovered(tag)
+        raise Rejected(f"unknown tag {tag}")
     if pos != len(frame):
         raise Rejected(f"{len(frame) - pos} bytes after the last field")
     return read
+
+
+def _other(variant, frame, marks):
+    """(reading, offset after it) of the fields of a ``variant`` body at offset 5."""
+    if variant == "Rebind":
+        name, pos = _name(frame, 5, marks)
+        descriptor, pos = _descriptor(frame, pos, marks)
+        return (variant, name, descriptor), pos
+    if variant == "Lookup":
+        name, pos = _name(frame, 5, marks)
+        return (variant, name), pos
+    if variant in ("Get", "Stats"):
+        target, pos = _object_id(frame, 5, marks)
+        return (variant, target), pos
+    if variant == "RespStats":
+        return (variant, *struct.unpack(">QQ", _need(frame, 5, 16))), 21
+    if variant == "RespAck":
+        return (variant,), 5
+    code = _need(frame, 5, 1)[0]
+    text, pos = _name(frame, 6, marks)
+    return (variant, code, text), pos

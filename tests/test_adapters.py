@@ -9,6 +9,7 @@ import pytest
 from remotable import (
     AsyncHandle,
     DeferredHandle,
+    InlineValue,
     LoopbackNetwork,
     Node,
     NotSerializableError,
@@ -294,6 +295,23 @@ def test_deferred_wrap_and_map_cost_nothing(loop_pair):
     deferred = DeferredHandle.wrap(handle).map(client.stage("inc")).map(client.stage("mul", 3))
     assert client.transport.request_frames == before
     assert [s.fn_id for s in deferred.pipeline.stages] == ["inc", "mul"]
+
+
+def test_a_list_built_pipeline_runs_alike_in_every_style(loop_pair):
+    server, client = loop_pair
+    handle = client.export_to(server.endpoint, 5)
+    stages = [client.stage("inc"), client.stage("mul", 3)]
+    captures = [InlineValue(2)]
+    pipeline, add = ShippedFn(stages), Stage("add", captures)
+    eager = handle.map(pipeline).map(add)
+    deferred = DeferredHandle.wrap(handle).map(pipeline).map(add)
+    gate = Future()  # holds the async chain until the lists have changed
+    held = AsyncHandle(client, gate).map(pipeline).map(add)
+    stages.append(client.stage("inc"))
+    captures[0] = InlineValue(100)
+    gate.set_result(handle)
+    assert eager.get() == deferred.get() == held.force(10) == 20
+    assert deferred.stages == pipeline.stages + (add,)
 
 
 def test_deferred_map_does_not_mutate_its_input(loop_pair):

@@ -13,9 +13,11 @@ compared, not the error texts; ``hostile_frames.json`` and
 ``hostile_pipelines.json`` pin those, and every case of both tables is also
 read through the reference. Hostile bytes may raise nothing but ProtocolError.
 """
+import dataclasses
 import math
 import struct
 from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
@@ -27,8 +29,9 @@ from remotable import (
 from remotable import protocol
 from remotable.model import EndpointAddr, ObjectId, RemoteRefDescriptor
 from remotable.protocol import (
-    BULK_MIN_FIXED, CODEC_RV1, Export, FlatMap, Map, RespDescriptor, RespValue, ValuePayload,
-    check_value, decode_frame,
+    BULK_MIN_FIXED, CODEC_RV1, Export, FlatMap, Get, Lookup, Map, Rebind, RespAck,
+    RespDescriptor, RespError, RespStats, RespValue, Stats, ValuePayload, check_value,
+    decode_frame,
 )
 from remotable.shipping import InlineValue, RemoteRef, ShippedFn, Stage
 import test_hostile_frames
@@ -143,7 +146,7 @@ def mutated(draw, data, other, read=ref.decode):
     marks = []
     try:
         read(data, marks)
-    except (ref.Rejected, ref.NotCovered):  # not what ``read`` reads: only blind mutations
+    except ref.Rejected:  # not what ``read`` reads: only blind mutations
         marks = []
     aimed = {kind: [at for k, at in marks if k == kind]
              for kind in ("tag", "length", "text")}
@@ -306,10 +309,20 @@ def _library_descriptor(descriptor):
     return RemoteRefDescriptor(EndpointAddr(host, port), ObjectId(incarnation, serial))
 
 
+OTHER_VARIANTS = {"Rebind": Rebind, "Lookup": Lookup, "Get": Get, "Stats": Stats,
+                  "RespStats": RespStats, "RespAck": RespAck, "RespError": RespError}
+
+
 def _library_message(read):
     """The library's message for the reference's reading ``read``."""
     if read[0] == "RespDescriptor":
         return RespDescriptor(_library_descriptor(read[1]))
+    if read[0] == "Rebind":
+        return Rebind(read[1], _library_descriptor(read[2]))
+    if read[0] in ("Get", "Stats"):
+        return OTHER_VARIANTS[read[0]](ObjectId(*read[1]))
+    if read[0] in OTHER_VARIANTS:
+        return OTHER_VARIANTS[read[0]](*read[1:])
     variant, target, stage_reads = read
     return PIPELINE_VARIANTS[variant](ObjectId(*target), ShippedFn(tuple(
         Stage(fn_id, tuple(InlineValue(held) if kind == "inline" else RemoteRef(_library_descriptor(held))
@@ -329,6 +342,18 @@ def _library_read(message):
         return [name, message.payload.codec_id, message.payload.data]
     if name == "RespDescriptor":
         return [name, _plain_descriptor(message.descriptor)]
+    if name == "Rebind":
+        return [name, message.name, _plain_descriptor(message.descriptor)]
+    if name == "Lookup":
+        return [name, message.name]
+    if name in ("Get", "Stats"):
+        return [name, [message.target.incarnation, message.target.serial]]
+    if name == "RespStats":
+        return [name, message.serialization_count, message.get_count]
+    if name == "RespAck":
+        return [name]
+    if name == "RespError":
+        return [name, message.code, message.text]
     return [name, [message.target.incarnation, message.target.serial], [
         [stage.fn_id, [["inline", _shape(capture.value)] if isinstance(capture, InlineValue)
                        else ["ref", _plain_descriptor(capture.descriptor)]
@@ -341,6 +366,12 @@ def _reference_read(read):
         return list(read)
     if read[0] == "RespDescriptor":
         return [read[0], list(read[1])]
+    if read[0] == "Rebind":
+        return [read[0], read[1], list(read[2])]
+    if read[0] in ("Get", "Stats"):
+        return [read[0], list(read[1])]
+    if read[0] in ref.OTHER_FRAME_TAGS.values():
+        return list(read)
     return [read[0], list(read[1]), [
         [fn_id, [["inline", _shape(held)] if kind == "inline" else ["ref", list(held)]
                  for kind, held in capture_reads]]
@@ -348,7 +379,7 @@ def _reference_read(read):
 
 
 def _reference_outcome(frame):
-    """(reading, re-encoded frame) by the reference, or REJECT; NotCovered propagates."""
+    """(reading, re-encoded frame) by the reference, or REJECT."""
     try:
         read = ref.decode_frame(frame)
     except ref.Rejected:
@@ -396,11 +427,7 @@ def _library_outcomes(frame):
 
 def _agree(frame):
     """The library reads ``frame`` as the reference does, in every memo state."""
-    try:
-        expected = _reference_outcome(frame)
-    except ref.NotCovered:  # a whole frame of a variant the reference does not read
-        _library_outcomes(frame)  # which may raise nothing but ProtocolError
-        return
+    expected = _reference_outcome(frame)
     assert _library_outcomes(frame) == [expected] * len(_MEMO_STATES), frame.hex()
 
 
@@ -430,6 +457,13 @@ SAMPLE_FRAMES = [encode_message(message) for message in
                  test_hostile_pipelines.PIPELINE_SAMPLES.values()]
 
 
+def _serials(frame):
+    """The frame offsets of the serials of the object ids in ``frame``."""
+    marks = []
+    ref.decode_frame(frame, marks)
+    return [at for kind, at in marks if kind == "serial"]
+
+
 @st.composite
 def mutated_frames(draw, frame, other):
     """``frame`` mutated as ``mutated`` does, or changed inside its body with
@@ -441,10 +475,8 @@ def mutated_frames(draw, frame, other):
         body += draw(st.binary(min_size=1, max_size=20))
     elif how == "cut" and body:
         body = body[:draw(st.integers(min_value=0, max_value=len(body) - 1))]
-    elif how == "zero serial" and frame:
-        marks = []
-        ref.decode_frame(frame, marks)
-        at = draw(st.sampled_from([at for kind, at in marks if kind == "serial"])) - 4
+    elif how == "zero serial" and frame and _serials(frame):
+        at = draw(st.sampled_from(_serials(frame))) - 4
         body = body[:at] + bytes(8) + body[at + 8:]
     else:
         return draw(mutated(frame, other, ref.decode_frame))
@@ -474,10 +506,7 @@ def test_every_hostile_case_reads_the_same_through_the_reference(table):
     cases, golden = HOSTILE_TABLES[table]
     covered = 0
     for case, frame in cases():
-        try:
-            expected = _reference_outcome(frame)
-        except ref.NotCovered:
-            continue
+        expected = _reference_outcome(frame)
         kind, outcome = golden()[case]
         if expected == REJECT:
             assert kind == ProtocolError.__name__, case
@@ -485,4 +514,173 @@ def test_every_hostile_case_reads_the_same_through_the_reference(table):
             assert [kind, outcome] == ["ok", expected[1].hex()], case
         _agree(frame)
         covered += 1
-    assert covered > 100
+    assert covered == len(golden())  # every case, of every variant
+
+
+# -- Rebind, Lookup, Get, Stats, RespStats, RespAck and RespError frames ---------
+
+# Names with and without UTF-8 encodings; one with none is refused with
+# ProtocolError, as the reference refuses it with BadName.
+names = texts | st.sampled_from(["name", "é€😀"])
+u64s = st.integers(min_value=0, max_value=2**64 - 1) | st.sampled_from([0, 2**64 - 1])
+other_reads = st.one_of(
+    st.tuples(st.just("Rebind"), names, descriptors),
+    st.tuples(st.just("Lookup"), names),
+    st.tuples(st.sampled_from(["Get", "Stats"]), object_ids),
+    st.tuples(st.just("RespStats"), u64s, u64s),
+    st.just(("RespAck",)),
+    st.tuples(st.just("RespError"), st.integers(min_value=0, max_value=255), names),
+)
+# names at and past the most bytes a u16 length can say
+LONG_NAMES = ["x" * 0xFFFF, "x" * 0x10000, "é" * 0x7FFF + "x", "é" * 0x8000]
+
+
+@seed(2401)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(other_reads | st.tuples(st.just("Lookup"), st.sampled_from(LONG_NAMES)))
+def test_other_frames_encode_to_the_reference_bytes(read):
+    message = _library_message(read)
+    try:
+        expected = ref.encode_frame(read)
+    except ref.BadName:
+        with pytest.raises(ProtocolError):
+            encode_message(message)
+        return
+    except ref.Unencodable:  # a descriptor whose endpoint has no encoding
+        with pytest.raises(NotSerializableError):
+            encode_message(message)
+        return
+    for state in ("cold", "warm"):
+        _set_memos(state)
+        assert encode_message(message) == expected
+
+
+OTHER_SAMPLE_FRAMES = [ref.encode_frame(read) for read in [
+    ("Rebind", "n", ("loop", 1, 7, 9)), ("Lookup", "name"), ("Get", (1, 2)), ("Stats", (3, 4)),
+    ("RespStats", 5, 6), ("RespAck",), ("RespError", 7, "text")]]
+
+
+@seed(2402)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_other_frames_decode_as_the_reference_does(data):
+    frame = _encodable_frame(data.draw(other_reads)) or b""
+    other = data.draw(st.sampled_from(SAMPLE_FRAMES + OTHER_SAMPLE_FRAMES))
+    _agree(data.draw(mutated_frames(frame, other)))
+
+
+# -- the one-step paths ----------------------------------------------------------
+
+# Captures holding no list, so that the pipeline is remembered once decoded
+unlisted_stages = st.tuples(fn_ids, st.lists(st.tuples(st.just("inline"), scalars)
+                                             | st.tuples(st.just("ref"), descriptors),
+                                             max_size=3))
+
+
+def _error_of(frame):
+    try:
+        decode_frame(frame)
+    except ProtocolError as exc:
+        return str(exc)
+    raise AssertionError(f"{frame.hex()} decoded")
+
+
+@seed(2403)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["Map", "FlatMap"]), object_ids, st.lists(unlisted_stages, min_size=1, max_size=3))
+def test_a_remembered_pipeline_is_read_in_one_step_as_the_reference_reads_it(variant, target, stage_reads):
+    read = (variant, target, stage_reads)
+    frame = _encodable_frame(read)
+    if frame is None:
+        return
+    zero = frame[:13] + bytes(8) + frame[21:]  # the target's serial set to 0
+    _set_memos("cold")
+    cold_error = _error_of(zero)
+    decode_frame(frame)  # the field reader remembers the pipeline
+    assert frame[21:] in protocol._PIPELINES
+    # with no field reader to fall back on, only the one-step read can succeed
+    with mock.patch.object(protocol, "_DECODERS", {}):
+        message = decode_frame(frame)
+        again, used = protocol.decode_message(frame + frame[:7])
+    assert _library_read(message) == _library_read(again) == _reference_read(ref.decode_frame(frame))
+    assert used == len(frame)
+    assert encode_message(message) == frame
+    assert _error_of(zero) == cold_error  # a zero serial still goes to the field reader
+
+
+@seed(2404)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(descriptors)
+def test_a_descriptor_reply_is_written_in_one_step_once_its_endpoint_is_rendered(descriptor):
+    read = ("RespDescriptor", descriptor)
+    expected = _encodable_frame(read)
+    message = _library_message(read)
+    endpoint = message.descriptor.endpoint
+    for state in ("cold", "just emptied"):
+        _set_memos(state)
+        if expected is None:
+            with pytest.raises(NotSerializableError):
+                encode_message(message)
+            assert endpoint not in protocol._ENDPOINT_TEXTS
+            continue
+        assert encode_message(message) == expected  # the field writer renders the endpoint
+        assert endpoint in protocol._ENDPOINT_TEXTS
+        # with no field writer to fall back on, only the one-step write can succeed
+        with mock.patch.object(protocol, "_ENCODERS", {}):
+            assert encode_message(message) == expected
+    _set_memos("cold")
+
+
+# -- decoded messages share no mutable object ------------------------------------
+
+
+def _reachable_mutables(node, found):
+    """Map the id of each list, dict, set or bytearray reachable from ``node`` to it.
+
+    Every record met on the way must have no ``__dict__``.
+    """
+    if isinstance(node, (list, dict, set, bytearray)):
+        found[id(node)] = node
+        items = node.items() if isinstance(node, dict) else node
+        for item in items if not isinstance(node, bytearray) else ():
+            _reachable_mutables(item, found)
+    elif isinstance(node, tuple):
+        for item in node:
+            _reachable_mutables(item, found)
+    elif dataclasses.is_dataclass(node):
+        assert not hasattr(node, "__dict__"), type(node).__name__
+        for field in dataclasses.fields(node):
+            _reachable_mutables(getattr(node, field.name), found)
+    return found
+
+
+def _assert_unshared(frame):
+    """Decodes of ``frame`` (cold, then warm) share no mutable object."""
+    _set_memos("cold")
+    try:
+        decodes = [decode_frame(frame) for _ in range(3)]
+    except ProtocolError:
+        return
+    seen = {}
+    for message in decodes:
+        found = _reachable_mutables(message, {})
+        assert not found.keys() & seen.keys(), frame.hex()
+        seen.update(found)
+
+
+@seed(2405)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(frame_reads | other_reads)
+def test_no_decode_shares_a_mutable_object_with_another(read):
+    frame = _encodable_frame(read)
+    if frame is not None:
+        _assert_unshared(frame)
+
+
+@pytest.mark.parametrize("table", HOSTILE_TABLES)
+def test_no_decode_of_a_hostile_case_shares_a_mutable_object(table):
+    cases, golden = HOSTILE_TABLES[table]
+    for case, frame in cases():
+        if golden()[case][0] == "ok":
+            _assert_unshared(frame)
+    _set_memos("cold")

@@ -190,6 +190,21 @@ def test_stage_refuses_a_capture_of_no_capture_kind(capture):
 def test_pipeline_requires_stages():
     with pytest.raises(ValueError):
         ShippedFn(())
+    with pytest.raises(ValueError):
+        ShippedFn([])
+
+
+def test_a_stage_and_a_pipeline_keep_a_tuple_of_what_they_are_given():
+    captures = [InlineValue(2)]
+    stage = Stage("add", captures)
+    stages = [stage, Stage("inc", iter(()))]
+    pipeline = ShippedFn(stages)
+    captures.append(InlineValue(3))  # the caller's lists change after composing
+    stages.pop()
+    assert type(stage.captures) is tuple and type(pipeline.stages) is tuple
+    assert stage == Stage("add", (InlineValue(2),))
+    assert pipeline == ShippedFn((stage, Stage("inc")))
+    assert hash(pipeline) == hash(ShippedFn((Stage("add", (InlineValue(2),)), Stage("inc"))))
 
 
 def test_resolve_captures_mixes_inline_and_refs():

@@ -15,8 +15,9 @@ The package's records (ids, descriptors, pipeline parts, messages) are frozen
 dataclasses with ``__slots__``: no instance has a ``__dict__``, and assigning
 or deleting any attribute raises ``FrozenInstanceError`` (``_frozen``).
 Code that has already checked a record's fields builds it with the class's
-builder (``_builder``), which sets each slot directly; this module alone sets
-slots or creates instances around their constructors.
+builder (``_builder``), which sets each slot directly, and a constructor
+that keeps a tuple of a given iterable stores it with ``_hold_tuple``; this
+module alone sets slots or creates instances around their constructors.
 """
 from __future__ import annotations
 
@@ -78,6 +79,12 @@ def _builder(cls: type) -> Callable[..., Any]:
     else:
         raise TypeError(f"no builder for {len(setters)} fields")
     return build
+
+
+def _hold_tuple(record: Any, name: str) -> None:
+    """Replace the iterable in slotted record ``record``'s field ``name`` with a
+    tuple of it, for a ``__post_init__`` that takes any iterable."""
+    _set(record, name, tuple(getattr(record, name)))
 
 
 def _refuse_set(self: Any, name: str, value: Any) -> None:

@@ -81,8 +81,9 @@ Each field is read once, and a fault is named where it is found. An inline
 capture that is not an rv1 value ending exactly at its payload's end is named
 by reading its payload alone, so offsets inside a capture's value count from
 its payload's start. A pipeline that decodes is remembered by its bytes
-(see _PIPELINES), so a host that is sent the same pipeline again looks it up
-instead of reading it.
+(see _PIPELINES); a Map or FlatMap that carries the same bytes again is then
+read by decode_message's one-step path, which looks the pipeline up instead of
+reading it.
 
 Messages and the records in them are frozen dataclasses with __slots__ and no
 __dict__. Decoded ones are built by one builder per class (model._builder)
@@ -683,11 +684,8 @@ def _remember_pipeline(key: bytes, pipeline: ShippedFn) -> None:
 
 def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
     # A pipeline is the last field of its body, so the rest of the body is
-    # its key; a body with trailing bytes has another key, and misses.
+    # its key; decode_message looks it up there before this reader runs.
     key = buf[pos:]
-    known = _PIPELINES.get(key)
-    if known is not None:
-        return known, len(buf)
     count, pos = _unpack(_U16, buf, pos)
     if count == 0:
         raise ProtocolError(f"empty pipeline at offset {pos - 2}")

@@ -31,7 +31,7 @@ from .errors import (
     TransportError,
     UnknownFunctionError,
 )
-from .model import ObjectId, RemoteRefDescriptor, _builder, _frozen, _set
+from .model import ObjectId, RemoteRefDescriptor, _builder, _frozen, _hold_tuple
 
 
 @_frozen
@@ -84,7 +84,7 @@ class Stage:
     def __post_init__(self) -> None:
         _check_fn_id(self.fn_id)
         if type(self.captures) is not tuple:
-            _set(self, "captures", tuple(self.captures))
+            _hold_tuple(self, "captures")
         for capture in self.captures:
             if not isinstance(capture, (InlineValue, RemoteRef)):
                 raise ValueError(f"stage capture must be an InlineValue or a RemoteRef, got {capture!r}")
@@ -104,7 +104,7 @@ class ShippedFn:
 
     def __post_init__(self) -> None:
         if type(self.stages) is not tuple:
-            _set(self, "stages", tuple(self.stages))
+            _hold_tuple(self, "stages")
         if not self.stages:
             raise ValueError("pipeline must contain at least one stage")
 
@@ -229,7 +229,7 @@ class FnRegistry:
         return self._entries.get(fn_id)
 
     def lookup(self, fn_id: str) -> _Registration:
-        found = self._entries.get(fn_id)
+        found = self.get(fn_id)
         if found is None:
             raise UnknownFunctionError(fn_id)
         return found

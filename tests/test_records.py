@@ -185,15 +185,33 @@ def test_every_record_is_declared_slotted_and_frozen():
 BYPASSES = {"__new__", "__setattr__", "__delattr__"}
 
 
+def _is_bypass(node):
+    return (isinstance(node, ast.Attribute) and node.attr in BYPASSES
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def _bypass_aliases():
+    """The names ``model.py`` binds to ``object``'s bypasses (``_new = object.__new__``)."""
+    return {
+        target.id
+        for node in ast.walk(_tree(PACKAGE / "model.py"))
+        if isinstance(node, ast.Assign) and _is_bypass(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
 def test_only_model_builds_around_constructors():
+    aliases = _bypass_aliases()
+    assert aliases  # the check below looks for these names
     strays = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "model.py":
             continue
         for node in ast.walk(_tree(path)):
-            if not isinstance(node, ast.Attribute):
-                continue
-            on_object = isinstance(node.value, ast.Name) and node.value.id == "object"
-            if (on_object and node.attr in BYPASSES) or node.attr in ("__set__", "__dict__"):
+            if isinstance(node, ast.ImportFrom) and node.module in ("model", "remotable.model"):
+                strays += [f"{path.name}:{node.lineno} imports {alias.name}"
+                           for alias in node.names if alias.name in aliases]
+            elif isinstance(node, ast.Attribute) and (
+                    _is_bypass(node) or node.attr in ("__set__", "__dict__")):
                 strays.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not strays

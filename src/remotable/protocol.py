@@ -60,16 +60,19 @@ and raises the same errors at the same offsets. Checking makes no int or float
 list and copies no blob; a text list is still decoded, as one joined text.
 
 Decoders return (value, next offset), reading at offsets into the body. An
-endpoint text is parsed once, then looked up (see _ENDPOINTS), and an
-endpoint or a stage's fn id is rendered to rv1 text once, then looked up
-(_ENDPOINT_TEXTS, _FN_ID_TEXTS). Endpoints are interned (one EndpointAddr per
-host:port), so a memo keyed by endpoint hashes and compares it by identity.
+endpoint text is parsed once, then looked up (_ENDPOINTS), and an endpoint or
+a stage's fn id is rendered to rv1 text once, then looked up (_TEXTS).
+Endpoints are interned (one EndpointAddr per host:port), so a memo keyed by
+endpoint hashes and compares it by identity. The three memos (_ENDPOINTS,
+_TEXTS, _PIPELINES) keep one rule, in _remember: at most MEMO_BYTES each,
+charged by their keys' bytes (by the texts', in _TEXTS), emptied when the next
+entry would pass that, successes only, and no entry larger than the budget.
 
 Three frames of a Map round trip are read or written in one step. decode_message
 reads a Map or FlatMap whose pipeline bytes are remembered (see _PIPELINES)
 after an object id with a nonzero serial, and a RespDescriptor whose endpoint
 text is already in _ENDPOINTS and whose object id ends the body; encode_message
-writes a RespDescriptor whose endpoint text is already in _ENDPOINT_TEXTS. Any
+writes a RespDescriptor whose endpoint text is already in _TEXTS. Any
 other frame or message, well-formed or not, goes to the field reader or writer,
 so every byte, error and offset stays the same.
 
@@ -121,13 +124,10 @@ MAX_LIST_DEPTH = 100
 # Shorter int/float lists go element by element: the strided copies of the
 # bulk path cost more than they save below this length.
 BULK_MIN_FIXED = 8
-# Distinct endpoints the decoder, and apart from it the encoder, remember
-# before starting over; the encoder remembers as many fn ids.
-ENDPOINT_CACHE_MAX = 256
-# Bytes of decoded pipelines the decoder remembers before it starts over. A
-# budget in bytes, not in entries, so that pipelines with large captures
-# cannot pin large amounts of memory; a longer pipeline is never kept.
-PIPELINE_CACHE_BYTES = 1 << 16
+# Bytes each of the codec's memos holds before it starts over (see
+# _remember). A budget in bytes, not in entries, so that long endpoint texts
+# or pipelines cannot pin large amounts of memory.
+MEMO_BYTES = 1 << 16
 
 TAG_INT = 0x01
 TAG_FLOAT = 0x02
@@ -553,28 +553,50 @@ def _take_object_id(buf: bytes, pos: int) -> tuple[ObjectId, int]:
     return _new_id(incarnation, serial), pos + 16
 
 
-# Endpoints already parsed, keyed by their raw rv1 text, and the rv1 text of
-# endpoints and fn ids already written, keyed by endpoint or fn id; each
-# emptied when full. Only successes are stored, so a bad endpoint or fn id
-# fails the same way every time.
+# The codec's memos, plain dicts read with one .get: endpoints parsed, keyed
+# by their raw rv1 text; the rv1 text of endpoints and fn ids written, keyed
+# by endpoint or fn id (an EndpointAddr never equals a str); and pipelines
+# decoded, keyed by their bytes, if no inline capture is a list, so no
+# request is handed a mutable object another request holds. Only successes
+# are stored, so a bad one fails the same way every time.
 _ENDPOINTS: dict[bytes, EndpointAddr] = {}
-_ENDPOINT_TEXTS: dict[EndpointAddr, bytes] = {}
-_FN_ID_TEXTS: dict[str, bytes] = {}
+_TEXTS: dict[Union[EndpointAddr, str], bytes] = {}
+_PIPELINES: dict[bytes, ShippedFn] = {}
+# the bytes charged to each memo, by the memo's id
+_CHARGED = dict.fromkeys(map(id, (_ENDPOINTS, _TEXTS, _PIPELINES)), 0)
+_MEMO_LOCK = threading.Lock()
 
 
-def _rendered(key: Any, text: str, memo: dict) -> bytes:
-    """The rv1 text of ``text``, kept in ``memo`` under ``key`` once it encodes."""
+def _remember(memo: dict, key: Any, value: Any, size: int) -> Any:
+    """Store ``value`` under ``key`` in ``memo``, charged ``size`` bytes; return ``value``.
+
+    The one way into a memo. It is emptied first if the entry would take it
+    past MEMO_BYTES; an entry larger than MEMO_BYTES is never kept.
+    """
+    if size > MEMO_BYTES:
+        return value
+    with _MEMO_LOCK:
+        if key in memo:  # another thread stored it first
+            return value
+        charged = _CHARGED[id(memo)] + size
+        if charged > MEMO_BYTES:
+            memo.clear()
+            charged = size
+        memo[key] = value
+        _CHARGED[id(memo)] = charged
+    return value
+
+
+def _rendered(key: Any, text: str) -> bytes:
+    """The rv1 text of ``text``, kept in _TEXTS under ``key`` once it encodes."""
     rendered = bytearray()
     _encode_raw(text, rendered)
-    if len(memo) >= ENDPOINT_CACHE_MAX:
-        memo.clear()
-    memo[key] = rendered = bytes(rendered)
-    return rendered
+    return _remember(_TEXTS, key, bytes(rendered), len(rendered))
 
 
 def _put_descriptor(descriptor: RemoteRefDescriptor, out: bytearray) -> None:
     endpoint = descriptor.endpoint
-    out += _ENDPOINT_TEXTS.get(endpoint) or _rendered(endpoint, str(endpoint), _ENDPOINT_TEXTS)
+    out += _TEXTS.get(endpoint) or _rendered(endpoint, str(endpoint))
     _put_object_id(descriptor.id, out)
 
 
@@ -591,9 +613,7 @@ def _take_descriptor(buf: bytes, pos: int) -> tuple[RemoteRefDescriptor, int]:
             endpoint = EndpointAddr.parse(rendered)
         except ValueError as exc:
             raise ProtocolError(f"bad endpoint at offset {offset}: {exc}") from exc
-        if len(_ENDPOINTS) >= ENDPOINT_CACHE_MAX:
-            _ENDPOINTS.clear()
-        _ENDPOINTS[buf[pos:end]] = endpoint
+        _remember(_ENDPOINTS, buf[pos:end], endpoint, end - pos)
     object_id, pos = _take_object_id(buf, end)
     return _new_descriptor(endpoint, object_id), pos
 
@@ -617,7 +637,7 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
     out += _U16.pack(len(stages))
     for index, stage in enumerate(stages):
         fn_id = stage.fn_id
-        out += _FN_ID_TEXTS.get(fn_id) or _rendered(fn_id, fn_id, _FN_ID_TEXTS)
+        out += _TEXTS.get(fn_id) or _rendered(fn_id, fn_id)
         captures = stage.captures
         if len(captures) > 0xFFFF:
             raise ProtocolError("too many captures in one stage")
@@ -660,26 +680,6 @@ def _bad_capture(buf: bytes, pos: int, index: int, ci: int) -> NoReturn:
         raise ProtocolError(f"{where}: {exc}") from exc
     # not reached while the two reads agree; a disagreement must not pass
     raise ProtocolError(f"{where}: bad inline capture at offset {pos}")
-
-
-# Pipelines already decoded, keyed by their bytes, with the size of those
-# keys; emptied when the next one would pass PIPELINE_CACHE_BYTES. Only
-# successes are stored, so a bad pipeline fails the same way every time, and
-# only pipelines whose inline captures hold no list, so no request is handed
-# a mutable object that another request also holds.
-_PIPELINES: dict[bytes, ShippedFn] = {}
-_pipelines_size = 0
-_PIPELINES_LOCK = threading.Lock()
-
-
-def _remember_pipeline(key: bytes, pipeline: ShippedFn) -> None:
-    global _pipelines_size
-    with _PIPELINES_LOCK:
-        if _pipelines_size + len(key) > PIPELINE_CACHE_BYTES:
-            _PIPELINES.clear()
-            _pipelines_size = 0
-        _PIPELINES[key] = pipeline
-        _pipelines_size += len(key)
 
 
 def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
@@ -730,8 +730,8 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
                 _bad_capture(buf, pos, index, ci)
         stages.append(_new_stage(fn_id, tuple(captures)))
     pipeline = _new_pipeline(tuple(stages))
-    if shareable and pos == len(buf) and len(key) <= PIPELINE_CACHE_BYTES:
-        _remember_pipeline(key, pipeline)
+    if shareable and pos == len(buf):
+        _remember(_PIPELINES, key, pipeline, len(key))
     return pipeline, pos
 
 
@@ -811,7 +811,7 @@ def encode_message(message: Message) -> bytes:
         # a reply naming an endpoint already rendered is written here in one
         # step; anything else is written below
         descriptor = message.descriptor
-        text = _ENDPOINT_TEXTS.get(descriptor.endpoint)
+        text = _TEXTS.get(descriptor.endpoint)
         if text is not None:
             object_id = descriptor.id
             return b"".join((_FRAME_HEAD.pack(len(text) + 17, _RESP_DESCRIPTOR_TAG), text,

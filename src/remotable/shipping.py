@@ -108,10 +108,6 @@ class ShippedFn:
         if not self.stages:
             raise ValueError("pipeline must contain at least one stage")
 
-    @classmethod
-    def single(cls, stage: Stage) -> "ShippedFn":
-        return cls((stage,))
-
 
 # Builders of the pipeline records from checked fields (see model._builder)
 _new_inline = _builder(InlineValue)
@@ -233,12 +229,6 @@ class FnRegistry:
         if found is None:
             raise UnknownFunctionError(fn_id)
         return found
-
-    def arity(self, fn_id: str) -> int:
-        return self.lookup(fn_id).capture_arity
-
-    def __contains__(self, fn_id: str) -> bool:
-        return fn_id in self._entries
 
 
 def _lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:

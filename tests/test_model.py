@@ -19,8 +19,10 @@ from remotable import (
     RemoteRefDescriptor,
     UnknownObjectError,
 )
-from remotable import model, protocol
+from remotable import model
 from remotable.protocol import RespDescriptor, decode_frame, encode_message
+
+from helpers import set_memos
 
 
 def test_endpoint_renders_host_colon_port():
@@ -59,7 +61,7 @@ def test_endpoint_compares_and_hashes_by_identity_in_c():
 def test_one_endpoint_object_per_host_and_port():
     endpoint = EndpointAddr("identity.example", 4242)
     frame = encode_message(RespDescriptor(RemoteRefDescriptor(endpoint, ObjectId(1, 1))))
-    protocol._ENDPOINTS.clear()  # the decoder parses the text afresh
+    set_memos("cold")  # the decoder parses the text afresh
     same = [
         EndpointAddr("identity.example", 4242),
         EndpointAddr.parse(str(endpoint)),

@@ -50,6 +50,8 @@ from remotable.protocol import (
     decode_frame,
 )
 
+from helpers import charged, entry_bytes, set_memos
+
 DESCRIPTOR = RemoteRefDescriptor(EndpointAddr("127.0.0.1", 7099), ObjectId(0xAB, 7))
 PIPELINE = ShippedFn(
     (
@@ -513,7 +515,7 @@ def test_unserializable_capture_blames_its_position():
 
 def test_capture_origin_is_never_encoded():
     def request(capture):
-        return Map(DESCRIPTOR.id, ShippedFn.single(Stage("add", (capture,))))
+        return Map(DESCRIPTOR.id, ShippedFn((Stage("add", (capture,)),)))
 
     marked = request(InlineValue(5, origin=DESCRIPTOR.id))
     assert marked == request(InlineValue(5))
@@ -576,12 +578,15 @@ def _descriptor_frame(endpoint_text, incarnation=0xAB, serial=7):
 
 
 def test_endpoint_memo_stays_bounded_over_many_distinct_endpoints():
+    set_memos("cold")
     for port in range(1, 10_001):
         descriptor = RemoteRefDescriptor(EndpointAddr(f"h{port % 7}", port), ObjectId(1, port))
         frame = encode_message(RespDescriptor(descriptor))
         assert frame == _descriptor_frame(f"h{port % 7}:{port}", 1, port)
         assert decode_frame(frame).descriptor == descriptor
-        assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert charged(protocol._ENDPOINTS) <= protocol.MEMO_BYTES
+    assert len(protocol._ENDPOINTS) < 10_000  # the endpoints passed the budget
+    assert charged(protocol._ENDPOINTS) == entry_bytes(protocol._ENDPOINTS)
 
 
 @pytest.mark.parametrize(
@@ -597,11 +602,14 @@ def test_bad_endpoint_is_rejected_on_every_repeat(text):
 
 
 def test_endpoint_text_memo_writes_the_same_bytes_and_stays_bounded():
-    for port in range(1, 3 * protocol.ENDPOINT_CACHE_MAX):
+    set_memos("cold")
+    for port in range(1, 10_001):
         descriptor = RemoteRefDescriptor(EndpointAddr("h", port), ObjectId(1, port))
         for _ in range(2):  # once rendered, once through the memo
             assert encode_message(RespDescriptor(descriptor)) == _descriptor_frame(f"h:{port}", 1, port)
-        assert len(protocol._ENDPOINT_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert charged(protocol._TEXTS) <= protocol.MEMO_BYTES
+    assert len(protocol._TEXTS) < 10_000  # the texts passed the budget
+    assert charged(protocol._TEXTS) == entry_bytes(protocol._TEXTS)
 
 
 def test_endpoint_without_utf8_is_refused_on_every_encode_and_never_remembered():
@@ -612,7 +620,7 @@ def test_endpoint_without_utf8_is_refused_on_every_encode_and_never_remembered()
         with pytest.raises(NotSerializableError) as caught:
             encode_message(message)
         texts.add(str(caught.value))
-        assert endpoint not in protocol._ENDPOINT_TEXTS
+        assert endpoint not in protocol._TEXTS
     assert len(texts) == 1
 
 
@@ -634,15 +642,16 @@ def _one_stage_frame(fn_id):
 
 
 def test_endpoint_memo_under_concurrent_threads():
-    # more threads than cores, switching often, each cycling through more
+    # more threads than cores, switching often, together cycling through more
     # endpoints and fn ids than the memos hold so that clears race with reads
-    # and stores
+    # and stores: each endpoint text takes about 60 of the budget's bytes
     errors = []
+    host = "t" * 48
 
     def worker(offset):
         try:
-            for port in range(offset, offset + 2 * protocol.ENDPOINT_CACHE_MAX):
-                descriptor = RemoteRefDescriptor(EndpointAddr("t", port), ObjectId(2, port))
+            for port in range(offset, offset + 512):
+                descriptor = RemoteRefDescriptor(EndpointAddr(host, port), ObjectId(2, port))
                 if decode_frame(encode_message(RespDescriptor(descriptor))).descriptor != descriptor:
                     errors.append(port)
                 stage_map = Map(ObjectId(0xAB, 7), ShippedFn((Stage(f"f{port}"),)))
@@ -663,19 +672,22 @@ def test_endpoint_memo_under_concurrent_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
-    assert len(protocol._FN_ID_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+    for memo in (protocol._ENDPOINTS, protocol._TEXTS):
+        assert charged(memo) == entry_bytes(memo) <= protocol.MEMO_BYTES
 
 
 # -- the fn-id text memo --------------------------------------------------------
 
 
 def test_fn_id_memo_writes_the_same_bytes_and_stays_bounded():
-    for n in range(3 * protocol.ENDPOINT_CACHE_MAX):
+    set_memos("cold")
+    for n in range(10_000):
         message = Map(ObjectId(0xAB, 7), ShippedFn((Stage(f"fn{n}"),)))
         for _ in range(2):  # once rendered, once through the memo
             assert encode_message(message) == _one_stage_frame(f"fn{n}")
-        assert len(protocol._FN_ID_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
+        assert charged(protocol._TEXTS) <= protocol.MEMO_BYTES
+    assert len(protocol._TEXTS) < 10_000  # the texts passed the budget
+    assert charged(protocol._TEXTS) == entry_bytes(protocol._TEXTS)
 
 
 @pytest.mark.parametrize("fn_id", ["\ud800", "ok\udfff"])
@@ -686,9 +698,9 @@ def test_fn_id_without_utf8_is_refused_on_every_encode_and_never_remembered(fn_i
         with pytest.raises(NotSerializableError) as caught:
             encode_message(message)
         texts.add(str(caught.value))
-        assert fn_id not in protocol._FN_ID_TEXTS
+        assert fn_id not in protocol._TEXTS
     assert len(texts) == 1
-    assert "inc" in protocol._FN_ID_TEXTS  # the stage before it still encoded
+    assert "inc" in protocol._TEXTS  # the stage before it still encoded
 
 
 # -- the pipeline memo --------------------------------------------------------
@@ -725,21 +737,23 @@ def test_a_remembered_pipeline_with_trailing_bytes_is_still_refused():
 
 
 def test_pipeline_memo_stays_within_its_byte_budget():
+    set_memos("cold")
     for operand in range(10_000):  # enough to empty the memo twice
         assert decode_frame(_map_frame(operand)).fn.stages[0].captures[0].value == operand
-        assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
-    assert protocol._pipelines_size == sum(map(len, protocol._PIPELINES))
+        assert charged(protocol._PIPELINES) <= protocol.MEMO_BYTES
+    assert len(protocol._PIPELINES) < 10_000
+    assert charged(protocol._PIPELINES) == entry_bytes(protocol._PIPELINES)
     # a pipeline longer than the whole budget is never kept
-    long_text = "x" * protocol.PIPELINE_CACHE_BYTES
+    long_text = "x" * protocol.MEMO_BYTES
     frame = _map_frame(long_text)
     assert decode_frame(frame).fn is not decode_frame(frame).fn
-    assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
+    assert charged(protocol._PIPELINES) == entry_bytes(protocol._PIPELINES) <= protocol.MEMO_BYTES
 
 
 def test_pipeline_memo_under_concurrent_threads():
     # as the endpoint memo's test above: clears race with reads and stores
     errors = []
-    per_thread = protocol.PIPELINE_CACHE_BYTES // 16
+    per_thread = protocol.MEMO_BYTES // 16
 
     def worker(offset):
         try:
@@ -761,8 +775,7 @@ def test_pipeline_memo_under_concurrent_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert protocol._pipelines_size == sum(map(len, protocol._PIPELINES))
-    assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
+    assert charged(protocol._PIPELINES) == entry_bytes(protocol._PIPELINES) <= protocol.MEMO_BYTES
 
 
 def test_decoding_a_long_int_list_keeps_no_spare_copy():

@@ -7,8 +7,8 @@ their encodings (a flipped byte, a truncation, an extension, a splice of two
 encodings, a rewritten length), and must agree: the same bytes out of every
 encoder, and the same bytes accepted, as equal values, by every decoder. A
 Map, FlatMap or RespDescriptor frame must also decode the same whether the
-codec's memos (pipelines, endpoints, endpoint texts, fn-id texts) are cold,
-warm, or just emptied at their bounds. Only which bytes are rejected is
+codec's memos (endpoints, rendered texts, pipelines) are cold, warm, or just
+emptied at their byte budget. Only which bytes are rejected is
 compared, not the error texts; ``hostile_frames.json`` and
 ``hostile_pipelines.json`` pin those, and every case of both tables is also
 read through the reference. Hostile bytes may raise nothing but ProtocolError.
@@ -34,6 +34,7 @@ from remotable.protocol import (
     decode_frame,
 )
 from remotable.shipping import InlineValue, RemoteRef, ShippedFn, Stage
+from helpers import MEMOS, charged, set_memos
 import test_hostile_frames
 import test_hostile_pipelines
 from test_hostile_frames import _all_cases, _golden
@@ -390,38 +391,20 @@ def _reference_outcome(frame):
 _MEMO_STATES = ("cold", "warm", "just emptied")
 
 
-def _set_memos(state):
-    """Put the codec's four memos into ``state`` before a decode."""
-    if state == "cold":
-        protocol._PIPELINES.clear()
-        protocol._pipelines_size = 0
-        for memo in (protocol._ENDPOINTS, protocol._ENDPOINT_TEXTS, protocol._FN_ID_TEXTS):
-            memo.clear()
-    elif state == "just emptied":  # full, so that the next store empties them
-        protocol._PIPELINES.clear()
-        protocol._PIPELINES[b"filler"] = None
-        protocol._pipelines_size = protocol.PIPELINE_CACHE_BYTES
-        for memo in (protocol._ENDPOINTS, protocol._ENDPOINT_TEXTS, protocol._FN_ID_TEXTS):
-            memo.clear()
-            memo.update((("filler", i), b"") for i in range(protocol.ENDPOINT_CACHE_MAX))
-
-
 def _library_outcomes(frame):
     """(reading, re-encoded frame) by the library, or REJECT, with the memos in each state."""
     outcomes = []
     for state in _MEMO_STATES:  # "warm" follows the cold decode and re-encode
-        _set_memos(state)
+        set_memos(state)
         try:
             message = decode_frame(frame)
         except ProtocolError:
             outcomes.append(REJECT)
             continue
         outcomes.append((_library_read(message), encode_message(message)))
-        assert len(protocol._ENDPOINTS) <= protocol.ENDPOINT_CACHE_MAX
-        assert len(protocol._ENDPOINT_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
-        assert len(protocol._FN_ID_TEXTS) <= protocol.ENDPOINT_CACHE_MAX
-        assert protocol._pipelines_size <= protocol.PIPELINE_CACHE_BYTES
-    _set_memos("cold")  # no filler is left for later tests
+        for memo in MEMOS:
+            assert charged(memo) <= protocol.MEMO_BYTES
+    set_memos("cold")  # no filler is left for later tests
     return outcomes
 
 
@@ -445,7 +428,7 @@ def test_pipeline_and_descriptor_frames_encode_to_the_reference_bytes(read):
     expected = _encodable_frame(read)
     message = _library_message(read)
     for state in ("cold", "warm"):  # once rendered, once through the text memos
-        _set_memos(state)
+        set_memos(state)
         if expected is None:
             with pytest.raises(NotSerializableError):
                 encode_message(message)
@@ -551,7 +534,7 @@ def test_other_frames_encode_to_the_reference_bytes(read):
             encode_message(message)
         return
     for state in ("cold", "warm"):
-        _set_memos(state)
+        set_memos(state)
         assert encode_message(message) == expected
 
 
@@ -594,7 +577,7 @@ def test_a_remembered_pipeline_is_read_in_one_step_as_the_reference_reads_it(var
     if frame is None:
         return
     zero = frame[:13] + bytes(8) + frame[21:]  # the target's serial set to 0
-    _set_memos("cold")
+    set_memos("cold")
     cold_error = _error_of(zero)
     decode_frame(frame)  # the field reader remembers the pipeline
     assert frame[21:] in protocol._PIPELINES
@@ -617,18 +600,18 @@ def test_a_descriptor_reply_is_written_in_one_step_once_its_endpoint_is_rendered
     message = _library_message(read)
     endpoint = message.descriptor.endpoint
     for state in ("cold", "just emptied"):
-        _set_memos(state)
+        set_memos(state)
         if expected is None:
             with pytest.raises(NotSerializableError):
                 encode_message(message)
-            assert endpoint not in protocol._ENDPOINT_TEXTS
+            assert endpoint not in protocol._TEXTS
             continue
         assert encode_message(message) == expected  # the field writer renders the endpoint
-        assert endpoint in protocol._ENDPOINT_TEXTS
+        assert endpoint in protocol._TEXTS
         # with no field writer to fall back on, only the one-step write can succeed
         with mock.patch.object(protocol, "_ENCODERS", {}):
             assert encode_message(message) == expected
-    _set_memos("cold")
+    set_memos("cold")
 
 
 # -- decoded messages share no mutable object ------------------------------------
@@ -656,7 +639,7 @@ def _reachable_mutables(node, found):
 
 def _assert_unshared(frame):
     """Decodes of ``frame`` (cold, then warm) share no mutable object."""
-    _set_memos("cold")
+    set_memos("cold")
     try:
         decodes = [decode_frame(frame) for _ in range(3)]
     except ProtocolError:
@@ -683,4 +666,4 @@ def test_no_decode_of_a_hostile_case_shares_a_mutable_object(table):
     for case, frame in cases():
         if golden()[case][0] == "ok":
             _assert_unshared(frame)
-    _set_memos("cold")
+    set_memos("cold")

@@ -60,7 +60,7 @@ def test_register_refuses_what_no_stage_can_call(fn_id, arity):
     registry = FnRegistry()
     with pytest.raises(ValueError):
         registry.register(fn_id, arity, lambda s, a, c: PlainValue(s))
-    assert fn_id not in registry
+    assert registry.get(fn_id) is None
 
 
 @pytest.mark.parametrize("fn_id", [5, "", None, b"f"])
@@ -68,14 +68,14 @@ def test_lift_refuses_a_fn_id_no_stage_can_name(fn_id):
     registry = FnRegistry()
     with pytest.raises(ValueError):
         registry.lift(fn_id, lambda x: x)
-    assert fn_id not in registry
+    assert registry.get(fn_id) is None
 
 
 def test_registry_unknown_lookup():
     registry = FnRegistry()
     with pytest.raises(UnknownFunctionError):
         registry.lookup("missing")
-    assert "missing" not in registry
+    assert registry.get("missing") is None
 
 
 def test_stock_arities_are_pinned():
@@ -95,7 +95,7 @@ def test_stock_arities_are_pinned():
         "kleisli_int": 1,
         "kleisli_int_then": 2,
     }
-    assert {fn_id: registry.arity(fn_id) for fn_id in arities} == arities
+    assert {fn_id: registry.get(fn_id).capture_arity for fn_id in arities} == arities
 
 
 def _optional_keyword(subject, *, scale=1):
@@ -127,7 +127,7 @@ class _Unhashable:
 def test_lift_reads_the_arity_from_the_signature(f, arity):
     registry = FnRegistry()
     registry.lift("f", f)
-    assert registry.arity("f") == arity
+    assert registry.get("f").capture_arity == arity
 
 
 def _variadic(subject, *rest):
@@ -155,7 +155,7 @@ def test_lift_refuses_what_its_signature_cannot_say(f):
     registry = FnRegistry()
     with pytest.raises(ValueError, match="'refused'"):
         registry.lift("refused", f)
-    assert "refused" not in registry
+    assert registry.get("refused") is None
     registry.lift("refused", lambda x: x)  # nothing was left behind under the id
 
 

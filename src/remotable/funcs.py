@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage, _lifted
+from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage, _lift_arity
 
 
 class Token:
@@ -87,9 +87,10 @@ def _kleisli_int_then(subject, args, ctx):
     return RemoteValue(second.descriptor)
 
 
-# (fn_id, capture arity, body), built once per process: a lifted row reads its
-# function's arity here, at import, and flat_map rows keep the full body
-_STOCK = tuple((fn_id, *_lifted(f)) for fn_id, f in (
+# (fn_id, capture arity, body, lifted), built once per process: a lifted row
+# holds its function itself and reads its arity here, at import, and flat_map
+# rows keep the full body
+_STOCK = tuple((fn_id, _lift_arity(f), f, True) for fn_id, f in (
     ("identity", lambda x: x),
     ("inc", lambda x: x + 1),
     ("add", operator.add),
@@ -97,7 +98,7 @@ _STOCK = tuple((fn_id, *_lifted(f)) for fn_id, f in (
     ("to_text", canonical_text),
     ("pair_equals_inner", lambda second, first: first == second),
     ("mk_pair_equals", lambda subject, other: subject == other.get()),
-)) + (
+)) + tuple((*row, False) for row in (
     ("new_token", 0, lambda subject, args, ctx: PlainValue(ctx.new_token())),
     # flatMap-position identity: re-host the subject at the executing node
     ("pure", 0, lambda subject, args, ctx: RemoteValue(ctx.apply(subject).descriptor)),
@@ -107,13 +108,13 @@ _STOCK = tuple((fn_id, *_lifted(f)) for fn_id, f in (
     ("kleisli_int", 1, lambda subject, args, ctx: RemoteValue(
         ctx.apply(run_int_pipeline(args[0], subject)).descriptor)),
     ("kleisli_int_then", 2, _kleisli_int_then),
-)
+))
 
 
 def register_default_functions(registry: FnRegistry) -> None:
     """Install the shared function set every node registers at startup."""
-    for fn_id, arity, body in _STOCK:
-        registry.register(fn_id, arity, body)
+    for fn_id, arity, body, lifted in _STOCK:
+        registry._add(fn_id, arity, body, lifted)
 
 
 def default_registry() -> FnRegistry:

@@ -144,9 +144,11 @@ _PROTOCOL_ERROR_HEAD = encode_message(_error_reply(ErrorCode.PROTOCOL_ERROR, "")
 class _ConnectionHandler:
     """Per-connection loop: whole frames in, each answered by ``Host.handle_frame``.
 
-    Replies go out in request order. The connection ends after a
-    PROTOCOL_ERROR reply, when the peer closes it, or when a read or write
-    fails: SHUT_WR, so the peer still reads every reply, then close.
+    Replies go out in request order, and each is let go once it is sent, so
+    a connection waiting for its next request holds none. The connection
+    ends after a PROTOCOL_ERROR reply, when the peer closes it, or when a
+    read or write fails: SHUT_WR, so the peer still reads every reply, then
+    close.
     """
 
     def __init__(self, server: "TcpHostServer", host: Host, channel: Channel) -> None:
@@ -162,6 +164,7 @@ class _ConnectionHandler:
                 channel.send(reply)
                 if reply[4:6] == _PROTOCOL_ERROR_HEAD:
                     return
+                del reply  # an idle connection holds no reply while it waits
         except (OSError, TransportError):
             return
         finally:

@@ -60,6 +60,8 @@ from .shipping import (
 from .transport import LoopbackNetwork, LoopbackTransport, TcpTransport, Transport
 
 _ASYNC_WORKERS = 8  # threads behind Node.executor, which runs AsyncHandle steps
+# capture types that Node.stage inlines at once, exact types only
+_SCALARS = frozenset((int, float, str, bool, bytes))
 
 
 class RemoteHandle:
@@ -243,12 +245,15 @@ class Node:
 
         The fn id is checked first, as ``Stage`` checks it. Arity is then
         pre-checked when the function is registered here too, which catches
-        typos before anything goes on the wire. The captures and the stage
-        are built from these checked fields, not through their constructors.
+        typos before anything goes on the wire. An int, float, str, bool or
+        bytes capture is inlined before any other type is tested. The
+        captures and the stage are built from these checked fields, not
+        through their constructors.
         """
         _check_fn_id(fn_id)
         converted = tuple([
-            _new_ref(capture.descriptor) if isinstance(capture, RemoteHandle)
+            _new_inline(capture, None, False) if type(capture) in _SCALARS
+            else _new_ref(capture.descriptor) if isinstance(capture, RemoteHandle)
             else _new_ref(capture) if isinstance(capture, RemoteRefDescriptor)
             else capture if isinstance(capture, (InlineValue, RemoteRef))
             else _new_inline(capture, None, False)

@@ -80,10 +80,17 @@ A Map or FlatMap pipeline is read and written in one flat pass per stage, with
 direct struct calls at offsets. An inline capture's value is read by the rv1
 reader straight from the frame body and written by the rv1 writer straight
 into the frame, its length filled in after; no ValuePayload is made for it.
-Each field is read once, and a fault is named where it is found. An inline
-capture that is not an rv1 value ending exactly at its payload's end is named
-by reading its payload alone, so offsets inside a capture's value count from
-its payload's start. A pipeline that decodes is remembered by its bytes
+An inline capture of an int (exactly int, not bool or an IntEnum) that fits
+64 bits crosses in one step: it is written as one constant 11-byte head (the
+capture kind, the codec id, payload length 9, the int tag) and its 8 bytes,
+and a capture that starts with that head and has its 8 bytes in the body is
+read with one unpack. Any other capture, or a body cut inside those 8 bytes,
+takes the general path, so the bytes, errors and offsets are the same. Each
+field is read once, and a fault is named where it is found. An inline capture
+that is not an rv1 value ending exactly at its payload's end is named by
+reading its payload alone, so offsets inside a capture's value count from its
+payload's start. The pipeline's bytes are copied as a memo key only when the
+memo will keep it. A pipeline that decodes is remembered by its bytes
 (see _PIPELINES); a Map or FlatMap that carries the same bytes again is then
 read by decode_message's one-step path, which looks the pipeline up instead of
 reading it.
@@ -151,6 +158,10 @@ _OBJECT_ID_PAIR = struct.Struct(">QQ")
 # payload length: kind byte, then that name
 _RV1_CODEC_NAME = _U16.pack(len(CODEC_RV1)) + CODEC_RV1.encode()
 _INLINE_RV1 = _U8.pack(_CAPTURE_INLINE) + _RV1_CODEC_NAME
+# An inline rv1 int capture up to its 8 value bytes: that head, the payload
+# length 9, then the int tag
+_INT_CAPTURE = _INLINE_RV1 + _U32.pack(1 + _I64.size) + bytes((TAG_INT,))
+_INT_CAPTURE_SIZE = len(_INT_CAPTURE) + _I64.size
 
 # rv1 numbers are big-endian; array() holds them in native order.
 _SWAP = sys.byteorder == "little"
@@ -644,12 +655,17 @@ def _put_pipeline(pipeline: ShippedFn, out: bytearray) -> None:
         out += _U16.pack(len(captures))
         for ci, capture in enumerate(captures):
             if isinstance(capture, InlineValue):
+                value = capture.value
+                if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+                    out += _INT_CAPTURE
+                    out += _I64.pack(value)
+                    continue
                 # the value is encoded in place, and its length filled in after
                 out += _INLINE_RV1
                 at = len(out)
                 out += b"\0\0\0\0"
                 try:
-                    _encode_raw(capture.value, out)
+                    _encode_raw(value, out)
                 except NotSerializableError as exc:
                     raise NotSerializableError(f"stage {index} capture {ci}: {exc}") from exc
                 _U32.pack_into(out, at, len(out) - at - 4)
@@ -685,13 +701,14 @@ def _bad_capture(buf: bytes, pos: int, index: int, ci: int) -> NoReturn:
 def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
     # A pipeline is the last field of its body, so the rest of the body is
     # its key; decode_message looks it up there before this reader runs.
-    key = buf[pos:]
+    start = pos
     count, pos = _unpack(_U16, buf, pos)
     if count == 0:
         raise ProtocolError(f"empty pipeline at offset {pos - 2}")
     text_head = _TEXT_HEAD.unpack_from
     u16 = _U16.unpack_from
     u32 = _U32.unpack_from
+    i64 = _I64.unpack_from
     stages = []
     shareable = True
     for index in range(count):
@@ -711,7 +728,12 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
         pos += 2
         captures = []
         for ci in range(ncaptures):
-            if buf.startswith(_INLINE_RV1, pos):
+            end = pos + _INT_CAPTURE_SIZE
+            if end <= len(buf) and buf.startswith(_INT_CAPTURE, pos):
+                # an int capture whose 8 bytes are all there: read in one step
+                captures.append(_new_inline(i64(buf, end - 8)[0], None, True))
+                pos = end
+            elif buf.startswith(_INLINE_RV1, pos):
                 try:
                     (size,) = u32(buf, pos + 6)
                     value, end = _take_value(buf, pos + 10)
@@ -730,8 +752,9 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
                 _bad_capture(buf, pos, index, ci)
         stages.append(_new_stage(fn_id, tuple(captures)))
     pipeline = _new_pipeline(tuple(stages))
-    if shareable and pos == len(buf):
-        _remember(_PIPELINES, key, pipeline, len(key))
+    # the key is copied only for a pipeline the memo would keep
+    if shareable and pos == len(buf) and pos - start <= MEMO_BYTES:
+        _remember(_PIPELINES, buf[start:], pipeline, pos - start)
     return pipeline, pos
 
 

@@ -12,6 +12,13 @@ which is also the one point where serializability is checked. Reference
 captures resolve at the executing host: home references become direct local
 handles (zero serialization), foreign ones become remote handles.
 
+A registered function takes one of two calling conventions. A full body is
+called as ``body(subject, captures, ctx)`` and returns a PlainValue or a
+RemoteValue. A function joined through ``FnRegistry.lift`` is existing code,
+and ``evaluate`` calls it as it is, ``f(subject, *captures)``, with no
+wrapper: its return value is the stage's plain value, passed on unboxed and
+boxed in a PlainValue only when a Map's last stage yields it.
+
 This module is the one place that knows how a pipeline runs at its host: a
 body's ``ctx`` is always a ``HostContext``, and ``evaluate`` is the one check
 of the result contract (a Map's last stage yields a PlainValue, a FlatMap's a
@@ -124,6 +131,9 @@ class PlainValue:
     value: Any
 
 
+_new_plain = _builder(PlainValue)
+
+
 @_frozen
 @dataclass(frozen=True, slots=True)
 class RemoteValue:
@@ -181,8 +191,17 @@ FnBody = Callable[[Any, list, HostContext], FnResult]
 @_frozen
 @dataclass(frozen=True, slots=True)
 class _Registration:
+    """A registered body and the calling convention it takes.
+
+    ``lifted`` marks a function joined through ``FnRegistry.lift``: ``body``
+    is that function itself, called as ``body(subject, *captures)``, and
+    its return value is the plain value. Otherwise ``body`` is a full
+    ``FnBody``, called as ``body(subject, captures, ctx)``.
+    """
+
     capture_arity: int
-    body: FnBody
+    body: Callable[..., Any]
+    lifted: bool = False
 
 
 class FnRegistry:
@@ -195,9 +214,29 @@ class FnRegistry:
     def __init__(self) -> None:
         self._entries: dict[str, _Registration] = {}
         self._lock = threading.Lock()
+        # the registration under an fn id, or None: the dict's own get
+        self.get: Callable[[str], Optional[_Registration]] = self._entries.get
 
     def register(self, fn_id: str, arity: int, body: FnBody) -> None:
         """Register ``body`` under ``fn_id``; refuses what no Stage could call."""
+        self._add(fn_id, arity, body, False)
+
+    def lift(self, fn_id: str, f: Callable[..., Any]) -> None:
+        """Register an existing ``f(subject, *captures)``, unchanged, in map position.
+
+        The captures are f's required positional parameters after the subject.
+        ``evaluate`` calls f itself, and what f returns is the stage's plain
+        value. Refused, registering nothing: ``*args``, ``**kwargs``, a
+        required keyword-only parameter, no positional parameter, no signature.
+        """
+        try:
+            arity = _lift_arity(f)
+        except (TypeError, ValueError) as exc:  # not callable, or no signature
+            raise ValueError(f"cannot lift {fn_id!r}: {exc}") from None
+        self._add(fn_id, arity, f, True)
+
+    def _add(self, fn_id: str, arity: int, body: Callable[..., Any], lifted: bool) -> None:
+        """Register ``body`` under ``fn_id`` in the calling convention ``lifted`` names."""
         if not isinstance(fn_id, str) or not fn_id:
             raise ValueError(f"fn_id must be non-empty text, got {fn_id!r}")
         if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
@@ -205,24 +244,7 @@ class FnRegistry:
         with self._lock:
             if fn_id in self._entries:
                 raise ValueError(f"function id already registered: {fn_id!r}")
-            self._entries[fn_id] = _Registration(arity, body)
-
-    def lift(self, fn_id: str, f: Callable[..., Any]) -> None:
-        """Register an existing ``f(subject, *captures)``, unchanged, in map position.
-
-        The captures are f's required positional parameters after the subject.
-        Refused, registering nothing: ``*args``, ``**kwargs``, a required
-        keyword-only parameter, no positional parameter, no signature.
-        """
-        try:
-            arity, body = _lifted(f)
-        except (TypeError, ValueError) as exc:  # not callable, or no signature
-            raise ValueError(f"cannot lift {fn_id!r}: {exc}") from None
-        self.register(fn_id, arity, body)
-
-    def get(self, fn_id: str) -> Optional[_Registration]:
-        """The registration under ``fn_id``, or None."""
-        return self._entries.get(fn_id)
+            self._entries[fn_id] = _Registration(arity, body, lifted)
 
     def lookup(self, fn_id: str) -> _Registration:
         found = self.get(fn_id)
@@ -231,8 +253,8 @@ class FnRegistry:
         return found
 
 
-def _lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
-    """The capture arity and map-position body of ``f(subject, *captures)``.
+def _lift_arity(f: Callable[..., Any]) -> int:
+    """The capture arity of ``f(subject, *captures)``.
 
     Raises TypeError or ValueError where ``FnRegistry.lift`` refuses ``f``.
     Private to the package: ``lift`` is the public way to lift, and the stock
@@ -246,7 +268,7 @@ def _lifted(f: Callable[..., Any]) -> tuple[int, FnBody]:
             raise ValueError(f"parameter {str(param)!r} is variadic or keyword-only")
     if not required:
         raise ValueError("no positional parameter for the subject")
-    return sum(required[1:]), lambda subject, args, ctx: PlainValue(f(subject, *args))
+    return sum(required[1:])
 
 
 def resolve_captures(captures: tuple[Capture, ...], ctx: HostContext) -> list:
@@ -286,38 +308,48 @@ def evaluate(
     Every stage but the last must produce a plain value, which feeds the next
     stage's subject. The last stage must produce a ``final``: a PlainValue
     for a Map, a RemoteValue for a FlatMap; this is the one check of the
-    result contract, and its ContractViolationError names the stage. Bodies
-    raising anything other than a wire-mapped error are folded into
+    result contract, and its ContractViolationError names the stage. A lifted
+    function is called as ``f(subject, *captures)`` and its return value is
+    the plain value itself, boxed in a PlainValue only at the last stage.
+    Bodies raising anything other than a wire-mapped error are folded into
     ExecutionError with a textual cause; a TransportError, a nested call's
     lost peer, gets the fixed prefix ``<fn_id>: lost peer <endpoint>:``.
     """
     value = subject
+    registration_of = registry.get
     last = len(pipeline.stages) - 1
     for position, stage in enumerate(pipeline.stages):
-        registration = registry.lookup(stage.fn_id)
-        if len(stage.captures) != registration.capture_arity:
+        fn_id = stage.fn_id
+        registration = registration_of(fn_id)
+        if registration is None:
+            raise UnknownFunctionError(fn_id)
+        captures = stage.captures
+        if len(captures) != registration.capture_arity:
             raise ContractViolationError(
-                f"{stage.fn_id!r} takes {registration.capture_arity} captures, "
-                f"got {len(stage.captures)}"
+                f"{fn_id!r} takes {registration.capture_arity} captures, got {len(captures)}"
             )
-        args = resolve_captures(stage.captures, ctx)
+        args = resolve_captures(captures, ctx) if captures else []
+        lifted = registration.lifted
         try:
-            result = registration.body(value, args, ctx)
+            result = registration.body(value, *args) if lifted else registration.body(value, args, ctx)
         except RemoteError:
             raise
         except TransportError as exc:
-            raise ExecutionError(f"{stage.fn_id}: lost peer {exc.endpoint}: {exc}") from exc
+            raise ExecutionError(f"{fn_id}: lost peer {exc.endpoint}: {exc}") from exc
         except Exception as exc:
-            raise ExecutionError(f"{stage.fn_id}: {exc}") from exc
+            raise ExecutionError(f"{fn_id}: {exc}") from exc
         if position == last:
+            if lifted:
+                result = _new_plain(result)
             if not isinstance(result, final):
                 raise ContractViolationError(
-                    f"{stage.fn_id!r} returned {type(result).__name__}, not a {final.__name__}"
+                    f"{fn_id!r} returned {type(result).__name__}, not a {final.__name__}"
                 )
             return result
-        if not isinstance(result, PlainValue):
-            raise ContractViolationError(
-                f"intermediate stage {stage.fn_id!r} must yield a plain value"
-            )
-        value = result.value
+        if lifted:
+            value = result
+        elif isinstance(result, PlainValue):
+            value = result.value
+        else:
+            raise ContractViolationError(f"intermediate stage {fn_id!r} must yield a plain value")
     raise AssertionError("unreachable: pipeline is non-empty")

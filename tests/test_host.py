@@ -1,3 +1,4 @@
+import gc
 import socket
 import subprocess
 import sys
@@ -344,6 +345,35 @@ def test_tcp_closes_connection_after_protocol_error(tcp_node):
         read_frame(sock)  # the error response
         sock.settimeout(5)
         assert sock.recv(1) == b""  # server hung up
+
+
+def test_idle_connections_hold_no_reply(tcp_node):
+    # a few connections, each left open after a Get of about 700 KB
+    descriptor = tcp_node.table.export(bytes(700_000))
+    request = encode_message(Get(descriptor.id))
+    address = (tcp_node.endpoint.host, tcp_node.endpoint.port)
+    socks = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            socks.append(socket.create_connection(address, timeout=5))
+            socks[-1].sendall(request)
+            assert len(read_frame(socks[-1])) > 700_000
+        # a handler lets its reply go just after the send returns; give it that moment
+        deadline = time.monotonic() + 2
+        while True:
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+            if held < 500_000 or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+    finally:
+        tracemalloc.stop()
+        for sock in socks:
+            sock.close()
+    assert held < 500_000
 
 
 def test_closing_a_tcp_node_with_a_connected_client_returns_at_once():

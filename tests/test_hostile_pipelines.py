@@ -109,6 +109,11 @@ FORGED = {
                         "short body: need 2305 bytes at offset 40, have 27"),
     "no-stages": (_forged(17, 2, (0).to_bytes(2, "big")), "empty pipeline at offset 17"),
     "fn-id-list-tag": (_forged(19, 1, b"\x06"), "unknown value tag 0x61 at offset 24"),
+    # cut inside an int capture's 8 value bytes, after its head: the one-step
+    # int read does not apply, and the capture's payload is read alone
+    "int-capture-cut": (_forged(44, 23, b""), "short body: need 9 bytes at offset 39, have 5"),
+    "second-int-capture-cut": (_forged(63, 4, b""),
+                               "short body: need 9 bytes at offset 58, have 5"),
 }
 
 

@@ -823,6 +823,15 @@ def test_decoding_a_value_frame_copies_its_payload_once(variant):
     assert peak < 1.2 * len(frame)
 
 
+def test_decoding_a_map_too_large_to_remember_copies_no_key():
+    # the memo keeps no pipeline over MEMO_BYTES, so none is sliced out as a key
+    blob = bytes(range(256)) * 4096
+    frame = encode_message(Map(ObjectId(1, 1), ShippedFn((Stage("add", (InlineValue(blob),)),))))
+    message, peak = _traced_peak(lambda: decode_frame(frame))
+    assert message.fn.stages[0].captures[0].value == blob
+    assert peak <= 2.2 * len(frame)
+
+
 # -- pipeline frames: the flat stage codec and the objects it builds ----------
 
 endpoints = st.builds(

@@ -69,6 +69,7 @@ BUILDERS = {
     RemoteRef: shipping._new_ref,
     Stage: shipping._new_stage,
     ShippedFn: shipping._new_pipeline,
+    shipping.PlainValue: shipping._new_plain,
 }
 
 

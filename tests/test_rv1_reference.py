@@ -436,6 +436,34 @@ def test_pipeline_and_descriptor_frames_encode_to_the_reference_bytes(read):
             assert encode_message(message) == expected
 
 
+# An int capture in range is written and read in one step; a bool, an int
+# subclass and an int out of range take the general writer, and a frame cut
+# inside the int's 8 bytes the general reader.
+INT_CAPTURES = INT64_BOUNDS + [0, True, Level.HIGH, Level.LOW, 2**63, -(2**63) - 1]
+
+
+@pytest.mark.parametrize("value", INT_CAPTURES, ids=repr)
+def test_an_int_capture_is_written_and_read_as_the_reference_does(value):
+    read = ("Map", (1, 2), [("add", [("inline", value)]), ("mul", [("inline", -1), ("inline", value)])])
+    expected = _encodable_frame(read)
+    message = _library_message(read)
+    general = type(value) is not int or not INT64_BOUNDS[0] <= value <= INT64_BOUNDS[1]
+    if expected is not None:
+        encode_message(message)  # renders the fn ids, so the writer below writes only captures
+    with mock.patch.object(protocol, "_encode_raw", wraps=protocol._encode_raw) as writer:
+        if expected is None:
+            with pytest.raises(NotSerializableError, match=(
+                    f"^stage 0 capture 0: integer out of 64-bit range: {value}$")):
+                encode_message(message)
+            return
+        frame = encode_message(message)
+    assert frame == expected
+    assert writer.call_count == (2 if general else 0)  # one per capture of ``value``
+    for cut in range(len(frame) - 19, len(frame)):  # every cut in an int capture's 19 bytes
+        _agree(len(frame[4:cut]).to_bytes(4, "big") + frame[4:cut])
+    _agree(frame)
+
+
 SAMPLE_FRAMES = [encode_message(message) for message in
                  test_hostile_pipelines.PIPELINE_SAMPLES.values()]
 

@@ -106,10 +106,6 @@ class AsyncHandle:
     def force(self, timeout: Optional[float] = None) -> Any:
         return self.get().result(timeout)
 
-    def handle(self, timeout: Optional[float] = None) -> RemoteHandle:
-        """Wait for the underlying remote handle itself (not its value)."""
-        return self._future.result(timeout)
-
 
 class DeferredHandle:
     """A remote handle plus a tuple of not-yet-applied stages.

@@ -1,7 +1,8 @@
 """Standard registered functions shared by every node, plus the opaque token type.
 
 Interoperating processes must register the same function ids, so the defaults
-below are installed on every node at startup. Anything beyond them is the
+below, registered once per process as an application registers its own, are
+installed on every node at startup. Anything beyond them is the
 application's business: register once per process before serving traffic.
 Map-position functions are plain callables lifted unchanged (see
 ``FnRegistry.lift``); the rest need the evaluation context, so they keep the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage, _lift_arity
+from .shipping import FnRegistry, InlineValue, PlainValue, RemoteValue, Stage
 
 
 class Token:
@@ -87,34 +88,40 @@ def _kleisli_int_then(subject, args, ctx):
     return RemoteValue(second.descriptor)
 
 
-# (fn_id, capture arity, body, lifted), built once per process: a lifted row
-# holds its function itself and reads its arity here, at import, and flat_map
-# rows keep the full body
-_STOCK = tuple((fn_id, _lift_arity(f), f, True) for fn_id, f in (
-    ("identity", lambda x: x),
-    ("inc", lambda x: x + 1),
-    ("add", operator.add),
-    ("mul", operator.mul),
-    ("to_text", canonical_text),
-    ("pair_equals_inner", lambda second, first: first == second),
-    ("mk_pair_equals", lambda subject, other: subject == other.get()),
-)) + tuple((*row, False) for row in (
-    ("new_token", 0, lambda subject, args, ctx: PlainValue(ctx.new_token())),
-    # flatMap-position identity: re-host the subject at the executing node
-    ("pure", 0, lambda subject, args, ctx: RemoteValue(ctx.apply(subject).descriptor)),
-    # pass a captured reference through unchanged, wherever it lives
-    ("const_ref", 1, lambda subject, args, ctx: RemoteValue(args[0].descriptor)),
-    ("pair_equals_outer", 1, _pair_equals_outer),
-    ("kleisli_int", 1, lambda subject, args, ctx: RemoteValue(
-        ctx.apply(run_int_pipeline(args[0], subject)).descriptor)),
-    ("kleisli_int_then", 2, _kleisli_int_then),
-))
+def _stock_registry() -> FnRegistry:
+    """The stock set, joined as an application joins its own; every node shares it."""
+    registry = FnRegistry()
+    for fn_id, f in (
+        ("identity", lambda x: x),
+        ("inc", lambda x: x + 1),
+        ("add", operator.add),
+        ("mul", operator.mul),
+        ("to_text", canonical_text),
+        ("pair_equals_inner", lambda second, first: first == second),
+        ("mk_pair_equals", lambda subject, other: subject == other.get()),
+    ):
+        registry.lift(fn_id, f)
+    for fn_id, arity, body in (
+        ("new_token", 0, lambda subject, args, ctx: PlainValue(ctx.new_token())),
+        # flatMap-position identity: re-host the subject at the executing node
+        ("pure", 0, lambda subject, args, ctx: RemoteValue(ctx.apply(subject).descriptor)),
+        # pass a captured reference through unchanged, wherever it lives
+        ("const_ref", 1, lambda subject, args, ctx: RemoteValue(args[0].descriptor)),
+        ("pair_equals_outer", 1, _pair_equals_outer),
+        ("kleisli_int", 1, lambda subject, args, ctx: RemoteValue(
+            ctx.apply(run_int_pipeline(args[0], subject)).descriptor)),
+        ("kleisli_int_then", 2, _kleisli_int_then),
+    ):
+        registry.register(fn_id, arity, body)
+    return registry
+
+
+_STOCK = _stock_registry()
 
 
 def register_default_functions(registry: FnRegistry) -> None:
-    """Install the shared function set every node registers at startup."""
-    for fn_id, arity, body, lifted in _STOCK:
-        registry._add(fn_id, arity, body, lifted)
+    """Install the stock set; a registry holding a stock id is refused, adding nothing."""
+    registry._add_all(_STOCK)
 
 
 def default_registry() -> FnRegistry:

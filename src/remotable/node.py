@@ -193,12 +193,6 @@ class Node:
             self._loopback = None
         self._executor.shutdown(wait=False)
 
-    def __enter__(self) -> "Node":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     # -- internals ----------------------------------------------------------
 
     def _materialize(self, descriptor: RemoteRefDescriptor) -> RemoteHandle:

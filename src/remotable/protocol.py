@@ -38,12 +38,11 @@ Python call per element; the bytes are the same as element by element. An
 int or float list is packed in place: one struct call packs every element
 big-endian, the output grows by the list's size with those bytes and the
 tag column appended, and the tag column and each of the 8 byte columns are
-then copied into the list's 9-byte rows with one strided copy each. No
-tagged row template is built; the temporaries besides the packed bytes are
-a ninth of the list's size each. Any
-irregularity on decode (a wrong tag, truncation, bad UTF-8) falls back to
-the element-by-element reader, so errors and their offsets do not depend on
-the fast path. Lists may nest at most MAX_LIST_DEPTH deep in either
+then copied into the list's 9-byte rows with one strided copy each. The
+temporaries besides the packed bytes are a ninth of the list's size each.
+Any irregularity on decode (a wrong tag, truncation, bad UTF-8) falls back
+to the element-by-element reader, so errors and their offsets do not depend
+on the fast path. Lists may nest at most MAX_LIST_DEPTH deep in either
 direction.
 
 A value payload (an Export or a RespValue) is copied once on each side of
@@ -339,9 +338,9 @@ def _put_fixed(tag: int, fmt: str, value: list, out: bytearray) -> None:
     struct packs the whole list big-endian in one call. ``out`` is grown by
     the list's encoded size by appending the packed bytes and the tag column,
     and then the tag column and each of the 8 byte columns are copied into
-    their places in the 9-byte rows with one strided copy each. No tagged row
-    template is built; besides the packed bytes, each temporary (the tag
-    column, one byte column at a time) is a ninth of the list's size.
+    their places in the 9-byte rows with one strided copy each. Besides the
+    packed bytes, each temporary (the tag column, one byte column at a time)
+    is a ninth of the list's size.
     """
     count = len(value)
     data = struct.pack(f">{count}{fmt}", *value)

@@ -246,19 +246,19 @@ class FnRegistry:
                 raise ValueError(f"function id already registered: {fn_id!r}")
             self._entries[fn_id] = _Registration(arity, body, lifted)
 
-    def lookup(self, fn_id: str) -> _Registration:
-        found = self.get(fn_id)
-        if found is None:
-            raise UnknownFunctionError(fn_id)
-        return found
+    def _add_all(self, other: "FnRegistry") -> None:
+        """Add every registration of ``other``, the same objects, or none if an id is taken."""
+        with self._lock:
+            for fn_id in other._entries:
+                if fn_id in self._entries:
+                    raise ValueError(f"function id already registered: {fn_id!r}")
+            self._entries.update(other._entries)
 
 
 def _lift_arity(f: Callable[..., Any]) -> int:
     """The capture arity of ``f(subject, *captures)``.
 
     Raises TypeError or ValueError where ``FnRegistry.lift`` refuses ``f``.
-    Private to the package: ``lift`` is the public way to lift, and the stock
-    table in ``funcs`` uses this to read its arities once, at import.
     """
     required = []  # one flag per positional parameter: does it lack a default?
     for param in inspect.signature(f).parameters.values():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import remotable.protocol
+import remotable.transport
 from remotable import (
     ContractViolationError,
     EndpointAddr,
@@ -238,6 +239,15 @@ def test_stats_of_unknown_id_names_the_id(node):
 def test_response_variant_is_not_a_request(node):
     response = node.host.dispatch(RespAck())
     assert response.code == ErrorCode.PROTOCOL_ERROR
+
+
+def test_an_unforeseen_fault_is_an_internal_error_reply(node):
+    node.table._first = 2**64 - 1
+    node.table.export(1)  # takes the last serial there is
+    export = Export(encode_value(2))
+    expected = RespError(int(ErrorCode.EXECUTION_ERROR), "internal error: object id serial space exhausted")
+    assert node.host.dispatch(export) == expected
+    assert decode_frame(node.host.handle_frame(encode_message(export))) == expected
 
 
 def test_handle_frame_rejects_garbage_with_error_frame(node):
@@ -497,6 +507,30 @@ def test_client_reads_a_reply_that_arrives_a_few_bytes_at_a_time():
             transport.close()
             thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_a_frame_whose_prefix_arrives_split_reads_whole_on_a_socket_with_a_timeout():
+    # a peek on a socket with a timeout returns the 2 bytes there are, so the
+    # prefix is read before the body
+    frame = encode_message(RespValue(encode_value(list(range(20)))))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with socket.create_connection(listener.getsockname(), timeout=5) as sender:
+            reader, _ = listener.accept()
+            with reader:
+                reader.settimeout(5)
+                sender.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+                def send():
+                    sender.sendall(frame[:2])
+                    time.sleep(0.05)
+                    sender.sendall(frame[2:])
+
+                thread = threading.Thread(target=send)
+                thread.start()
+                try:
+                    assert read_frame(reader) == frame
+                finally:
+                    thread.join(timeout=5)
 
 
 def test_client_fails_typed_when_the_peer_closes_inside_a_reply_header():
@@ -922,6 +956,27 @@ def test_first_calls_that_race_to_connect_share_one_channel():
         sys.setswitchinterval(interval)
         transport.close()
         server.close()
+
+
+def test_a_transport_closed_while_it_connects_keeps_no_channel(monkeypatch):
+    transport = TcpTransport()
+    connect = socket.create_connection
+    made = []
+
+    def connect_then_close(*args, **kwargs):
+        made.append(connect(*args, **kwargs))
+        transport.close()
+        return made[-1]
+
+    monkeypatch.setattr(remotable.transport.socket, "create_connection", connect_then_close)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        endpoint = EndpointAddr(*listener.getsockname())
+        with pytest.raises(TransportError) as refused:
+            transport.call(endpoint, Lookup("x"))
+    assert str(refused.value) == f"transport closed: no call to {endpoint}"
+    assert refused.value.endpoint is endpoint
+    assert made[0].fileno() == -1  # the fresh socket is closed
+    assert transport._channels == {}
 
 
 def test_a_host_restarted_on_its_port_binds_and_its_old_client_reconnects():

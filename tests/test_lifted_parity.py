@@ -42,8 +42,9 @@ def _full_body(f):
 
 def _full_body_registry():
     registry = FnRegistry()
-    for fn_id, arity, body, lifted in _STOCK:
-        registry.register(fn_id, arity, _full_body(body) if lifted else body)
+    for fn_id, stock in _STOCK._entries.items():
+        body = _full_body(stock.body) if stock.lifted else stock.body
+        registry.register(fn_id, stock.capture_arity, body)
     registry.register(USER[0], 1, _full_body(USER[1]))
     return registry
 

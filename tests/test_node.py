@@ -187,6 +187,19 @@ def test_detach_racing_many_delivers_gives_only_replies_or_no_host():
     assert total["reply"] + total["no host"] == 4 * 3000
 
 
+def test_an_endpoint_already_attached_is_refused():
+    network = LoopbackNetwork()
+    server, client = Node.loopback(network), Node.loopback(network)
+    try:
+        with pytest.raises(ValueError) as refused:
+            network.attach(server.endpoint, lambda frame: b"")
+        assert str(refused.value) == f"endpoint already attached: {server.endpoint}"
+        assert client.export_to(server.endpoint, 5).get() == 5  # the server still answers
+    finally:
+        client.close()
+        server.close()
+
+
 def test_lookup_then_map_then_get(loop_pair):
     server, client = loop_pair
     server.rebind("obj", server.new_token())
@@ -569,6 +582,22 @@ def _pair(kind, make_registry=default_registry, locality=True):
 
 def _raise_surrogate(subject):
     raise ValueError("bad \ud800")
+
+
+def test_a_function_lifted_at_one_node_is_not_seen_at_another():
+    network = LoopbackNetwork()
+    one, other = Node.loopback(network), Node.loopback(network)
+    try:
+        one.registry.lift("floor", math.floor)
+        assert one.registry.get("floor") is not None
+        assert other.registry.get("floor") is None and default_registry().get("floor") is None
+        assert one.registry.get("inc") is other.registry.get("inc")  # the stock set is shared
+        with pytest.raises(UnknownFunctionError):
+            one.export_to(other.endpoint, 2.5).map(Stage("floor"))
+        assert one.apply(2.5).map(Stage("floor")).get() == 2
+    finally:
+        one.close()
+        other.close()
 
 
 def _surrogate_registry():

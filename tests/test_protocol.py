@@ -544,6 +544,33 @@ def test_stage_whose_fn_id_is_not_non_empty_text_is_rejected(fn_id):
         decode_frame(frame)
 
 
+@pytest.mark.parametrize("message, text", [
+    (5, "not a protocol message: int"),
+    (Map(DESCRIPTOR.id, ShippedFn((Stage("inc"),) * 0x10000)), "too many stages in one pipeline"),
+    (Map(DESCRIPTOR.id, ShippedFn((Stage("add", (InlineValue(1),) * 0x10000),))),
+     "too many captures in one stage"),
+], ids=["not-a-message", "stages", "captures"])
+def test_what_no_frame_can_carry_is_refused_at_encode(message, text):
+    with pytest.raises(ProtocolError) as refused:
+        encode_message(message)
+    assert str(refused.value) == text
+
+
+_REBIND_TAG = encode_message(Rebind("x", DESCRIPTOR))[4:5]
+# forged bodies the hostile tables do not reach, each with its ProtocolError's text
+FORGED_BODIES = [
+    (_REBIND_TAG + b"\x00\x01x" + encode_value(5).data + bytes(8) + (7).to_bytes(8, "big"),
+     "descriptor endpoint is not text at offset 4"),
+]
+
+
+@pytest.mark.parametrize("body, text", FORGED_BODIES)
+def test_forged_body_is_refused_with_its_text(body, text):
+    with pytest.raises(ProtocolError) as refused:
+        decode_frame(len(body).to_bytes(4, "big") + body)
+    assert str(refused.value) == text
+
+
 def test_object_id_with_serial_zero_on_the_wire_is_rejected():
     body = b"\x05" + (0xAB).to_bytes(8, "big") + (0).to_bytes(8, "big")
     frame = len(body).to_bytes(4, "big") + body

@@ -18,14 +18,16 @@ from remotable import (
     RemoteValue,
     ShippedFn,
     Stage,
+    Token,
     TransportError,
     UnknownFunctionError,
     default_registry,
     evaluate,
+    register_default_functions,
 )
 from remotable.shipping import resolve_captures
 
-from helpers import run_int_pipeline, stages_for_ops
+from helpers import OP_ADD, OP_INC, run_int_pipeline, stages_for_ops
 
 
 class _StubCtx:
@@ -74,28 +76,54 @@ def test_lift_refuses_a_fn_id_no_stage_can_name(fn_id):
 def test_registry_unknown_lookup():
     registry = FnRegistry()
     with pytest.raises(UnknownFunctionError):
-        registry.lookup("missing")
+        evaluate(registry, _pipeline(Stage("missing")), 5, _StubCtx(), PlainValue)
     assert registry.get("missing") is None
+
+
+# the stock set in its registration order
+STOCK_ARITIES = {
+    "identity": 0,
+    "inc": 0,
+    "add": 1,
+    "mul": 1,
+    "to_text": 0,
+    "pair_equals_inner": 1,
+    "mk_pair_equals": 1,
+    "new_token": 0,
+    "pure": 0,
+    "const_ref": 1,
+    "pair_equals_outer": 1,
+    "kleisli_int": 1,
+    "kleisli_int_then": 2,
+}
 
 
 def test_stock_arities_are_pinned():
     registry = default_registry()
-    arities = {
-        "identity": 0,
-        "inc": 0,
-        "add": 1,
-        "mul": 1,
-        "to_text": 0,
-        "new_token": 0,
-        "pure": 0,
-        "const_ref": 1,
-        "pair_equals_inner": 1,
-        "pair_equals_outer": 1,
-        "mk_pair_equals": 1,
-        "kleisli_int": 1,
-        "kleisli_int_then": 2,
-    }
-    assert {fn_id: registry.get(fn_id).capture_arity for fn_id in arities} == arities
+    assert {fn_id: registry.get(fn_id).capture_arity for fn_id in STOCK_ARITIES} == STOCK_ARITIES
+
+
+def test_every_default_registry_takes_the_same_stock_registrations():
+    first, second = default_registry(), default_registry()
+    assert first is not second
+    for fn_id in STOCK_ARITIES:
+        assert first.get(fn_id) is second.get(fn_id) is not None
+
+
+@pytest.mark.parametrize("held, named", [
+    (("mul",), "mul"),
+    (("kleisli_int_then", "add"), "add"),  # the first clash in stock order
+    (tuple(STOCK_ARITIES), "identity"),
+])
+def test_a_stock_id_already_registered_is_refused_and_nothing_is_added(held, named):
+    registry = FnRegistry()
+    for fn_id in held:
+        registry.register(fn_id, 0, lambda s, a, c: PlainValue(s))
+    before = {fn_id: registry.get(fn_id) for fn_id in held}
+    with pytest.raises(ValueError) as raised:
+        register_default_functions(registry)
+    assert str(raised.value) == f"function id already registered: {named!r}"
+    assert {fn_id: registry.get(fn_id) for fn_id in STOCK_ARITIES if registry.get(fn_id)} == before
 
 
 def _optional_keyword(subject, *, scale=1):
@@ -272,6 +300,33 @@ def test_a_lost_peer_in_a_body_is_named_with_a_fixed_prefix():
         "nested: lost peer 10.0.0.2:7099: call to 10.0.0.2:7099 failed: connection closed mid-frame"
     )
     assert isinstance(caught.value.__cause__, TransportError)
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"),
+    (-3, "-3"),
+    (2.5, "2.5"),
+    ("s", "s"),
+    (b"\x01\xff", "01ff"),
+    (Token(4), "token#4"),
+    ([1, [False, "a"], []], "[1, [false, a], []]"),
+    ({"k": 1}, "<dict>"),
+    (None, "<NoneType>"),
+])
+def test_to_text_renders_each_kind(value, text):
+    assert evaluate(default_registry(), _pipeline(Stage("to_text")), value, _StubCtx(), PlainValue) == (
+        PlainValue(text))
+
+
+@pytest.mark.parametrize("ops, text", [
+    ([OP_ADD], "int pipeline must be [opcode, operand] pairs"),
+    ([OP_INC, 0, 7, 1], "unknown int pipeline opcode 7"),
+])
+def test_a_malformed_int_pipeline_is_an_execution_error(ops, text):
+    pipeline = _pipeline(Stage("kleisli_int", (InlineValue(ops),)))
+    with pytest.raises(ExecutionError) as caught:
+        evaluate(default_registry(), pipeline, 5, _StubCtx(), RemoteValue)
+    assert str(caught.value) == f"kleisli_int: {text}"
 
 
 def test_body_returning_bare_value_is_a_contract_violation():

@@ -246,11 +246,11 @@ class Node:
         """
         _check_fn_id(fn_id)
         converted = tuple([
-            _new_inline(capture, None, False) if type(capture) in _SCALARS
+            _new_inline(capture, None) if type(capture) in _SCALARS
             else _new_ref(capture.descriptor) if isinstance(capture, RemoteHandle)
             else _new_ref(capture) if isinstance(capture, RemoteRefDescriptor)
             else capture if isinstance(capture, (InlineValue, RemoteRef))
-            else _new_inline(capture, None, False)
+            else _new_inline(capture, None)
             for capture in captures
         ])
         registration = self.registry.get(fn_id)

@@ -730,7 +730,7 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
             end = pos + _INT_CAPTURE_SIZE
             if end <= len(buf) and buf.startswith(_INT_CAPTURE, pos):
                 # an int capture whose 8 bytes are all there: read in one step
-                captures.append(_new_inline(i64(buf, end - 8)[0], None, True))
+                captures.append(_new_inline(i64(buf, end - 8)[0], None))
                 pos = end
             elif buf.startswith(_INLINE_RV1, pos):
                 try:
@@ -743,7 +743,7 @@ def _take_pipeline(buf: bytes, pos: int) -> tuple[ShippedFn, int]:
                 pos = end
                 if type(value) is list:
                     shareable = False
-                captures.append(_new_inline(value, None, True))
+                captures.append(_new_inline(value, None))
             elif pos < len(buf) and buf[pos] == _CAPTURE_REF:
                 descriptor, pos = _take_descriptor(buf, pos + 1)
                 captures.append(_new_ref(descriptor))

@@ -48,15 +48,12 @@ class InlineValue:
 
     ``origin`` names the hosted value this capture copies, when it was built
     by ``HostContext.subject_capture``; the shipping node then charges one
-    serialization to that value. ``decoded`` marks a capture that the
-    protocol decoder built for one request, whose value no one else holds;
-    the constructor always leaves it False. Neither is encoded, and neither
-    takes part in equality.
+    serialization to that value. It is not encoded, and it takes no part in
+    equality.
     """
 
     value: Any
     origin: Optional[ObjectId] = field(default=None, compare=False)
-    decoded: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 @_frozen
@@ -274,17 +271,15 @@ def _lift_arity(f: Callable[..., Any]) -> int:
 def resolve_captures(captures: tuple[Capture, ...], ctx: HostContext) -> list:
     """Materialize capture arguments for a body about to run.
 
-    An inline capture yields its value as a decoded frame would: a decoded
-    one as it is, and any other (a request answered in process) through
-    ``_own``, so a body never changes the caller's ``Stage`` or what a later
-    application of it receives. Copying is not serializing: no counter
-    moves. Reference captures go through the context, which substitutes the
+    An inline list or bytearray capture yields its own copy (``_own``),
+    whatever path its request took, so a body never changes a ``Stage`` or
+    what a later application of it receives; any other value is passed as it
+    is. Copying is not serializing: no counter moves. Reference captures go through the context, which substitutes the
     local entry for home references (unless locality replacement is
     disabled) and a wire-backed handle otherwise. Home resolution performs
     zero serialization.
     """
-    return [(_own(capture.value) if not capture.decoded and isinstance(capture.value, _MUTABLE)
-             else capture.value)
+    return [(_own(capture.value) if isinstance(capture.value, _MUTABLE) else capture.value)
             if isinstance(capture, InlineValue) else ctx.resolve_ref(capture.descriptor)
             for capture in captures]
 

@@ -137,13 +137,6 @@ def test_the_dict_setting_builder_is_gone():
     assert not hasattr(model, "_built")
 
 
-def test_a_decoded_capture_is_marked_as_one():
-    # the one field a constructor cannot set: the decoder's mark
-    built = shipping._new_inline(7, None, True)
-    assert built.decoded and not InlineValue(7).decoded
-    assert built == InlineValue(7)
-
-
 # -- ast checks ----------------------------------------------------------------
 
 

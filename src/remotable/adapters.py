@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional, Union
 
 from .errors import TransportError
 from .node import Node, RemoteHandle
-from .shipping import ShippedFn, Stage
+from .shipping import ShippedFn, Stage, _not_a_pipeline
 
 # Per thread, set only while _drive completes a step's future: that future
 # and the step its first continuation claimed to run next on this thread.
@@ -134,7 +134,12 @@ class DeferredHandle:
         return ShippedFn(self.stages or (Stage("identity"),))
 
     def map(self, fn: Union[Stage, ShippedFn]) -> "DeferredHandle":
-        added = (fn,) if isinstance(fn, Stage) else fn.stages
+        if isinstance(fn, Stage):
+            added = (fn,)
+        elif isinstance(fn, ShippedFn):
+            added = fn.stages
+        else:
+            raise _not_a_pipeline(fn)
         return DeferredHandle(self.remote, self.stages + added)
 
     def get(self) -> Any:

@@ -185,7 +185,7 @@ class TcpHostServer:
     def __init__(self, bind_host: str, bind_port: int):
         try:
             self._listener = socket.create_server((bind_host, bind_port))
-        except OSError as exc:  # in use, not resolvable, not ours to bind
+        except (OSError, OverflowError) as exc:  # in use, not resolvable, not ours, no such port
             raise TransportError(f"cannot listen on {bind_host}:{bind_port}: {exc}") from exc
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.endpoint = EndpointAddr(bind_host if bind_host else str(actual_host), actual_port)

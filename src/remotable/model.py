@@ -34,6 +34,8 @@ if TYPE_CHECKING:
     from .protocol import ValuePayload  # protocol imports model
 
 MAX_PORT = 65535
+# how deep rv1 lists nest (protocol), and how deep a capture's own copy goes (shipping)
+MAX_LIST_DEPTH = 100
 _MAX_SERIAL = 2**64 - 1
 
 _new = object.__new__

@@ -41,6 +41,7 @@ from .protocol import (
     RespValue,
     Stats,
     _new_flat_map,
+    _name_bytes,
     _new_map,
     decode_value,
     encode_value,
@@ -51,11 +52,14 @@ from .shipping import (
     RemoteRef,
     ShippedFn,
     Stage,
+    _MUTABLE,
     _check_fn_id,
     _new_inline,
     _new_pipeline,
     _new_ref,
     _new_stage,
+    _not_a_pipeline,
+    _own,
 )
 from .transport import LoopbackNetwork, LoopbackTransport, TcpTransport, Transport
 
@@ -240,9 +244,12 @@ class Node:
         The fn id is checked first, as ``Stage`` checks it. Arity is then
         pre-checked when the function is registered here too, which catches
         typos before anything goes on the wire. An int, float, str, bool or
-        bytes capture is inlined before any other type is tested. The
-        captures and the stage are built from these checked fields, not
-        through their constructors.
+        bytes capture is inlined before any other type is tested. A list or
+        bytearray capture is read now: the stage holds its own copy
+        (``shipping._own``), so eager, deferred and async chains ship the same
+        value whatever the caller does to its object later. Nothing is
+        encoded here. The captures and the stage are built from these checked
+        fields, not through their constructors.
         """
         _check_fn_id(fn_id)
         converted = tuple([
@@ -250,7 +257,7 @@ class Node:
             else _new_ref(capture.descriptor) if isinstance(capture, RemoteHandle)
             else _new_ref(capture) if isinstance(capture, RemoteRefDescriptor)
             else capture if isinstance(capture, (InlineValue, RemoteRef))
-            else _new_inline(capture, None)
+            else _new_inline(_own(capture) if isinstance(capture, _MUTABLE) else capture, None)
             for capture in captures
         ])
         registration = self.registry.get(fn_id)
@@ -274,7 +281,12 @@ class Node:
         return self._materialize(reply.descriptor)
 
     def rebind(self, name: str, value: Any) -> RemoteHandle:
-        """Bind a name (locally unless given a handle hosted elsewhere)."""
+        """Bind a name (locally unless given a handle hosted elsewhere).
+
+        A name the wire refuses is refused first, on every path, with the
+        codec's ProtocolError; nothing is hosted.
+        """
+        _name_bytes(name)
         if isinstance(value, RemoteHandle):
             handle = value
         else:
@@ -284,6 +296,7 @@ class Node:
         return handle
 
     def lookup(self, endpoint: EndpointAddr, name: str) -> RemoteHandle:
+        _name_bytes(name)  # refused in process as on the wire
         reply = self._call(endpoint, Lookup(name), RespDescriptor)
         return self._materialize(reply.descriptor)
 
@@ -305,10 +318,13 @@ class Node:
 
         The pipeline and the request are built around their constructors
         (see ``model._builder``): a one-stage pipeline is never empty, and a
-        request checks nothing.
+        request checks nothing. An ``fn`` that is neither a Stage nor a
+        ShippedFn is refused with TypeError before any frame.
         """
         if isinstance(fn, Stage):
             fn = _new_pipeline((fn,))
+        elif not isinstance(fn, ShippedFn):
+            raise _not_a_pipeline(fn)
         request = new_request(handle.descriptor.id, fn)
         reply = self._call(handle.descriptor.endpoint, request, RespDescriptor, handle._local)
         return self._materialize(reply.descriptor)

@@ -114,7 +114,8 @@ from typing import Any, NoReturn, Union
 
 from .errors import NotSerializableError, ProtocolError
 from .model import (
-    EndpointAddr, ObjectId, RemoteRefDescriptor, _builder, _frozen, _new_descriptor, _new_id,
+    MAX_LIST_DEPTH, EndpointAddr, ObjectId, RemoteRefDescriptor, _builder, _frozen,
+    _new_descriptor, _new_id,
 )
 from .shipping import (
     InlineValue, ShippedFn, _new_inline, _new_pipeline, _new_ref, _new_stage,
@@ -126,7 +127,6 @@ MAX_BODY_LEN = 2**32 - 1
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-MAX_LIST_DEPTH = 100
 # Shorter int/float lists go element by element: the strided copies of the
 # bulk path cost more than they save below this length.
 BULK_MIN_FIXED = 8
@@ -532,13 +532,22 @@ def _read_value(payload: ValuePayload, build: bool) -> Any:
 # --------------------------------------------------------------------------
 
 
-def _put_name(text: str, out: bytearray) -> None:
+def _name_bytes(text: str) -> bytes:
+    """``text`` as a name field holds it, or the ProtocolError that refuses it.
+
+    The one rule for names, on the wire and for a request answered in process.
+    """
     try:
         encoded = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ProtocolError(f"name has no UTF-8 encoding: {exc}") from None
     if len(encoded) > 0xFFFF:
         raise ProtocolError(f"name too long: {len(encoded)} bytes")
+    return encoded
+
+
+def _put_name(text: str, out: bytearray) -> None:
+    encoded = _name_bytes(text)
     out += _U16.pack(len(encoded))
     out += encoded
 

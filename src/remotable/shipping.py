@@ -6,9 +6,11 @@ pre-registered functions plus explicit captures. Client and host processes
 that intend to interoperate register the same function ids at startup.
 
 A capture is either an inline value or a reference to another hosted value.
-Inline captures hold the live Python object in process; the protocol codec
-only encodes them when the stage is actually shipped to another endpoint,
-which is also the one point where serializability is checked. Reference
+Inline captures hold a Python object in process (``Node.stage`` holds its own
+copy of a list or bytearray, ``_own``); the protocol codec only encodes them
+when the stage is actually shipped to another endpoint, which is also the one
+point where serializability is checked. A body is handed its own copy of a
+list or bytearray capture whichever path its request took. Reference
 captures resolve at the executing host: home references become direct local
 handles (zero serialization), foreign ones become remote handles.
 
@@ -38,7 +40,7 @@ from .errors import (
     TransportError,
     UnknownFunctionError,
 )
-from .model import ObjectId, RemoteRefDescriptor, _builder, _frozen, _hold_tuple
+from .model import MAX_LIST_DEPTH, ObjectId, RemoteRefDescriptor, _builder, _frozen, _hold_tuple
 
 
 @_frozen
@@ -111,6 +113,11 @@ class ShippedFn:
             _hold_tuple(self, "stages")
         if not self.stages:
             raise ValueError("pipeline must contain at least one stage")
+
+
+def _not_a_pipeline(fn: Any) -> TypeError:
+    """The error for an ``fn`` to map that is neither a Stage nor a ShippedFn."""
+    return TypeError(f"fn must be a Stage or a ShippedFn, got {type(fn).__name__}")
 
 
 # Builders of the pipeline records from checked fields (see model._builder)
@@ -288,10 +295,17 @@ def resolve_captures(captures: tuple[Capture, ...], ctx: HostContext) -> list:
 _MUTABLE = (list, bytearray)
 
 
-def _own(value: Any) -> Any:
-    """A list or bytearray as rv1 decodes it: a list copied all the way down, a bytearray as ``bytes``."""
+def _own(value: Any, depth: int = 0) -> Any:
+    """A list or bytearray as rv1 decodes it: a list copied all the way down, a bytearray as ``bytes``.
+
+    The copy stops MAX_LIST_DEPTH lists deep, where rv1 stops, so a list
+    nested deeper (or one that holds itself) is copied that far and fails
+    when it is encoded, as it did uncopied.
+    """
     if isinstance(value, list):
-        return [_own(item) if isinstance(item, _MUTABLE) else item for item in value]
+        if depth == MAX_LIST_DEPTH:
+            return value
+        return [_own(item, depth + 1) if isinstance(item, _MUTABLE) else item for item in value]
     return bytes(value)
 
 

@@ -3,6 +3,7 @@ import random
 import threading
 import time
 from concurrent.futures import CancelledError, Future
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ from remotable import (
     Stage,
     TransportError,
     UnknownFunctionError,
+    default_registry,
 )
 
 from helpers import random_ops, run_int_pipeline, stages_for_ops, stall_at_fabric
@@ -402,3 +404,66 @@ def test_deferred_map_takes_a_shipped_fn_as_eager_map_does(kind, request):
     assert [s.fn_id for s in deferred.stages] == ["inc", "mul", "add"]
     assert deferred.get() == eager + 2 == 20
     assert client.transport.request_frames - before == (0 if kind == "local" else 2)
+
+
+# -- what every style shares ------------------------------------------------------
+
+
+def _nap(subject):
+    time.sleep(0.2)
+    return subject
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_capture_changed_after_composing_ships_as_it_was_in_every_style(kind):
+    # a stage reads its list capture when it is built, so what the caller does
+    # to the list afterwards reaches no style, whenever that style ships
+    registry = default_registry()
+    registry.lift("nap", _nap)
+    network = LoopbackNetwork()
+    make = partial(Node.loopback, network) if kind == "loopback" else Node.tcp
+    server, client = make(registry=registry), make(registry=registry)
+    try:
+        subject = client.export_to(server.endpoint, [1])
+        if kind == "loopback":
+            stall_at_fabric(network, server, 0.2)
+            slow = client.stage("identity")
+        else:
+            slow = client.stage("nap")
+        results = {}
+        for style in ("eager", "deferred", "async"):
+            capture = [2]
+            stage = client.stage("add", capture)
+            if style == "eager":
+                composed = subject.map(stage)
+            elif style == "deferred":
+                composed = DeferredHandle.wrap(subject).map(stage)
+            else:
+                pending = AsyncHandle.wrap(subject).map(slow)
+                composed = pending.map(stage)
+                assert not pending._future.done()  # the step before is still on its way
+            capture.append(3)
+            results[style] = composed.force(10) if style == "async" else composed.get()
+        assert results == {"eager": [1, 2], "deferred": [1, 2], "async": [1, 2]}
+        assert subject.stats() == (0, 0)  # a copy is not a serialization
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("fn", ["inc", None, [Stage("inc")]], ids=["str", "none", "list"])
+@pytest.mark.parametrize("where", ["local", "loopback", "tcp"])
+def test_an_fn_that_is_no_stage_is_refused_alike_in_every_style_before_any_frame(request, where, fn):
+    server, client = request.getfixturevalue("tcp_pair" if where == "tcp" else "loop_pair")
+    handle = client.apply(5) if where == "local" else client.export_to(server.endpoint, 5)
+    refused = f"^fn must be a Stage or a ShippedFn, got {type(fn).__name__}$"
+    sent = client.transport.frame_counts.copy()
+    for compose in (handle.map, handle.flat_map, DeferredHandle.wrap(handle).map):
+        with pytest.raises(TypeError, match=refused):
+            compose(fn)
+    for compose in (AsyncHandle.wrap(handle).map, AsyncHandle.wrap(handle).flat_map):
+        step = compose(fn)  # composing raises nothing; the error waits for force
+        with pytest.raises(TypeError, match=refused):
+            step.force(10)
+    assert client.transport.frame_counts == sent
+    assert handle.map(client.stage("inc")).get() == 6

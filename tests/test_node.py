@@ -36,7 +36,7 @@ from remotable import (
     default_registry,
     encode_message,
 )
-from remotable.protocol import Lookup, RespAck, RespError, RespStats, decode_frame
+from remotable.protocol import MAX_LIST_DEPTH, Lookup, RespAck, RespError, RespStats, decode_frame
 
 from helpers import random_ops, run_int_pipeline, stages_for_ops
 
@@ -425,6 +425,20 @@ def test_a_body_that_mutates_its_list_capture_gets_a_fresh_list_each_time(kind):
             node.close()
 
 
+@pytest.mark.parametrize("pair", ["loop_pair", "tcp_pair"])
+def test_a_list_capture_that_holds_itself_is_copied_only_as_deep_as_rv1_goes(request, pair):
+    server, client = request.getfixturevalue(pair)
+    looped = []
+    looped.append(looped)
+    stage = client.stage("add", looped)  # copied as far as rv1 nests, not refused
+    copied, depth = stage.captures[0].value, 0
+    while copied is not looped:
+        copied, depth = copied[0], depth + 1
+    assert depth == MAX_LIST_DEPTH
+    remote = client.export_to(server.endpoint, [0])
+    with pytest.raises(NotSerializableError, match=f"lists nested deeper than {MAX_LIST_DEPTH}$"):
+        remote.map(stage)
+    assert len(client.apply([0]).map(stage).get()) == 2  # in process nothing is encoded
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 def test_a_closed_node_refuses_every_call_and_opens_no_connection(kind):
     make = partial(Node.loopback, LoopbackNetwork()) if kind == "loopback" else Node.tcp
@@ -906,3 +920,37 @@ def test_a_bare_capture_is_refused_before_any_frame(kind):
     finally:
         client.close()
         server.close()
+
+
+# -- what a node refuses before any frame ---------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+@pytest.mark.parametrize(
+    "name, refused",
+    [("bad \ud800", "name has no UTF-8 encoding: "), ("x" * 70_000, "name too long: 70000 bytes")],
+    ids=["lone_surrogate", "longer_than_a_name"],
+)
+def test_a_name_the_wire_refuses_is_refused_alike_with_locality_on_and_off(kind, name, refused):
+    network = LoopbackNetwork()
+    make = partial(Node.loopback, network) if kind == "loopback" else Node.tcp
+    nodes = [make(locality_replacement=on) for on in (True, False)]
+    try:
+        seen = []
+        for node in nodes:
+            for call in (lambda: node.rebind(name, 5), lambda: node.lookup(node.endpoint, name)):
+                with pytest.raises(ProtocolError, match=f"^{re.escape(refused)}") as caught:
+                    call()
+                seen.append(str(caught.value))
+            assert node.transport.frame_counts == Counter()
+            assert len(node.table) == 0  # a refused rebind hosts nothing
+        assert len(set(seen)) == 1
+    finally:
+        for node in nodes:
+            node.close()
+
+
+@pytest.mark.parametrize("port", [70_000, -1])
+def test_a_port_outside_0_to_65535_is_a_transport_error(port):
+    with pytest.raises(TransportError, match=f"^cannot listen on 127.0.0.1:{port}: "):
+        Node.tcp("127.0.0.1", port)

@@ -40,8 +40,8 @@ from .protocol import (
     RespStats,
     RespValue,
     Stats,
-    _new_flat_map,
     _name_bytes,
+    _new_flat_map,
     _new_map,
     decode_value,
     encode_value,

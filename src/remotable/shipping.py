@@ -298,9 +298,8 @@ _MUTABLE = (list, bytearray)
 def _own(value: Any, depth: int = 0) -> Any:
     """A list or bytearray as rv1 decodes it: a list copied all the way down, a bytearray as ``bytes``.
 
-    The copy stops MAX_LIST_DEPTH lists deep, where rv1 stops, so a list
-    nested deeper (or one that holds itself) is copied that far and fails
-    when it is encoded, as it did uncopied.
+    The copy stops MAX_LIST_DEPTH lists deep, where rv1 stops: a list nested
+    deeper, or one that holds itself, fails when it is encoded, not here.
     """
     if isinstance(value, list):
         if depth == MAX_LIST_DEPTH:

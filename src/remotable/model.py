@@ -16,7 +16,7 @@ dataclasses with ``__slots__``: no instance has a ``__dict__``, and assigning
 or deleting any attribute raises ``FrozenInstanceError`` (``_frozen``).
 Code that has already checked a record's fields builds it with the class's
 builder (``_builder``), which sets each slot directly, and a constructor
-that keeps a tuple of a given iterable stores it with ``_hold_tuple``; this
+that keeps its own form of a given value stores it with ``_hold``; this
 module alone sets slots or creates instances around their constructors.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ _set = object.__setattr__
 
 def _builder(cls: type) -> Callable[..., Any]:
     """A function taking the values of slotted record ``cls``'s fields in order
-    and returning an instance that holds them.
+    (two at most) and returning an instance that holds them.
 
     It runs neither ``__init__`` nor ``__post_init__``, so it is for values the
     caller has already checked: each slot is set through its member
@@ -69,24 +69,15 @@ def _builder(cls: type) -> Callable[..., Any]:
             set_a(instance, a)
             set_b(instance, b)
             return instance
-    elif len(setters) == 3:
-        set_a, set_b, set_c = setters
-
-        def build(a: Any, b: Any, c: Any) -> Any:
-            instance = _new(cls)
-            set_a(instance, a)
-            set_b(instance, b)
-            set_c(instance, c)
-            return instance
     else:
         raise TypeError(f"no builder for {len(setters)} fields")
     return build
 
 
-def _hold_tuple(record: Any, name: str) -> None:
-    """Replace the iterable in slotted record ``record``'s field ``name`` with a
-    tuple of it, for a ``__post_init__`` that takes any iterable."""
-    _set(record, name, tuple(getattr(record, name)))
+def _hold(record: Any, name: str, convert: Callable[[Any], Any]) -> None:
+    """Replace what slotted record ``record``'s field ``name`` holds with ``convert``
+    of it, for a ``__post_init__`` that keeps its own form of a given value."""
+    _set(record, name, convert(getattr(record, name)))
 
 
 def _refuse_set(self: Any, name: str, value: Any) -> None:

@@ -52,14 +52,12 @@ from .shipping import (
     RemoteRef,
     ShippedFn,
     Stage,
-    _MUTABLE,
     _check_fn_id,
     _new_inline,
     _new_pipeline,
     _new_ref,
     _new_stage,
     _not_a_pipeline,
-    _own,
 )
 from .transport import LoopbackNetwork, LoopbackTransport, TcpTransport, Transport
 
@@ -244,12 +242,10 @@ class Node:
         The fn id is checked first, as ``Stage`` checks it. Arity is then
         pre-checked when the function is registered here too, which catches
         typos before anything goes on the wire. An int, float, str, bool or
-        bytes capture is inlined before any other type is tested. A list or
-        bytearray capture is read now: the stage holds its own copy
-        (``shipping._own``), so eager, deferred and async chains ship the same
-        value whatever the caller does to its object later. Nothing is
-        encoded here. The captures and the stage are built from these checked
-        fields, not through their constructors.
+        bytes capture is inlined by its builder before any other type is
+        tested; any other plain value goes through ``InlineValue``, which
+        holds its own copy of a list or bytearray. Nothing is encoded here.
+        The stage is built from these checked fields, not its constructor.
         """
         _check_fn_id(fn_id)
         converted = tuple([
@@ -257,7 +253,7 @@ class Node:
             else _new_ref(capture.descriptor) if isinstance(capture, RemoteHandle)
             else _new_ref(capture) if isinstance(capture, RemoteRefDescriptor)
             else capture if isinstance(capture, (InlineValue, RemoteRef))
-            else _new_inline(_own(capture) if isinstance(capture, _MUTABLE) else capture, None)
+            else InlineValue(capture)
             for capture in captures
         ])
         registration = self.registry.get(fn_id)

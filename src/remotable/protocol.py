@@ -537,6 +537,8 @@ def _name_bytes(text: str) -> bytes:
 
     The one rule for names, on the wire and for a request answered in process.
     """
+    if not isinstance(text, str):
+        raise ProtocolError(f"name must be text, got {type(text).__name__}")
     try:
         encoded = text.encode("utf-8")
     except UnicodeEncodeError as exc:

@@ -6,13 +6,13 @@ pre-registered functions plus explicit captures. Client and host processes
 that intend to interoperate register the same function ids at startup.
 
 A capture is either an inline value or a reference to another hosted value.
-Inline captures hold a Python object in process (``Node.stage`` holds its own
-copy of a list or bytearray, ``_own``); the protocol codec only encodes them
-when the stage is actually shipped to another endpoint, which is also the one
-point where serializability is checked. A body is handed its own copy of a
-list or bytearray capture whichever path its request took. Reference
-captures resolve at the executing host: home references become direct local
-handles (zero serialization), foreign ones become remote handles.
+Inline captures hold a Python object in process, their own copy of a list or
+bytearray (``_own``) however they were built; the protocol codec only
+encodes them when the stage is actually shipped to another endpoint, which is
+also the one point where serializability is checked. A body is handed its
+own copy again, whichever path its request took. Reference captures resolve
+at the executing host: home references become direct local handles (zero
+serialization), foreign ones become remote handles.
 
 A registered function takes one of two calling conventions. A full body is
 called as ``body(subject, captures, ctx)`` and returns a PlainValue or a
@@ -21,9 +21,10 @@ and ``evaluate`` calls it as it is, ``f(subject, *captures)``, with no
 wrapper: its return value is the stage's plain value, passed on unboxed and
 boxed in a PlainValue only when a Map's last stage yields it.
 
-This module is the one place that knows how a pipeline runs at its host: a
-body's ``ctx`` is always a ``HostContext``, and ``evaluate`` is the one check
-of the result contract (a Map's last stage yields a PlainValue, a FlatMap's a
+This module alone decides what a stage may hold (``_check_fn_id``, the copy
+rule of ``InlineValue``) and how a pipeline runs at its host: a body's
+``ctx`` is always a ``HostContext``, and ``evaluate`` is the one check of the
+result contract (a Map's last stage yields a PlainValue, a FlatMap's a
 RemoteValue). It imports neither ``node`` nor ``host``.
 """
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     TransportError,
     UnknownFunctionError,
 )
-from .model import MAX_LIST_DEPTH, ObjectId, RemoteRefDescriptor, _builder, _frozen, _hold_tuple
+from .model import MAX_LIST_DEPTH, ObjectId, RemoteRefDescriptor, _builder, _frozen, _hold
 
 
 @_frozen
@@ -48,6 +49,8 @@ from .model import MAX_LIST_DEPTH, ObjectId, RemoteRefDescriptor, _builder, _fro
 class InlineValue:
     """A capture carried by value.
 
+    A list or bytearray ``value`` is held as its own copy (``_own``); only
+    the builder ``_new_inline``, for a scalar or a value just decoded, skips it.
     ``origin`` names the hosted value this capture copies, when it was built
     by ``HostContext.subject_capture``; the shipping node then charges one
     serialization to that value. It is not encoded, and it takes no part in
@@ -56,6 +59,10 @@ class InlineValue:
 
     value: Any
     origin: Optional[ObjectId] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.value, _MUTABLE):
+            _hold(self, "value", _own)
 
 
 @_frozen
@@ -70,9 +77,13 @@ Capture = Union[InlineValue, RemoteRef]
 
 
 def _check_fn_id(fn_id: Any) -> None:
-    """Refuse a stage fn id that is not non-empty text, as ``Stage`` does."""
-    if not isinstance(fn_id, str) or not fn_id:
-        raise ValueError(f"stage fn_id must be non-empty text, got {fn_id!r}")
+    """The one fn-id check: the wire's rule, non-empty text with a UTF-8 encoding."""
+    try:  # str.isascii refuses a non-str with TypeError; an ASCII id is never encoded
+        if (str.isascii(fn_id) or fn_id.encode("utf-8")) and fn_id:
+            return
+    except (TypeError, UnicodeEncodeError):
+        pass
+    raise ValueError(f"stage fn_id must be non-empty text with a UTF-8 encoding, got {fn_id!r}")
 
 
 @_frozen
@@ -90,7 +101,7 @@ class Stage:
     def __post_init__(self) -> None:
         _check_fn_id(self.fn_id)
         if type(self.captures) is not tuple:
-            _hold_tuple(self, "captures")
+            _hold(self, "captures", tuple)
         for capture in self.captures:
             if not isinstance(capture, (InlineValue, RemoteRef)):
                 raise ValueError(f"stage capture must be an InlineValue or a RemoteRef, got {capture!r}")
@@ -110,7 +121,7 @@ class ShippedFn:
 
     def __post_init__(self) -> None:
         if type(self.stages) is not tuple:
-            _hold_tuple(self, "stages")
+            _hold(self, "stages", tuple)
         if not self.stages:
             raise ValueError("pipeline must contain at least one stage")
 
@@ -241,8 +252,7 @@ class FnRegistry:
 
     def _add(self, fn_id: str, arity: int, body: Callable[..., Any], lifted: bool) -> None:
         """Register ``body`` under ``fn_id`` in the calling convention ``lifted`` names."""
-        if not isinstance(fn_id, str) or not fn_id:
-            raise ValueError(f"fn_id must be non-empty text, got {fn_id!r}")
+        _check_fn_id(fn_id)
         if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
             raise ValueError(f"capture arity must be a non-negative int, got {arity!r}")
         with self._lock:

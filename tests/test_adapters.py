@@ -416,8 +416,9 @@ def _nap(subject):
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 def test_a_capture_changed_after_composing_ships_as_it_was_in_every_style(kind):
-    # a stage reads its list capture when it is built, so what the caller does
-    # to the list afterwards reaches no style, whenever that style ships
+    # a stage reads its list capture when it is built, however it is built,
+    # so what the caller does to the list afterwards reaches no style,
+    # whenever that style ships
     registry = default_registry()
     registry.lift("nap", _nap)
     network = LoopbackNetwork()
@@ -430,21 +431,28 @@ def test_a_capture_changed_after_composing_ships_as_it_was_in_every_style(kind):
             slow = client.stage("identity")
         else:
             slow = client.stage("nap")
+        builds = {
+            "bare": lambda capture: client.stage("add", capture),
+            "inline": lambda capture: client.stage("add", InlineValue(capture)),
+            "constructed": lambda capture: Stage("add", (InlineValue(capture),)),
+        }
         results = {}
-        for style in ("eager", "deferred", "async"):
-            capture = [2]
-            stage = client.stage("add", capture)
-            if style == "eager":
-                composed = subject.map(stage)
-            elif style == "deferred":
-                composed = DeferredHandle.wrap(subject).map(stage)
-            else:
-                pending = AsyncHandle.wrap(subject).map(slow)
-                composed = pending.map(stage)
-                assert not pending._future.done()  # the step before is still on its way
-            capture.append(3)
-            results[style] = composed.force(10) if style == "async" else composed.get()
-        assert results == {"eager": [1, 2], "deferred": [1, 2], "async": [1, 2]}
+        for built, build in builds.items():
+            for style in ("eager", "deferred", "async"):
+                capture = [2]
+                stage = build(capture)
+                if style == "eager":
+                    composed = subject.map(stage)
+                elif style == "deferred":
+                    composed = DeferredHandle.wrap(subject).map(stage)
+                else:
+                    pending = AsyncHandle.wrap(subject).map(slow)
+                    composed = pending.map(stage)
+                    assert not pending._future.done()  # the step before is still on its way
+                capture.append(3)
+                results[built, style] = composed.force(10) if style == "async" else composed.get()
+        assert len(results) == 9
+        assert results == dict.fromkeys(results, [1, 2])
         assert subject.stats() == (0, 0)  # a copy is not a serialization
     finally:
         client.close()

@@ -266,19 +266,27 @@ def test_unregistered_fn_ships_and_fails_at_the_host(loop_pair):
         subject.map(Stage("mystery"))
 
 
-@pytest.mark.parametrize("fn_id", [5, b"f", ["f"]], ids=["int", "bytes", "list"])
+@pytest.mark.parametrize(
+    "fn_id", [5, b"f", ["f"], "\ud800"], ids=["int", "bytes", "list", "lone_surrogate"])
 @pytest.mark.parametrize("kind", ["loopback", "tcp", "local"])
 def test_stage_whose_fn_id_is_not_text_is_refused_before_any_frame(kind, fn_id):
-    # shipped, such a stage would fail as ProtocolError at a peer but as
-    # UnknownFunctionError at a local host; refused when built, it fails alike
+    # shipped, such a stage would fail one way at the encoder or a peer and
+    # another at a local host (a lone surrogate would even run there);
+    # refused when built or registered, it fails alike
     server, client = _pair("tcp" if kind == "tcp" else "loopback")
     caller = server if kind == "local" else client
+    text = f"stage fn_id must be non-empty text with a UTF-8 encoding, got {fn_id!r}"
+    refused = f"^{re.escape(text)}$"
     try:
         handle = caller.export_to(server.endpoint, 5)
         sent = caller.transport.frame_counts.copy()
         for build in (Stage, caller.stage):
-            with pytest.raises(ValueError, match="^stage fn_id must be non-empty text"):
+            with pytest.raises(ValueError, match=refused):
                 caller.map(handle, build(fn_id))
+        for join in (partial(caller.registry.register, fn_id, 0, _append_one),
+                     partial(caller.registry.lift, fn_id, operator.neg)):
+            with pytest.raises(ValueError, match=refused):
+                join()
         assert caller.transport.frame_counts == sent
     finally:
         client.close()
@@ -928,15 +936,18 @@ def test_a_bare_capture_is_refused_before_any_frame(kind):
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 @pytest.mark.parametrize(
     "name, refused",
-    [("bad \ud800", "name has no UTF-8 encoding: "), ("x" * 70_000, "name too long: 70000 bytes")],
-    ids=["lone_surrogate", "longer_than_a_name"],
+    [("bad \ud800", "name has no UTF-8 encoding: "), ("x" * 70_000, "name too long: 70000 bytes"),
+     (5, "name must be text, got int")],
+    ids=["lone_surrogate", "longer_than_a_name", "not_text"],
 )
 def test_a_name_the_wire_refuses_is_refused_alike_with_locality_on_and_off(kind, name, refused):
     network = LoopbackNetwork()
     make = partial(Node.loopback, network) if kind == "loopback" else Node.tcp
     nodes = [make(locality_replacement=on) for on in (True, False)]
     try:
-        seen = []
+        with pytest.raises(ProtocolError, match=f"^{re.escape(refused)}") as caught:
+            encode_message(Lookup(name))
+        seen = [str(caught.value)]
         for node in nodes:
             for call in (lambda: node.rebind(name, 5), lambda: node.lookup(node.endpoint, name)):
                 with pytest.raises(ProtocolError, match=f"^{re.escape(refused)}") as caught:

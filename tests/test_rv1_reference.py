@@ -33,7 +33,7 @@ from remotable.protocol import (
     RespDescriptor, RespError, RespStats, RespValue, Stats, ValuePayload, check_value,
     decode_frame,
 )
-from remotable.shipping import InlineValue, RemoteRef, ShippedFn, Stage
+from remotable.shipping import InlineValue, RemoteRef, ShippedFn, _new_stage
 from helpers import MEMOS, charged, set_memos
 import test_hostile_frames
 import test_hostile_pipelines
@@ -325,9 +325,12 @@ def _library_message(read):
     if read[0] in OTHER_VARIANTS:
         return OTHER_VARIANTS[read[0]](*read[1:])
     variant, target, stage_reads = read
+    # a stage is built by its builder: ``Stage`` refuses an fn id without a
+    # UTF-8 encoding, and the encoder's own refusal of one is checked here
     return PIPELINE_VARIANTS[variant](ObjectId(*target), ShippedFn(tuple(
-        Stage(fn_id, tuple(InlineValue(held) if kind == "inline" else RemoteRef(_library_descriptor(held))
-                           for kind, held in capture_reads))
+        _new_stage(fn_id, tuple(
+            InlineValue(held) if kind == "inline" else RemoteRef(_library_descriptor(held))
+            for kind, held in capture_reads))
         for fn_id, capture_reads in stage_reads)))
 
 
